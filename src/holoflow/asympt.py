@@ -18,7 +18,6 @@ samples on a deep vertical segment; each report records the protocol used.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -29,7 +28,8 @@ from .flow import (DiagonalField, SpectrumClass, SpectrumError, _coords,
                    classify_spectrum, normalize_time)
 from .reports import (FAIL, INCONCLUSIVE, PASS, DecayReport, fitted_decay_rate,
                       monotone_below)
-from .series import TaylorSeries
+from .sampling import evaluate, evaluate_prefix
+from .series import TaylorSeries, eval_taylor, level_parts
 
 #: merged pushforward coefficients below this modulus are treated as
 #: structural zeros (cancellation), not data
@@ -109,22 +109,18 @@ class AsymptoticExpansion:
     def __repr__(self) -> str:
         return f"AsymptoticExpansion(levels={len(self._levels)}, terms={len(self._terms)})"
 
-    def partial(self, zeta: complex, n: int | None = None) -> complex:
-        """Partial sum through stored level index n (all levels if None)."""
+    def partial(self, zeta, n: int | None = None):
+        """Partial sum through stored level index n (all levels if None); broadcasts."""
         if n is None:
             n = len(self._levels) - 1
         if n >= len(self._levels):
             raise ValueError(f"level index {n} out of range ({len(self._levels)} levels)")
-        if n < 0:
-            return 0j
-        cutoff = self._levels[n]
-        zeta = complex(zeta)
-        zbar = zeta.conjugate()
-        total = 0j
+        z = np.asarray(zeta, dtype=complex)
+        total = np.zeros_like(z)
         for (mu, nu), p in self._terms.items():
-            if mu + nu <= cutoff:
-                total += p * cmath.exp(-float(mu) * zeta - float(nu) * zbar)
-        return total
+            if n >= 0 and mu + nu <= self._levels[n]:
+                total = total + p * np.exp(-float(mu) * z - float(nu) * np.conj(z))
+        return complex(total) if total.ndim == 0 else total
 
 
 def equals(e1: AsymptoticExpansion, e2: AsymptoticExpansion) -> bool:
@@ -231,41 +227,18 @@ def pushforward(series: TaylorSeries, field: DiagonalField, c, lambda_max) -> As
     if len(coords) != series.dim or series.dim != nfield.dim:
         raise ValueError("series, field, and base point dimensions must agree")
 
-    merged: dict[tuple[Fraction, Fraction], complex] = {}
-    for (k, m), a in series.terms().items():
-        mu = sum((kj * aj for kj, aj in zip(k, alphas)), Fraction(0))
-        nu = sum((mj * aj for mj, aj in zip(m, alphas)), Fraction(0))
-        if mu + nu > lam_max:
-            continue
-        weight = a
-        for cj, kj, mj in zip(coords, k, m):
-            if kj:
-                weight *= cj ** kj
-            if mj:
-                weight *= cj.conjugate() ** mj
-        if weight == 0:
-            continue
-        merged[(mu, nu)] = merged.get((mu, nu), 0j) + weight
-    kept = [(mu, nu, p) for (mu, nu), p in merged.items() if abs(p) >= MERGE_PRUNE_TOL]
+    kept = []
+    for (mu, nu), part in level_parts(series, alphas).items():
+        if mu + nu <= lam_max:
+            p = eval_taylor(part, coords)
+            if abs(p) >= MERGE_PRUNE_TOL:
+                kept.append((mu, nu, p))
     return AsymptoticExpansion(kept)
 
 
 def eval_expansion(e: AsymptoticExpansion, zeta: complex, n: int | None = None) -> complex:
     """Partial sum of e through stored level index n at the point zeta."""
     return e.partial(zeta, n)
-
-
-def _sup_residual(oracle, partial_fn, x: float, y_samples) -> tuple[float, complex]:
-    worst, worst_z = 0.0, complex(x)
-    for y in y_samples:
-        z = complex(x, y)
-        value = complex(oracle(z))
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise ArithmeticError(f"non-finite oracle value at {z}")
-        resid = abs(value - partial_fn(z))
-        if resid > worst:
-            worst, worst_z = resid, z
-    return worst, worst_z
 
 
 def tail_bound_check(
@@ -283,30 +256,45 @@ def tail_bound_check(
 
     The primary report weights the residual by e^(lambda_n x) and applies
     the monotone rule.  If a following level exists (or ``next_rate`` is
-    given), an epsilon-form companion report weights by
+    given), an epsilon-form companion report weights the same residuals by
     e^((lambda_{n+1} - epsilon) x).
     """
     xs = [float(x) for x in abscissas]
     if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
         raise ValueError("abscissas must be strictly increasing")
+    if not len(y_samples):
+        raise ValueError("need at least one y sample")
     if e.levels and n >= len(e.levels):
         raise ValueError(f"level index {n} out of range")
     lam_n = float(e.levels[n]) if e.levels else 0.0
 
-    partial_fn = (lambda z: e.partial(z, n)) if e.levels else (lambda z: 0j)
-    values, witness = [], None
-    try:
-        for x in xs:
-            resid, z = _sup_residual(oracle, partial_fn, x, y_samples)
-            values.append(resid * math.exp(lam_n * x))
-            witness = z
-    except ArithmeticError as exc:
+    grid = np.array([complex(x, y) for x in xs for y in y_samples],
+                    dtype=complex).reshape(len(xs), len(y_samples))
+    samples, exc = evaluate_prefix(oracle, grid.ravel())
+    bad = np.flatnonzero(~np.isfinite(samples))
+    stop = bad[0] if len(bad) else len(samples)
+    rows = grid[: stop // len(y_samples)]
+    partial = e.partial(rows, n) if e.levels else 0j
+    resid = np.abs(samples[: rows.size].reshape(rows.shape) - partial)
+    sups = resid.max(axis=1)
+    values, note = [], None
+    for sup, x in zip(sups, xs):
+        try:
+            values.append(float(sup) * math.exp(lam_n * x))
+        except OverflowError as err:
+            note = str(err)
+            break
+    if note is None and stop < grid.size:
+        note = (f"non-finite oracle value at {complex(grid.flat[stop])}" if len(bad)
+                else f"oracle failed: {exc}")
+    if note is not None:
         return DecayReport(lam_n, tuple(xs), tuple(values), tol, INCONCLUSIVE,
-                           "monotone_below_tol", note=str(exc))
-    except Exception as exc:
-        return DecayReport(lam_n, tuple(xs), tuple(values), tol, INCONCLUSIVE,
-                           "monotone_below_tol", note=f"oracle failed: {exc}")
+                           "monotone_below_tol", note=note)
 
+    witness = None
+    if len(resid):
+        j = int(np.argmax(resid[-1]))
+        witness = complex(grid[-1, j]) if sups[-1] > 0 else complex(xs[-1])
     verdict = PASS if monotone_below(values, tol) else FAIL
     slope = fitted_decay_rate(xs, values)
 
@@ -320,10 +308,7 @@ def tail_bound_check(
         # the epsilon-weighted residual decays only like e^(-epsilon x), so
         # "below tolerance" is unreachable on a short ladder; certify the
         # decreasing trend instead
-        wvals = []
-        for x in xs:
-            resid, _ = _sup_residual(oracle, partial_fn, x, y_samples)
-            wvals.append(resid * math.exp(rate2 * x))
+        wvals = [float(sup) * math.exp(rate2 * x) for sup, x in zip(sups, xs)]
         nonincreasing = all(wvals[i] >= wvals[i + 1] for i in range(len(wvals) - 1))
         decayed = all(v <= tol for v in wvals) or (nonincreasing and wvals[-1] < wvals[0])
         eps_report = DecayReport(rate2, tuple(xs), tuple(wvals), tol,
@@ -365,14 +350,14 @@ def max_principle_bound(
         raise ValueError("decay rate must be >= 0")
     if M <= 0:
         raise ValueError("bound M must be positive")
-    by_x: dict[float, float] = {}
-    worst_ratio, witness = 0.0, None
+    samples = [complex(z) for z in samples]
     for z in samples:
-        z = complex(z)
         if z.real < x_lo - 1e-12:
             raise ValueError(f"sample {z} lies left of the reference segment Re z = {x_lo}")
-        allowed = M * math.exp(-lam * (z.real - x_lo))
-        ratio = abs(complex(oracle(z))) / allowed
+    by_x: dict[float, float] = {}
+    worst_ratio, witness = 0.0, None
+    for z, value in zip(samples, evaluate(oracle, samples).tolist()):
+        ratio = abs(value) / (M * math.exp(-lam * (z.real - x_lo)))
         by_x[z.real] = max(by_x.get(z.real, 0.0), ratio)
         if ratio > worst_ratio:
             worst_ratio, witness = ratio, z
@@ -411,14 +396,10 @@ def uniform_convergence_check(
         raise ValueError("need at least one sample point")
     if any(complex(z).real < d - 1e-12 for z in samples):
         raise ValueError("all samples must satisfy Re z >= d")
-    sups = []
-    for n in range(len(e)):
-        worst = 0.0
-        for z in samples:
-            worst = max(worst, abs(complex(oracle(z)) - e.partial(z, n)))
-        sups.append(worst)
+    values = evaluate(oracle, samples)
+    sups = [float(np.max(np.abs(values - e.partial(samples, n)))) for n in range(len(e))]
     if not sups:
-        sups = [max(abs(complex(oracle(z))) for z in samples)] if samples else [0.0]
+        sups = [float(np.max(np.abs(values)))]
     tail_sum = sum(math.exp(-float(lam) * d) for lam in e.levels)
     span = float(e.levels[-1]) if e.levels else 0.0
     density = len(e.levels) / span if span > 0 else 0.0

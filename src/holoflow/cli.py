@@ -42,11 +42,12 @@ from .asympt import HolomorphicExpansion, eval_expansion, max_principle_bound, \
     pushforward, tail_bound_check
 from .extract import ExtractionParams, extract_coefficients, sampled_sup, \
     verify_cauchy_bound
-from .flow import DiagonalField, integral_curve, level_grid, normalize_time
+from .flow import (BasePoint, DiagonalField, integral_curve, level_grid, level_of,
+                   normalize_time)
 from .forelli import ForelliConfig, JetOracle, forelli_pipeline
 from .reports import write_decay_csv
-from .sampling import polydisk_points
-from .series import TaylorSeries, eval_taylor, parse_term_line
+from .sampling import evaluate, polydisk_points
+from .series import MultiIndex, TaylorSeries, eval_taylor, parse_term_line
 
 
 class ScenarioError(Exception):
@@ -157,10 +158,14 @@ def _parse_jet(sc: Scenario) -> TaylorSeries:
     for lineno, text in term_lines:
         try:
             k, m, a = parse_term_line(text)
+            k, m = MultiIndex(k), MultiIndex(m)
         except ValueError as exc:
             raise ScenarioError(sc.path, lineno, str(exc))
         if dim is None:
             dim = len(k)
+        if len(k) != dim or len(m) != dim:
+            raise ScenarioError(sc.path, lineno, f"exponent length mismatch: dim={dim} "
+                                                 f"(from the first term), k={k}, m={m}")
         terms.append(((k, m), a))
     return TaylorSeries(dim, terms)
 
@@ -206,25 +211,25 @@ def _run_pushforward(sc: Scenario, out: Path, tolerance: float | None,
     if not (len(c) == jet.dim == field.dim):
         sc.error("base_point", f"dimension mismatch: {len(c)} base coordinates, "
                                f"jet dim {jet.dim}, field dim {field.dim}")
+    try:
+        c = BasePoint(c)
+    except ValueError as exc:
+        sc.error("base_point", str(exc))
     tol = tolerance if tolerance is not None else sc.get_float("tolerance", 1e-10)
     nfield, _ = normalize_time(field)
-    lam_max = max_level or sc.get_fraction("lambda_max")
+    lam_max = max_level if max_level is not None else sc.get_fraction("lambda_max")
     if lam_max is None:
-        alphas = nfield.rates
-        lam_max = max((sum(kj * aj for kj, aj in zip(k, alphas))
-                       + sum(mj * aj for mj, aj in zip(m, alphas))
+        lam_max = max((level_of(k, nfield.rates) + level_of(m, nfield.rates)
                        for (k, m) in jet.terms()), default=Fraction(0))
         lam_max = max(lam_max, Fraction(1))
     expansion = pushforward(jet, nfield, c, lam_max)
 
     rng = np.random.default_rng(seed)
-    zetas = [complex(x, y) for x, y in zip(rng.uniform(0.0, 5.0, 100),
-                                           rng.uniform(-4.0, 4.0, 100))]
-    max_err = 0.0
-    for zeta in zetas:
-        lhs = eval_taylor(jet, integral_curve(nfield, c, zeta))
-        rhs = eval_expansion(expansion, zeta) if len(expansion) else 0j
-        max_err = max(max_err, abs(lhs - rhs))
+    zetas = np.array([complex(x, y) for x, y in zip(rng.uniform(0.0, 5.0, 100),
+                                                    rng.uniform(-4.0, 4.0, 100))])
+    errors = np.abs(eval_taylor(jet, integral_curve(nfield, c, zetas))
+                    - eval_expansion(expansion, zetas))
+    max_err = float(np.max(errors))
     passed = max_err <= tol
 
     with open(out / "expansion.csv", "w", newline="") as fh:
@@ -246,7 +251,7 @@ def _run_extraction(sc: Scenario, out: Path, tolerance: float | None,
                     seed: int, max_level) -> tuple[dict, bool]:
     source = _parse_expansion(sc)
     grid_rates = sc.get_fractions("grid_rates")
-    lam_max = max_level or sc.get_fraction("lambda_max")
+    lam_max = max_level if max_level is not None else sc.get_fraction("lambda_max")
     if lam_max is None:
         sc.error("lambda_max", "extraction needs lambda_max (or --max-level)")
     grid = level_grid(DiagonalField(tuple(grid_rates)), lam_max)
@@ -296,7 +301,7 @@ def _named_oracle(sc: Scenario, name: str):
         ex = cx.SpiralExample.create(alpha, sc.get_float("t", 1.0))
         return lambda z: cx.phi_spiral(ex, z)
     if name == "remark":
-        return lambda z: (complex(z[0]) * complex(z[1])).conjugate()
+        return cx.phi_remark
     sc.error("oracle", f"unknown oracle {name!r} (catalog: jet, resonant, spiral, remark)")
 
 
@@ -313,8 +318,7 @@ def _run_forelli(sc: Scenario, out: Path, tolerance: float | None,
     if bound is None:
         rng = np.random.default_rng(seed + 1)
         pts = polydisk_points(rng, jet.dim, 512, r_min=0.0, r_max=0.95)
-        bound = max(abs(complex(oracle(z))) for z in pts)
-        bound = max(bound, 1e-12)
+        bound = max(float(np.max(np.abs(evaluate(oracle, pts)))), 1e-12)
     config = ForelliConfig(seed=seed,
                            compare_tol=tolerance if tolerance is not None else 1e-10)
     verdict = forelli_pipeline(JetOracle(oracle, jet, bound), field, config)
@@ -355,9 +359,9 @@ def _run_bounds(sc: Scenario, out: Path, tolerance: float | None,
     x_lo = sc.get_float("x_lo", 0.01)
     tol = tolerance if tolerance is not None else sc.get_float("tolerance", 1e-6)
     bound = sc.get_float("bound", None)
-    ys = np.linspace(-40.0, 40.0, 4001)
     if bound is None:
-        bound = float(max(abs(source(complex(x_lo, y))) for y in ys))
+        ys = np.linspace(-40.0, 40.0, 4001)
+        bound = float(np.max(np.abs(evaluate(source, x_lo + 1j * ys))))
     rng = np.random.default_rng(seed)
     samples = [complex(x, y) for x, y in zip(rng.uniform(x_lo, 10.0, 400),
                                              rng.uniform(-20.0, 20.0, 400))]
@@ -408,6 +412,16 @@ def run_scenario(path, out_dir, tolerance=None, seed=None, max_level=None) -> in
     return 0 if passed else 1
 
 
+def _positive_fraction(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact fraction p/q: {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="holoflow", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -418,7 +432,7 @@ def main(argv=None) -> int:
                        help="override the scenario tolerance")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-    run_p.add_argument("--max-level", type=Fraction, default=None, metavar="P/Q",
+    run_p.add_argument("--max-level", type=_positive_fraction, default=None, metavar="P/Q",
                        help="override the level cutoff")
     args = parser.parse_args(argv)
     try:

@@ -25,7 +25,6 @@ uncheckable even though they exist mathematically.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,11 +32,11 @@ from fractions import Fraction
 import numpy as np
 
 from .flow import BasePoint, DiagonalField, integral_curve
-from .forelli import (HYPOTHESIS_VIOLATED, ForelliConfig, JetOracle,
+from .forelli import (HYPOTHESIS_VIOLATED, ForelliConfig, JetOracle, curve_check,
                       f_holomorphy_check, forelli_pipeline)
 from .sampling import polydisk_points
 from .series import TaylorSeries, antiholomorphic_part, taylor_remainder_check
-from .wirtinger import dbar_fd, dbar_fd_component
+from .wirtinger import dbar_fd_component
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,17 +56,13 @@ class ResonantExample:
             raise ValueError("t must be positive")
 
 
-def phi_resonant(ex: ResonantExample, z) -> float:
-    z1, z2 = complex(z[0]), complex(z[1])
-    if z1 == 0 or z2 == 0:
-        return 0.0
-    denom = abs(z1) ** ex.t * abs(z2)
-    if denom == 0.0:
-        return 0.0
-    try:
-        return math.exp(-1.0 / denom)
-    except OverflowError:
-        return 0.0
+def phi_resonant(ex: ResonantExample, z):
+    """phi at one point (2,) (a float) or at a batch (n, 2) (an array)."""
+    z = np.asarray(z, dtype=complex)
+    denom = np.abs(z[..., 0]) ** ex.t * np.abs(z[..., 1])
+    with np.errstate(divide="ignore"):
+        value = np.exp(-1.0 / denom)  # exp(-inf) = 0 on {z1 z2 = 0}
+    return float(value) if value.ndim == 0 else value
 
 
 def sector_angles(alpha: complex) -> tuple[float, float]:
@@ -142,10 +137,10 @@ class SpiralExample:
         ident = verify_time_identity(ex, [complex(1, 0), complex(0.3, -2.1), complex(-1.7, 0.9)])
         if not ident.passed:
             raise ValueError(f"time identity failed at {ident.witness}: {ident.max_error}")
-        rng = np.random.default_rng(20240901)
-        for xi in sector_samples(ex, rng, 1000):
-            if branch_power(ex, xi).real >= 0:
-                raise ValueError(f"Re(xi^b) >= 0 at sector point {xi}")
+        xis = sector_samples(ex, np.random.default_rng(20240901), 1000)
+        positive = branch_power(ex, xis).real >= 0
+        if np.any(positive):
+            raise ValueError(f"Re(xi^b) >= 0 at sector point {xis[np.argmax(positive)]}")
         return ex
 
     @property
@@ -157,38 +152,54 @@ class SpiralExample:
         return self.t * self.alpha.conjugate()
 
 
-def branch_power(ex: SpiralExample, xi: complex) -> complex:
-    """xi^b on the branch  log xi = log|xi| + i (Arg xi + 2 pi k)."""
-    xi = complex(xi)
-    if xi == 0:
+def branch_power(ex: SpiralExample, xi):
+    """xi^b on the branch  log xi = log|xi| + i (Arg xi + 2 pi k); elementwise."""
+    xi = np.asarray(xi, dtype=complex)
+    if np.any(xi == 0):
         raise ValueError("branch power undefined at 0")
-    ang = math.atan2(xi.imag, xi.real) + TWO_PI * ex.branch_offset
-    return cmath.exp(ex.b * complex(math.log(abs(xi)), ang))
+    ang = np.arctan2(xi.imag, xi.real) + TWO_PI * ex.branch_offset
+    w = np.exp(ex.b * (np.log(np.abs(xi)) + 1j * ang))
+    return complex(w) if w.ndim == 0 else w
 
 
-def phi_spiral(ex: SpiralExample, z) -> complex:
-    z1, z2 = complex(z[0]), complex(z[1])
-    if z1 == 0 or z2 == 0:
-        return 0j
-    xi = ex.gamma * math.log(abs(z1)) + (ex.gamma.conjugate() / ex.t) * math.log(abs(z2))
+def phi_spiral(ex: SpiralExample, z):
+    """phi at one point (2,) (a complex) or at a batch (n, 2) (an array)."""
+    z = np.asarray(z, dtype=complex)
+    value = np.zeros(z.shape[:-1], dtype=complex)
+    live = (z[..., 0] != 0) & (z[..., 1] != 0)
+    zl = z[live]
+    xi = ex.gamma * np.log(np.abs(zl[:, 0])) \
+        + (ex.gamma.conjugate() / ex.t) * np.log(np.abs(zl[:, 1]))
     w = branch_power(ex, xi)
-    if w.real > 700.0:
-        raise ValueError(f"exp overflow at z = {(z1, z2)}: point outside the decay regime")
-    return cmath.exp(w)
+    if np.any(w.real > 700.0):
+        where = tuple(zl[np.argmax(w.real > 700.0)].tolist())
+        raise ValueError(f"exp overflow at z = {where}: point outside the decay regime")
+    value[live] = np.exp(w)
+    return complex(value) if value.ndim == 0 else value
 
 
-def spiral_curve(ex: SpiralExample, C, zeta: complex) -> tuple[complex, complex]:
-    """Curve (C1 e^(alpha zeta), C2 e^(beta zeta)) of the non-real-ratio field."""
-    c1, c2 = complex(C[0]), complex(C[1])
-    return c1 * cmath.exp(ex.alpha * zeta), c2 * cmath.exp(ex.beta * zeta)
+def phi_remark(z):
+    """conj(z1) conj(z2) at one point (2,) or at a batch (n, 2)."""
+    z = np.asarray(z, dtype=complex)
+    return np.conj(z[..., 0] * z[..., 1])
 
 
-def sector_samples(ex: SpiralExample, rng: np.random.Generator, n: int) -> list[complex]:
+def spiral_curve(ex: SpiralExample, C, zeta):
+    """Curve (C1 e^(alpha zeta), C2 e^(beta zeta)) of the non-real-ratio field.
+
+    Broadcasts like :func:`flow.integral_curve`: a scalar zeta gives a tuple.
+    """
+    points = np.array([complex(C[0]), complex(C[1])]) \
+        * np.exp(np.multiply.outer(zeta, (ex.alpha, ex.beta)))
+    return tuple(points.tolist()) if np.ndim(zeta) == 0 else points
+
+
+def sector_samples(ex: SpiralExample, rng: np.random.Generator, n: int) -> np.ndarray:
     """Random points of the cone, log-uniform over several magnitude decades."""
     rs = -np.exp(rng.uniform(-3.0, 3.0, size=n))
     ss = -np.exp(rng.uniform(-3.0, 3.0, size=n))
     g = ex.gamma
-    return [complex(r * g + s * g.conjugate()) for r, s in zip(rs, ss)]
+    return rs * g + ss * g.conjugate()
 
 
 @dataclass(frozen=True)
@@ -273,18 +284,6 @@ class SuiteReport:
             "passed": self.passed,
             "checks": self.checks,
         }
-
-
-def _curve_holomorphy(oracle, curve_fn, samples, step: float = 1e-5) -> tuple[float, object]:
-    worst, witness = 0.0, None
-    for C, zeta in samples:
-        def along(w: complex) -> complex:
-            return complex(oracle(curve_fn(C, w)))
-        value = along(zeta)
-        resid = abs(dbar_fd(along, zeta, step)) / (1.0 + abs(value))
-        if resid > worst:
-            worst, witness = resid, (C, zeta)
-    return worst, witness
 
 
 def _wirtinger_witness(oracle, point, step: float = 1e-5) -> float:
@@ -372,15 +371,17 @@ def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator,
     decay: dict = {}
 
     reach = 0.6 / (abs(ex.alpha) * max(1.0, t))
-    curve_samples = []
-    for C in polydisk_points(rng, 2, 10, r_min=0.15, r_max=0.4):
+    curves = polydisk_points(rng, 2, 10, r_min=0.15, r_max=0.4)
+    zetas = []  # ten samples per curve, drawn curve by curve
+    for _ in curves:
         for _ in range(10):
             r = rng.uniform(0.0, reach)
             th = rng.uniform(0.0, TWO_PI)
-            curve_samples.append((C, r * complex(math.cos(th), math.sin(th))))
-    worst, witness = _curve_holomorphy(oracle, lambda C, w: spiral_curve(ex, C, w),
-                                       curve_samples)
-    checks["curve_holomorphy"] = {"passed": worst < 1e-6, "max_residual": worst}
+            zetas.append(r * complex(math.cos(th), math.sin(th)))
+    curve_rep = curve_check(oracle, lambda C, w: spiral_curve(ex, C, w), curves,
+                            np.reshape(zetas, (len(curves), 10)), tol=1e-6)
+    checks["curve_holomorphy"] = {"passed": curve_rep.passed,
+                                  "max_residual": curve_rep.max_residual}
 
     witness_res = _wirtinger_witness(oracle, (0.5 + 0j, 0.5 + 0j))
     checks["non_holomorphy_witness"] = {"passed": witness_res > 1e-3,
@@ -391,8 +392,7 @@ def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator,
                                       zip(rng.uniform(-10, 10, 100), rng.uniform(-10, 10, 100))])
     checks["time_identity"] = {"passed": ident.passed, "max_error": ident.max_error}
 
-    sector_ok = all(branch_power(ex, xi).real < 0
-                    for xi in sector_samples(ex, rng, 10_000))
+    sector_ok = bool(np.all(branch_power(ex, sector_samples(ex, rng, 10_000)).real < 0))
     checks["sector_negativity"] = {"passed": sector_ok, "samples": 10_000}
 
     # decay constant along the all-equal-moduli direction used by the radius grid
@@ -416,7 +416,7 @@ def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator,
 
 def _remark_suite(rng: np.random.Generator) -> SuiteReport:
     jet = TaylorSeries.monomial(2, (0, 0), (1, 1))
-    oracle = lambda z: (complex(z[0]) * complex(z[1])).conjugate()
+    oracle = phi_remark
     field = DiagonalField((Fraction(1), Fraction(-1)))
     jo = JetOracle(oracle, jet, bound=1.0)
     checks: dict = {}

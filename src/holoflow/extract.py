@@ -33,6 +33,7 @@ import numpy as np
 
 from .asympt import HolomorphicExpansion
 from .flow import LevelGrid
+from .sampling import evaluate
 
 #: required quadrature nodes per oscillation period of the fastest grid level
 NODES_PER_PERIOD = 20
@@ -89,17 +90,12 @@ def _effective_nodes(params: ExtractionParams, q: int, K: int) -> int:
     return max(params.nodes, int(math.ceil(NODES_PER_PERIOD * periods)) + 1)
 
 
-def _sample_line(oracle, z: np.ndarray) -> np.ndarray:
-    try:
-        values = np.asarray(oracle(z), dtype=complex)
-        if values.shape != z.shape:
-            raise TypeError
-    except Exception:
-        values = np.array([complex(oracle(zi)) for zi in z])
+def _line_values(oracle, z: np.ndarray) -> np.ndarray:
+    """One batched oracle call on the line nodes; non-finite samples are an error."""
+    values = evaluate(oracle, z)
     bad = ~np.isfinite(values)
     if np.any(bad):
-        where = z[np.argmax(bad)]
-        raise ExtractionError(f"non-finite oracle sample at z = {where}")
+        raise ExtractionError(f"non-finite oracle sample at z = {z[np.argmax(bad)]}")
     return values
 
 
@@ -118,11 +114,12 @@ def extract_coefficients(
 ) -> HolomorphicExpansion:
     """Recover one coefficient per grid level from line samples of the oracle.
 
-    Levels are processed in ascending order; after each level the estimated
-    term is subtracted from the node values, so level j averages the running
-    residual.  Estimates below params.tol in modulus are reported as zero.
-    If ``trace`` is a list, rows (level, coefficient, residual sup norm) are
-    appended for CSV export.
+    The oracle is called once, on the array of all line nodes (see
+    :func:`sampling.evaluate`).  Levels are processed in ascending order;
+    after each level the estimated term is subtracted from the node values,
+    so level j averages the running residual.  Estimates below params.tol in
+    modulus are reported as zero.  If ``trace`` is a list, rows (level,
+    coefficient, residual sup norm) are appended for CSV export.
     """
     levels = list(params.grid.levels)
     if n_levels is not None:
@@ -131,7 +128,7 @@ def extract_coefficients(
         levels = levels[:n_levels]
     y = quadrature_nodes(params)
     z = params.x0 + 1j * y
-    vals = _sample_line(oracle, z).copy()
+    vals = _line_values(oracle, z)
 
     norm0 = float(np.max(np.abs(vals))) if len(vals) else 0.0
     norm = norm0
@@ -182,15 +179,16 @@ def sampled_sup(
 ) -> float:
     """Sup of |oracle| over the aligned y-grid at several abscissas.
 
-    Includes a near-boundary segment (x = 1e-9 by default), so for an
-    on-grid exponential sum the sampled sup is at least the modulus of every
-    coefficient up to a factor e^(-lambda x_min): the discrete window mean
-    that produces a coefficient is itself bounded by this sup.
+    One batched oracle call per abscissa.  Includes a near-boundary segment
+    (x = 1e-9 by default), so for an on-grid exponential sum the sampled sup
+    is at least the modulus of every coefficient up to a factor
+    e^(-lambda x_min): the discrete window mean that produces a coefficient
+    is itself bounded by this sup.
     """
     y = quadrature_nodes(params)
     worst = 0.0
     for x in x_values:
-        vals = _sample_line(oracle, x + 1j * y)
+        vals = _line_values(oracle, x + 1j * y)
         worst = max(worst, float(np.max(np.abs(vals))))
     return worst
 

@@ -100,18 +100,22 @@ def _coords(c) -> tuple[complex, ...]:
     return tuple(complex(v) for v in c)
 
 
-def classify_spectrum(field, theta_points: int = 10_000) -> SpectrumClass:
+def classify_spectrum(field) -> SpectrumClass:
     """Classify a field (or a raw eigenvalue sequence) by its ratio structure.
 
     POSITIVE_RATIOS: every pairwise ratio alpha_j/alpha_k is a positive real.
-    COMMON_HALF_PLANE: some unit w makes every Re(alpha_j * w) < 0, found by
-    scanning w = e^(i theta) over a uniform grid.
+    COMMON_HALF_PLANE: some unit w makes every Re(alpha_j * w) < 0.
     MIXED: neither.
+
+    A field's eigenvalues r_j * tau all lie on one line through 0, so its
+    class is decided exactly by the signs of the rational rates.  Raw
+    eigenvalues share an open half-plane iff the largest cyclic gap between
+    their sorted arguments exceeds pi.
     """
     if isinstance(field, DiagonalField):
-        eigs = field.eigenvalues
-    else:
-        eigs = tuple(complex(a) for a in field)
+        positive = {r > 0 for r in field.rates}
+        return SpectrumClass.POSITIVE_RATIOS if len(positive) == 1 else SpectrumClass.MIXED
+    eigs = tuple(complex(a) for a in field)
     if any(a == 0 for a in eigs):
         raise ValueError("eigenvalues must be nonzero")
 
@@ -120,20 +124,29 @@ def classify_spectrum(field, theta_points: int = 10_000) -> SpectrumClass:
     if all(abs(r.imag) <= 1e-12 * abs(r) and r.real > 0 for r in ratios):
         return SpectrumClass.POSITIVE_RATIOS
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, theta_points, endpoint=False)
-    w = np.exp(1j * thetas)
-    re_parts = np.stack([np.real(a * w) for a in eigs])
-    if bool(np.any(np.all(re_parts < 0.0, axis=0))):
+    args = sorted(cmath.phase(a) for a in eigs)
+    gaps = [b - a for a, b in zip(args, args[1:])] + [2.0 * math.pi - (args[-1] - args[0])]
+    if max(gaps) > math.pi:
         return SpectrumClass.COMMON_HALF_PLANE
     return SpectrumClass.MIXED
 
 
-def integral_curve(field: DiagonalField, c, zeta: complex) -> tuple[complex, ...]:
-    """The curve s_c(zeta) with components c_j e^(-alpha_j zeta)."""
+def integral_curve(field: DiagonalField, c, zeta):
+    """The curve s_c(zeta) with components c_j e^(-alpha_j zeta).
+
+    A scalar zeta gives a tuple of N complex coordinates; an array of zeta
+    gives an array of shape zeta.shape + (N,).
+    """
     coords = _coords(c)
     if len(coords) != field.dim:
         raise ValueError(f"base point has dimension {len(coords)}, field has {field.dim}")
-    return tuple(cj * cmath.exp(-aj * zeta) for cj, aj in zip(coords, field.eigenvalues))
+    points = np.array(coords) * np.exp(-np.multiply.outer(zeta, field.eigenvalues))
+    return tuple(points.tolist()) if np.ndim(zeta) == 0 else points
+
+
+def level_of(index, rates) -> Fraction:
+    """The exact level (alpha, index) = sum_j index_j * rate_j."""
+    return sum((kj * rj for kj, rj in zip(index, rates)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -154,12 +167,6 @@ class LevelGrid:
 
     def __contains__(self, value) -> bool:
         return Fraction(value) in set(self.levels)
-
-    def index(self, value) -> int:
-        return self.levels.index(Fraction(value))
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.levels)
 
 
 def level_grid(field: DiagonalField, lambda_max) -> LevelGrid:

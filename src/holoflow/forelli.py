@@ -6,13 +6,15 @@ function to be holomorphic near the origin:
 
 1. spectrum gate: the field must have positive eigenvalue ratios;
 2. curve check: finite-difference dbar of the restriction to sampled
-   integral curves must vanish;
+   integral curves must vanish; the function is called once on the array
+   of every curve point and stencil offset;
 3. obstruction check: every anti-holomorphic jet coefficient must vanish,
    tested both exactly on the coefficient map and through the bilinear
-   level sums  sum a_{km} c^k conj(c)^m  at random base points;
+   level sums  sum a_{km} c^k conj(c)^m  at all random base points at once;
 4. reconstruction: the m = 0 part of the jet is the candidate, its level
    polynomials and coefficients are audited against the sampled sup bound,
-   and the candidate is compared with the function on an interior grid.
+   and the candidate is compared with the function on a batch of interior
+   points.
 
 Every failure maps to a tagged verdict carrying the witness; nothing is
 silent.  Verdicts are deterministic given the config seed.
@@ -23,28 +25,47 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from .flow import (BasePoint, DiagonalField, SpectrumClass, SpectrumError,
                    _coords, classify_spectrum, integral_curve, normalize_time)
-from .sampling import halfplane_points, polydisk_points, torus_points
+from .sampling import evaluate, evaluate_prefix, halfplane_points, polydisk_points
 from .series import (TaylorSeries, antiholomorphic_part, eval_taylor,
-                     holomorphic_part, taylor_remainder_check)
-from .wirtinger import dbar_fd
+                     holomorphic_part, level_parts, taylor_remainder_check)
+from .wirtinger import STENCIL, dbar_stencil
 
 HOLOMORPHIC = "holomorphic"
 HYPOTHESIS_VIOLATED = "hypothesis_violated"
 NOT_F_HOLOMORPHIC = "not_f_holomorphic"
 ANTIHOLOMORPHIC_OBSTRUCTION = "antiholomorphic_obstruction"
 
+#: finite-difference step and pass threshold of the curve check
+FD_STEP = 1e-5
+FD_TOL = 1e-6
+#: threshold and number of base points of the bilinear vanishing sums
+VANISH_TOL = 1e-10
+VANISH_TRIALS = 32
+#: polydisk radius of the final comparison
+COMPARE_RADIUS = 0.5
+#: slack, torus points and torus radius of the reconstruction bound audit
+CERT_SLACK = 0.05
+CERT_POINTS = 512
+CERT_RADIUS = 0.999
+#: curve-check sample offsets in units of the step: the centre, then the
+#: four dbar samples
+STENCIL_OFFSETS = np.array((0,) + STENCIL)
+
 
 @dataclass(frozen=True)
 class JetOracle:
-    """A function on the polydisk, its asserted jet, and a sampled sup bound."""
+    """A function on the polydisk, its asserted jet, and a sampled sup bound.
 
-    oracle: Callable[[Sequence[complex]], complex]
+    The oracle follows the batched convention of :func:`sampling.evaluate`.
+    """
+
+    oracle: Callable
     jet: TaylorSeries
     bound: float
 
@@ -63,15 +84,10 @@ class ForelliConfig:
     seed: int = 0
     n_curves: int = 12
     n_zeta: int = 24
-    fd_step: float = 1e-5
-    fd_tol: float = 1e-6
-    vanish_tol: float = 1e-10
-    vanish_trials: int = 32
     compare_tol: float = 1e-10
-    compare_radius: float = 0.5
     compare_points: int = 200
-    cert_slack: float = 0.05
-    cert_points: int = 512
+    #: the curve-check threshold, readable as part of the run's settings
+    fd_tol: ClassVar[float] = FD_TOL
 
 
 @dataclass(frozen=True)
@@ -111,49 +127,82 @@ class CurveCheckReport:
     note: str = ""
 
 
+def curve_stencil(curve: Callable, curves: Sequence, zetas, step: float) -> np.ndarray:
+    """Points curve(c, zeta + step * offset) for every curve, sample and offset.
+
+    zetas has shape (Z,) (the same samples on every curve) or (C, Z); the
+    result has shape (C, Z, 5, N) with the offsets of STENCIL_OFFSETS.
+    """
+    zetas = np.broadcast_to(np.asarray(zetas, dtype=complex), (len(curves), np.shape(zetas)[-1]))
+    return np.stack([curve(c, row[:, None] + step * STENCIL_OFFSETS)
+                     for c, row in zip(curves, zetas)])
+
+
+def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_samples, *,
+                step: float = FD_STEP, tol: float = FD_TOL,
+                stencil: np.ndarray | None = None) -> CurveCheckReport:
+    """Sampled dbar residual of  zeta -> oracle(curve(c, zeta))  over the curves.
+
+    Passes iff every residual is below tol * (1 + |value|).  All stencil
+    points must stay inside the unit polydisk.  The oracle is called on the
+    whole stencil at once (``stencil``, if given, is the
+    :func:`curve_stencil` of these arguments); failures are reported for
+    the first sample in curve-major order, as a point-by-point scan meets
+    them.
+    """
+    coords = [_coords(c) for c in curves]
+    zetas = np.broadcast_to(np.asarray(zeta_samples, dtype=complex),
+                            (len(coords), np.shape(zeta_samples)[-1]))
+    if stencil is None:
+        stencil = curve_stencil(curve, coords, zetas, step)
+    width = len(STENCIL_OFFSETS)
+    flat = stencil.reshape(-1, stencil.shape[-1])
+    outside = np.flatnonzero(np.any(np.abs(flat) >= 1.0, axis=1))
+    reach = outside[0] if len(outside) else len(flat)
+
+    def sample(i):
+        c, j = divmod(int(i), zetas.shape[1])
+        return coords[c], complex(zetas[c, j])
+
+    values, exc = evaluate_prefix(oracle, flat[:reach])
+    done = len(values) // width
+    values = values[: done * width].reshape(done, width)
+    scaled = np.abs(dbar_stencil(*values[:, 1:].T, step)) / (1.0 + np.abs(values[:, 0]))
+    bad = np.flatnonzero(~np.isfinite(scaled))
+    scored = scaled[: bad[0] if len(bad) else done]
+    worst, witness = 0.0, None
+    if len(scored) and scored.max() > 0.0:
+        i = int(np.argmax(scored))
+        worst, witness = float(scored[i]), sample(i)
+    if len(bad):
+        return CurveCheckReport(False, worst, witness=sample(bad[0]),
+                                inconclusive=True, note="non-finite residual")
+    if isinstance(exc, ValueError):
+        raise exc
+    if exc is not None:
+        return CurveCheckReport(False, worst, witness=sample(done),
+                                inconclusive=True, note=f"oracle failed: {exc}")
+    if reach < len(flat):
+        (c, zeta), offset = sample(reach // width), STENCIL_OFFSETS[reach % width]
+        raise ValueError(f"curve through {c} leaves the polydisk at zeta = "
+                         f"{complex(zeta + step * offset)}")
+    passed = worst < tol
+    return CurveCheckReport(passed, worst, witness=None if passed else witness)
+
+
 def f_holomorphy_check(
     jo: JetOracle,
     field: DiagonalField,
     curves: Sequence,
     zeta_samples: Sequence[complex],
     *,
-    step: float = 1e-5,
-    tol: float = 1e-6,
+    step: float = FD_STEP,
+    tol: float = FD_TOL,
+    stencil: np.ndarray | None = None,
 ) -> CurveCheckReport:
-    """Sampled dbar residual of  zeta -> oracle(s_c(zeta))  over the curves.
-
-    Passes iff every residual is below tol * (1 + |value|).  All curve
-    points, including the finite-difference offsets, must stay inside the
-    unit polydisk.
-    """
-    worst, witness = 0.0, None
-    for c in curves:
-        coords = _coords(c)
-
-        def along(zeta: complex) -> complex:
-            point = integral_curve(field, coords, zeta)
-            if any(abs(comp) >= 1.0 for comp in point):
-                raise ValueError(
-                    f"curve through {coords} leaves the polydisk at zeta = {zeta}")
-            return complex(jo.oracle(point))
-
-        for zeta in zeta_samples:
-            try:
-                value = along(zeta)
-                resid = abs(dbar_fd(along, zeta, step))
-            except ValueError:
-                raise
-            except Exception as exc:
-                return CurveCheckReport(False, worst, witness=(tuple(coords), zeta),
-                                        inconclusive=True, note=f"oracle failed: {exc}")
-            if not math.isfinite(resid):
-                return CurveCheckReport(False, worst, witness=(tuple(coords), zeta),
-                                        inconclusive=True, note="non-finite residual")
-            scaled = resid / (1.0 + abs(value))
-            if scaled > worst:
-                worst, witness = scaled, (tuple(coords), zeta)
-    passed = worst < tol
-    return CurveCheckReport(passed, worst, witness=None if passed else witness)
+    """:func:`curve_check` of the function along the integral curves of the field."""
+    return curve_check(jo.oracle, lambda c, w: integral_curve(field, c, w), curves,
+                       zeta_samples, step=step, tol=tol, stencil=stencil)
 
 
 @dataclass(frozen=True)
@@ -173,9 +222,9 @@ def antiholomorphic_vanishing(
     field: DiagonalField,
     lambda_max=None,
     *,
-    trials: int = 32,
+    trials: int = VANISH_TRIALS,
     seed: int = 0,
-    tol: float = 1e-10,
+    tol: float = VANISH_TOL,
 ) -> VanishingReport:
     """Check that every anti-holomorphic contribution of the jet vanishes.
 
@@ -189,37 +238,19 @@ def antiholomorphic_vanishing(
     if classify_spectrum(field) is not SpectrumClass.POSITIVE_RATIOS:
         raise SpectrumError("anti-holomorphic vanishing requires positive ratios")
     nfield, _ = normalize_time(field)
-    alphas = nfield.rates
 
     exact_ok = not antiholomorphic_part(series)
-
-    groups: dict[tuple[Fraction, Fraction], list] = {}
-    for (k, m), a in series.terms().items():
-        if m.order == 0:
-            continue
-        mu = sum((kj * aj for kj, aj in zip(k, alphas)), Fraction(0))
-        nu = sum((mj * aj for mj, aj in zip(m, alphas)), Fraction(0))
-        if lambda_max is not None and mu + nu > Fraction(lambda_max):
-            continue
-        groups.setdefault((mu, nu), []).append(((k, m), a))
 
     rng = np.random.default_rng(seed)
     points = polydisk_points(rng, series.dim, trials, r_min=0.2, r_max=0.9)
     failures = []
-    for (mu, nu), terms in sorted(groups.items()):
-        for c in points:
-            total = 0j
-            for (k, m), a in terms:
-                w = a
-                for cj, kj, mj in zip(c, k, m):
-                    if kj:
-                        w *= cj ** kj
-                    if mj:
-                        w *= cj.conjugate() ** mj
-                total += w
-            if abs(total) >= tol:
-                failures.append((mu + nu, mu, nu, c, total))
-                break
+    for (mu, nu), part in sorted(level_parts(series, nfield.rates).items()):
+        if nu == 0 or (lambda_max is not None and mu + nu > Fraction(lambda_max)):
+            continue
+        totals = eval_taylor(part, np.array(points))
+        over = np.flatnonzero(np.abs(totals) >= tol)
+        if len(over):
+            failures.append((mu + nu, mu, nu, points[over[0]], complex(totals[over[0]])))
     randomized_ok = not failures
     return VanishingReport(exact_ok and randomized_ok, exact_ok, randomized_ok,
                            tuple(failures))
@@ -237,19 +268,17 @@ def reconstruct(
     jo: JetOracle,
     field: DiagonalField,
     *,
-    cert_slack: float = 0.05,
-    n_points: int = 512,
     seed: int = 0,
-    sup_radius: float = 0.999,
 ) -> tuple[TaylorSeries, ReconstructionReport]:
     """Candidate  psi = sum a_{k0} z^k  plus a bound audit.
 
     The audit checks, for each decay level, the sampled sup of the level
-    polynomial  sum_{(alpha,k)=lambda} a_{k0} c^k  against the bound, and
-    each coefficient against the sampled-radius Cauchy estimate
-    |a_k| <= M / sup_radius^|k|.  Sampled sups undershoot true sups, so the
-    comparison carries a slack factor; only violations beyond the slack are
-    reported as an inconsistency of jet and bound.
+    polynomial  sum_{(alpha,k)=lambda} a_{k0} c^k  on the torus of radius
+    CERT_RADIUS against the bound, and each coefficient against the
+    sampled-radius Cauchy estimate |a_k| <= M / CERT_RADIUS^|k|.  Sampled
+    sups undershoot true sups, so the comparison carries the slack
+    CERT_SLACK; only violations beyond it are reported as an inconsistency
+    of jet and bound.
     """
     psi = holomorphic_part(jo.jet)
     if jo.bound == 0:
@@ -258,46 +287,22 @@ def reconstruct(
                                          math.inf if psi else 0.0,
                                          note="zero bound admits only the zero jet")
     nfield, _ = normalize_time(field)
-    alphas = nfield.rates
-
-    by_level: dict[Fraction, list] = {}
-    for (k, m), a in psi.terms().items():
-        lam = sum((kj * aj for kj, aj in zip(k, alphas)), Fraction(0))
-        by_level.setdefault(lam, []).append((k, a))
 
     rng = np.random.default_rng(seed)
-    points = torus_points(rng, psi.dim, n_points, radius=sup_radius)
+    points = np.array(polydisk_points(rng, psi.dim, CERT_POINTS,
+                                      r_min=CERT_RADIUS, r_max=CERT_RADIUS))
     worst_level = 0.0
-    for lam, terms in by_level.items():
-        sup = 0.0
-        for c in points:
-            value = 0j
-            for k, a in terms:
-                w = a
-                for cj, kj in zip(c, k):
-                    if kj:
-                        w *= cj ** kj
-                value += w
-            sup = max(sup, abs(value))
+    for part in level_parts(psi, nfield.rates).values():
+        sup = float(np.max(np.abs(eval_taylor(part, points))))
         worst_level = max(worst_level, sup / jo.bound)
 
     worst_coeff = 0.0
     for (k, _m), a in psi.terms().items():
-        allowed = jo.bound / (sup_radius ** k.order)
+        allowed = jo.bound / (CERT_RADIUS ** k.order)
         worst_coeff = max(worst_coeff, abs(a) / allowed)
 
-    passed = worst_level <= 1.0 + cert_slack and worst_coeff <= 1.0 + cert_slack
+    passed = worst_level <= 1.0 + CERT_SLACK and worst_coeff <= 1.0 + CERT_SLACK
     return psi, ReconstructionReport(passed, worst_level, worst_coeff)
-
-
-def _curve_stays_inside(field: DiagonalField, coords, zetas, step: float) -> bool:
-    offsets = (0, step, -step, 1j * step, -1j * step)
-    for zeta in zetas:
-        for off in offsets:
-            point = integral_curve(field, coords, zeta + off)
-            if any(abs(comp) >= 1.0 for comp in point):
-                return False
-    return True
 
 
 def forelli_pipeline(jo: JetOracle, field: DiagonalField,
@@ -317,15 +322,16 @@ def forelli_pipeline(jo: JetOracle, field: DiagonalField,
     curves = [BasePoint(c) for c in
               polydisk_points(rng, nfield.dim, config.n_curves, r_min=0.15, r_max=0.7)]
     zetas = halfplane_points(rng, config.n_zeta, x_range=(0.1, 2.0), y_range=(-2.0, 2.0))
-    curves = [c for c in curves
-              if _curve_stays_inside(nfield, c.coords, zetas, config.fd_step)]
+    stencil = curve_stencil(lambda c, w: integral_curve(nfield, c, w),
+                            [c.coords for c in curves], zetas, FD_STEP)
+    inside = np.all(np.abs(stencil) < 1.0, axis=(1, 2, 3))
+    curves = [c for c, keep in zip(curves, inside) if keep]
     if not curves:
         return ForelliVerdict(HYPOTHESIS_VIOLATED,
                               reason="no sampled curve stays inside the polydisk",
                               diagnostics=diag)
 
-    curve_report = f_holomorphy_check(jo, nfield, curves, zetas,
-                                      step=config.fd_step, tol=config.fd_tol)
+    curve_report = f_holomorphy_check(jo, nfield, curves, zetas, stencil=stencil[inside])
     diag["f_holomorphy"] = {"passed": curve_report.passed,
                             "max_residual": curve_report.max_residual,
                             "curves": len(curves)}
@@ -338,9 +344,7 @@ def forelli_pipeline(jo: JetOracle, field: DiagonalField,
                               reason="restriction to a sampled curve is not holomorphic",
                               witness=curve_report.witness, diagnostics=diag)
 
-    vanish = antiholomorphic_vanishing(jo.jet, nfield,
-                                       trials=config.vanish_trials,
-                                       seed=config.seed, tol=config.vanish_tol)
+    vanish = antiholomorphic_vanishing(jo.jet, nfield, seed=config.seed)
     diag["vanishing"] = {"passed": vanish.passed, "exact": vanish.exact_passed,
                          "randomized": vanish.randomized_passed}
     if not vanish.passed:
@@ -355,8 +359,7 @@ def forelli_pipeline(jo: JetOracle, field: DiagonalField,
                               reason="anti-holomorphic jet data does not vanish",
                               level=level, witness=witness, diagnostics=diag)
 
-    psi, recon = reconstruct(jo, nfield, cert_slack=config.cert_slack,
-                             n_points=config.cert_points, seed=config.seed)
+    psi, recon = reconstruct(jo, nfield, seed=config.seed)
     diag["reconstruction"] = {"passed": recon.passed,
                               "worst_level_ratio": recon.worst_level_ratio,
                               "worst_coeff_ratio": recon.worst_coeff_ratio}
@@ -366,15 +369,13 @@ def forelli_pipeline(jo: JetOracle, field: DiagonalField,
                               diagnostics=diag)
 
     points = polydisk_points(rng, psi.dim, config.compare_points,
-                             r_min=0.0, r_max=config.compare_radius)
-    max_diff = 0.0
-    worst_point = None
-    for z in points:
-        diff = abs(complex(jo.oracle(z)) - eval_taylor(psi, z))
-        if diff > max_diff:
-            max_diff, worst_point = diff, z
+                             r_min=0.0, r_max=COMPARE_RADIUS)
+    diffs = np.abs(evaluate(jo.oracle, points) - eval_taylor(psi, np.array(points)))
+    i = int(np.argmax(diffs))
+    max_diff = float(diffs[i])
+    worst_point = points[i] if max_diff > 0.0 else None
     diag["comparison"] = {"max_diff": max_diff, "points": len(points),
-                          "radius": config.compare_radius}
+                          "radius": COMPARE_RADIUS}
     threshold = config.compare_tol * jo.bound
     if max_diff > threshold and max_diff != 0.0:
         return ForelliVerdict(HYPOTHESIS_VIOLATED,

@@ -1,8 +1,14 @@
-"""Deterministic sample generators (seeded numpy Generator in, points out)."""
+"""Deterministic sample generators and the one oracle calling convention.
+
+Oracles are called with a batch of points and return one value per point:
+points of shape (n,) for half-plane oracles, (n, N) for polydisk oracles,
+values of shape (n,).  :func:`evaluate` is the only place that calls them.
+"""
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -19,12 +25,6 @@ def polydisk_points(rng: np.random.Generator, dim: int, n: int,
     return points
 
 
-def torus_points(rng: np.random.Generator, dim: int, n: int,
-                 radius: float) -> list[tuple[complex, ...]]:
-    """Random points with every coordinate of fixed modulus (polydisk skeleton)."""
-    return polydisk_points(rng, dim, n, r_min=radius, r_max=radius)
-
-
 def halfplane_points(rng: np.random.Generator, n: int,
                      x_range: tuple[float, float] = (0.1, 3.0),
                      y_range: tuple[float, float] = (-3.0, 3.0)) -> list[complex]:
@@ -32,3 +32,41 @@ def halfplane_points(rng: np.random.Generator, n: int,
     xs = rng.uniform(*x_range, size=n)
     ys = rng.uniform(*y_range, size=n)
     return [complex(x, y) for x, y in zip(xs, ys)]
+
+
+def evaluate_prefix(oracle, points) -> tuple[np.ndarray, Exception | None]:
+    """Oracle values up to its first failing point, and that point's exception.
+
+    One batched call is made.  Only if it raises or returns the wrong shape
+    is a RuntimeWarning emitted and the oracle called point by point, with
+    a ``complex`` for a half-plane point and a tuple of ``complex`` for a
+    polydisk point.  If a point-by-point call raises at point i, the values
+    of points 0..i-1 are returned with that exception; otherwise all values
+    are returned with None.  The returned array is the caller's to modify.
+    """
+    points = np.asarray(points, dtype=complex)
+    n = len(points)
+    try:
+        values = np.array(oracle(points), dtype=complex)
+        if values.shape == (n,):
+            return values, None
+        reason = f"values of shape {values.shape}"
+    except Exception as exc:  # any failure of the batched call means: retry per point
+        reason = type(exc).__name__
+    warnings.warn(f"oracle rejected a batch ({reason}); evaluating point by point",
+                  RuntimeWarning)
+    found: list[complex] = []
+    for point in map(tuple, points.tolist()) if points.ndim == 2 else points.tolist():
+        try:
+            found.append(complex(oracle(point)))
+        except Exception as exc:  # handed to the caller, which reports the point
+            return np.array(found, dtype=complex), exc
+    return np.array(found, dtype=complex), None
+
+
+def evaluate(oracle, points) -> np.ndarray:
+    """Oracle values at every point; a point-by-point failure propagates unchanged."""
+    values, exc = evaluate_prefix(oracle, points)
+    if exc is not None:
+        raise exc
+    return values

@@ -21,8 +21,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .flow import level_of
 from .reports import (FAIL, INCONCLUSIVE, PASS, DecayReport, clamped_exp,
                       loglog_slope, monotone_below)
+from .sampling import evaluate_prefix
 
 Point = Sequence[complex]
 
@@ -124,43 +126,48 @@ class TaylorSeries:
     def scale(self, factor: complex) -> "TaylorSeries":
         return TaylorSeries(self._dim, {key: factor * a for key, a in self._terms.items()})
 
-    def partial_sum(self, z: Point, order: int) -> complex:
-        """Evaluate only the terms with |k|+|m| <= order."""
-        z = _check_point(z, self._dim)
-        total = 0j
+    def partial_sum(self, z, order: int):
+        """Evaluate only the terms with |k|+|m| <= order; see :func:`eval_taylor`."""
+        zs = np.asarray(z, dtype=complex)
+        if zs.ndim not in (1, 2) or zs.shape[-1] != self._dim:
+            raise ValueError(f"points have shape {zs.shape}, series has dimension {self._dim}")
+        # coordinate columns: complex scalars for one point, arrays for a batch
+        cols = zs.tolist() if zs.ndim == 1 else list(zs.T)
+        total = 0j if zs.ndim == 1 else np.zeros(len(zs), dtype=complex)
         for (k, m), a in self._terms.items():
             if k.order + m.order <= order:
-                total += a * _monomial(z, k, m)
+                value = 1 + 0j
+                for zj, kj, mj in zip(cols, k, m):
+                    if kj:
+                        value = value * zj ** kj
+                    if mj:
+                        value = value * zj.conjugate() ** mj
+                total = total + a * value
         return total
 
     def __repr__(self) -> str:
         return f"TaylorSeries(dim={self._dim}, terms={len(self._terms)}, degree={self.degree})"
 
 
-def _check_point(z: Point, dim: int) -> tuple[complex, ...]:
-    zt = tuple(complex(v) for v in z)
-    if len(zt) != dim:
-        raise ValueError(f"point has dimension {len(zt)}, series has {dim}")
-    return zt
+def eval_taylor(series: TaylorSeries, z):
+    """Evaluate  sum a_{km} z^k conj(z)^m  over the stored support.
+
+    z is one point of shape (N,), giving a complex, or a batch of shape
+    (n, N), giving an array of n values.
+    """
+    return series.partial_sum(z, series.degree)
 
 
-def _monomial(z: tuple[complex, ...], k: MultiIndex, m: MultiIndex) -> complex:
-    value = 1 + 0j
-    for zj, kj, mj in zip(z, k, m):
-        if kj:
-            value *= zj ** kj
-        if mj:
-            value *= zj.conjugate() ** mj
-    return value
+def level_parts(series: TaylorSeries, rates) -> dict:
+    """Sub-series of the terms at each exponent pair ((alpha,k), (alpha,m)).
 
-
-def eval_taylor(series: TaylorSeries, z: Point) -> complex:
-    """Evaluate  sum a_{km} z^k conj(z)^m  over the stored support."""
-    z = _check_point(z, series.dim)
-    total = 0j
+    Restricted to a curve of the field with rates alpha, the part keyed
+    (mu, nu) contributes  eval_taylor(part, c) e^(-mu zeta - nu conj(zeta)).
+    """
+    parts: dict = {}
     for (k, m), a in series.terms().items():
-        total += a * _monomial(z, k, m)
-    return total
+        parts.setdefault((level_of(k, rates), level_of(m, rates)), {})[(k, m)] = a
+    return {key: TaylorSeries(series.dim, terms) for key, terms in parts.items()}
 
 
 def antiholomorphic_part(series: TaylorSeries) -> TaylorSeries:
@@ -229,32 +236,27 @@ def taylor_remainder_check(
     # n may exceed the stored degree: the check then asserts the function has
     # no terms between the stored degree and order n (caller's claim to test)
 
-    directions = _direction_set(series.dim, n_directions, seed)
+    directions = np.array(_direction_set(series.dim, n_directions, seed))
+    points = (np.array(radii)[:, None, None] * directions).reshape(-1, series.dim)
+    values, exc = evaluate_prefix(oracle, points)
+    bad = np.flatnonzero(~np.isfinite(values))
+    stop = bad[0] if len(bad) else len(values)
+    resids = np.abs(values[:stop] - series.partial_sum(points[:stop], n))
+    per_radius = len(directions)
     ratios: list[float] = []
-    for r in radii:
+    for i, r in enumerate(radii[: stop // per_radius]):
         worst = 0.0
-        for u in directions:
-            z = tuple(r * uj for uj in u)
-            try:
-                value = complex(oracle(z))
-            except Exception as exc:
-                return DecayReport(float(n), tuple(radii), tuple(ratios), tol,
-                                   INCONCLUSIVE, "remainder_trend",
-                                   witness=z, note=f"oracle failed: {exc}")
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                return DecayReport(float(n), tuple(radii), tuple(ratios), tol,
-                                   INCONCLUSIVE, "remainder_trend",
-                                   witness=z, note="oracle returned non-finite value")
-            resid = abs(value - series.partial_sum(z, n))
-            if resid == 0.0:
-                # a computed zero only certifies |residual| below the smallest
-                # subnormal; use that as an honest upper bound on the ratio
-                log_resid = math.log(5e-324)
-            else:
-                log_resid = math.log(resid)
-            ratio = clamped_exp(log_resid - n * math.log(r))
-            worst = max(worst, ratio)
+        for resid in resids[i * per_radius:(i + 1) * per_radius]:
+            # a computed zero only certifies |residual| below the smallest
+            # subnormal; use that as an honest upper bound on the ratio
+            log_resid = math.log(resid) if resid else math.log(5e-324)
+            worst = max(worst, clamped_exp(log_resid - n * math.log(r)))
         ratios.append(worst)
+    if stop < len(points):
+        note = "oracle returned non-finite value" if len(bad) else f"oracle failed: {exc}"
+        return DecayReport(float(n), tuple(radii), tuple(ratios), tol,
+                           INCONCLUSIVE, "remainder_trend",
+                           witness=tuple(points[stop].tolist()), note=note)
 
     slope = loglog_slope(radii, ratios)
     if all(v <= tol for v in ratios):

@@ -9,21 +9,25 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
 
-def dbar_fd(f: Callable[[complex], complex], zeta: complex, step: float = 1e-5) -> complex:
-    """Finite-difference d f / d zbar at zeta for a function of one variable."""
-    h = step
-    dx = (complex(f(zeta + h)) - complex(f(zeta - h))) / (2.0 * h)
-    dy = (complex(f(zeta + 1j * h)) - complex(f(zeta - 1j * h))) / (2.0 * h)
+from .sampling import evaluate
+
+#: offsets of the four samples around zeta, in units of the step, in the
+#: order :func:`dbar_stencil` takes their values
+STENCIL = (1, -1, 1j, -1j)
+
+
+def dbar_stencil(f_xp, f_xm, f_yp, f_ym, step: float):
+    """d f / d zbar from f at zeta + h, zeta - h, zeta + ih, zeta - ih (h = step)."""
+    dx = (f_xp - f_xm) / (2.0 * step)
+    dy = (f_yp - f_ym) / (2.0 * step)
     return 0.5 * (dx + 1j * dy)
 
 
-def d_fd(f: Callable[[complex], complex], zeta: complex, step: float = 1e-5) -> complex:
-    """Finite-difference d f / d z at zeta for a function of one variable."""
-    h = step
-    dx = (complex(f(zeta + h)) - complex(f(zeta - h))) / (2.0 * h)
-    dy = (complex(f(zeta + 1j * h)) - complex(f(zeta - 1j * h))) / (2.0 * h)
-    return 0.5 * (dx - 1j * dy)
+def dbar_fd(f: Callable, zeta, step: float = 1e-5):
+    """Finite-difference d f / d zbar at zeta; elementwise if zeta is an array."""
+    return dbar_stencil(*(f(zeta + offset * step) for offset in STENCIL), step)
 
 
 def dbar_fd_component(
@@ -32,16 +36,7 @@ def dbar_fd_component(
     j: int,
     step: float = 1e-5,
 ) -> complex:
-    """Finite-difference d f / d zbar_j for a function on C^N."""
-
-    def along(w: complex) -> complex:
-        point = list(z)
-        point[j] = w
-        return complex(f(tuple(point)))
-
-    return dbar_fd(along, complex(z[j]), step)
-
-
-def cr_residual(f: Callable[[complex], complex], zeta: complex, step: float = 1e-5) -> float:
-    """|dbar f| at zeta: the sampled Cauchy-Riemann defect."""
-    return abs(dbar_fd(f, zeta, step))
+    """Finite-difference d f / d zbar_j for a function on C^N (one batched call)."""
+    points = np.tile(np.asarray(z, dtype=complex), (len(STENCIL), 1))
+    points[:, j] += np.array(STENCIL) * step
+    return complex(dbar_stencil(*evaluate(f, points), step))

@@ -196,3 +196,39 @@ def test_dimension_mismatch_is_config_error(tmp_path, capsys):
     )
     assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
     assert "dimension mismatch" in capsys.readouterr().err
+
+
+def test_term_lines_of_mixed_dimension_are_line_anchored(tmp_path, capsys):
+    scenario = tmp_path / "mixed.txt"
+    scenario.write_text(
+        "kind = pushforward\n"
+        "rates = 1/1 1/1\n"
+        "term = 1 0 | 0 0 | 1.0 | 0.0\n"
+        "term = 1 0 0 | 0 0 0 | 1.0 | 0.0\n"
+        "base_point = 0.5 0.5\n"
+    )
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "mixed.txt:4" in err and "exponent length mismatch" in err
+
+
+def test_base_point_outside_polydisk_is_config_error(tmp_path, capsys):
+    scenario = tmp_path / "outside.txt"
+    scenario.write_text(
+        "kind = pushforward\n"
+        "rates = 1/1 1/1\n"
+        "term = 1 0 | 0 0 | 1.0 | 0.0\n"
+        "base_point = 1.5 0.5\n"
+    )
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "outside.txt:4" in err and "|c_j| < 1" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1/0"])
+def test_bad_max_level_exits_two(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", str(SCENARIOS / "extraction_demo.txt"), "--out", str(tmp_path),
+                 "--max-level", value])
+    assert exc.value.code == 2
+    assert "--max-level" in capsys.readouterr().err

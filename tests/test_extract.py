@@ -13,6 +13,7 @@ from holoflow import (DiagonalField, ExtractionError, ExtractionParams,
                       verify_cauchy_bound)
 from holoflow.extract import aligned_window, quadrature_nodes
 from holoflow.reports import fitted_decay_rate
+from holoflow.sampling import evaluate, evaluate_prefix
 
 from conftest import random_expansion_sixths
 
@@ -190,3 +191,27 @@ def test_cauchy_bound_two_term_difference():
     report = verify_cauchy_bound(e, e, M)
     assert report.passed
     assert report.max_ratio <= 1.0
+
+
+def test_scalar_only_oracle_warns_once_and_matches_batched():
+    z = np.linspace(0.1, 2.0, 7) + 1j * np.linspace(-1.0, 1.0, 7)
+    batched = evaluate(lambda w: np.exp(-w) + w ** 2, z)
+    with pytest.warns(RuntimeWarning, match="point by point") as record:
+        scalar = evaluate(lambda w: cmath.exp(-complex(w)) + complex(w) ** 2, z)
+    assert len(record) == 1
+    assert scalar == pytest.approx(batched, rel=1e-15)
+
+
+def test_point_by_point_failure_keeps_the_values_before_it():
+    def oracle(z):
+        if complex(z[0]).real > 0.5:
+            raise RuntimeError("no data here")
+        return complex(z[0]) * complex(z[1])
+
+    points = np.array([[0.1, 0.2], [0.3, 0.4], [0.6, 0.1], [0.2, 0.2]])
+    with pytest.warns(RuntimeWarning):
+        values, exc = evaluate_prefix(oracle, points)
+    assert values.tolist() == [0.1 * 0.2 + 0j, 0.3 * 0.4 + 0j]
+    assert isinstance(exc, RuntimeError)
+    with pytest.warns(RuntimeWarning), pytest.raises(RuntimeError, match="no data"):
+        evaluate(oracle, points)

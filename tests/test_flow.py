@@ -4,6 +4,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,25 @@ def test_classify_complex_eigenvalue_pairs():
     assert classify_spectrum([-1 + 1j, -1 - 1j]) is SpectrumClass.COMMON_HALF_PLANE
     # antipodal eigenvalues admit no common rotation (and their ratio is -1)
     assert classify_spectrum([1 + 1j, -1 - 1j]) is SpectrumClass.MIXED
+
+
+@pytest.mark.parametrize("eigs, expected", [
+    ((1, cmath.exp(1j * (math.pi - 1e-4))), SpectrumClass.COMMON_HALF_PLANE),
+    ((1, -1), SpectrumClass.MIXED),
+    ((1, cmath.exp(2j * math.pi / 3), cmath.exp(-2j * math.pi / 3)), SpectrumClass.MIXED),
+])
+def test_classify_half_plane_boundary(eigs, expected):
+    assert classify_spectrum(eigs) is expected
+
+
+def test_integral_curve_on_an_array_of_times_matches_scalar_calls(rng):
+    f = DiagonalField((Fraction(1, 2), Fraction(3), Fraction(-2)))
+    c = random_interior_point(rng, 3)
+    zetas = rng.uniform(0, 2, (4, 5)) + 1j * rng.uniform(-2, 2, (4, 5))
+    points = integral_curve(f, c, zetas)
+    assert points.shape == (4, 5, 3)
+    for idx in np.ndindex(zetas.shape):
+        assert points[idx] == pytest.approx(integral_curve(f, c, zetas[idx]), rel=1e-15)
 
 
 def test_integral_curve_at_zero_time_is_base_point():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +11,36 @@ from holoflow import (MultiIndex, TaylorSeries, antiholomorphic_part,
                       eval_taylor, format_series, holomorphic_part,
                       parse_series, taylor_remainder_check,
                       wirtinger_F_derivative)
-from holoflow.wirtinger import dbar_fd_component
+from holoflow.wirtinger import dbar_fd, dbar_fd_component
 
 from conftest import random_interior_point, random_jet
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_eval_on_a_batch_matches_single_points(rng, dim):
+    for _ in range(5):
+        s = random_jet(rng, dim, 5, 6)
+        points = np.array([random_interior_point(rng, dim) for _ in range(9)])
+        batch = eval_taylor(s, points)
+        assert batch.shape == (9,)
+        for z, value in zip(points, batch):
+            single = eval_taylor(s, tuple(z))
+            direct = sum(a * math.prod(complex(zj) ** kj * complex(zj).conjugate() ** mj
+                                       for zj, kj, mj in zip(z, k, m))
+                         for (k, m), a in s.terms().items())
+            assert isinstance(single, complex)
+            assert value == pytest.approx(single, rel=1e-12, abs=1e-14)
+            assert value == pytest.approx(direct, rel=1e-12, abs=1e-14)
+
+
+def test_dbar_fd_is_elementwise_on_arrays():
+    f = lambda w: w ** 3 + 2.0 * np.conj(w) * w  # dbar f = 2 w
+    zetas = np.array([[0.3 + 0.1j, -0.5j], [1.2, 0.7 - 0.4j]])
+    values = dbar_fd(f, zetas)
+    assert values.shape == zetas.shape
+    for zeta, value in zip(zetas.ravel(), values.ravel()):
+        assert value == pytest.approx(dbar_fd(f, complex(zeta)), abs=1e-9)
+        assert value == pytest.approx(2.0 * zeta, abs=1e-8)
 
 
 def test_multi_index_validation():
