@@ -131,38 +131,39 @@ def curve_stencil(curve: Callable, curves: Sequence, zetas, step: float) -> np.n
     """Points curve(c, zeta + step * offset) for every curve, sample and offset.
 
     zetas has shape (Z,) (the same samples on every curve) or (C, Z); the
-    result has shape (C, Z, 5, N) with the offsets of STENCIL_OFFSETS.
+    result has shape (C, Z, 5, N) with the offsets of STENCIL_OFFSETS (N = 0
+    if there are no curves).
     """
     zetas = np.broadcast_to(np.asarray(zetas, dtype=complex), (len(curves), np.shape(zetas)[-1]))
+    if not len(curves):
+        return np.empty(zetas.shape + (len(STENCIL_OFFSETS), 0), dtype=complex)
     return np.stack([curve(c, row[:, None] + step * STENCIL_OFFSETS)
                      for c, row in zip(curves, zetas)])
 
 
 def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_samples, *,
-                step: float = FD_STEP, tol: float = FD_TOL,
-                stencil: np.ndarray | None = None) -> CurveCheckReport:
+                step: float = FD_STEP, tol: float = FD_TOL) -> CurveCheckReport:
     """Sampled dbar residual of  zeta -> oracle(curve(c, zeta))  over the curves.
 
-    Passes iff every residual is below tol * (1 + |value|).  All stencil
-    points must stay inside the unit polydisk.  The oracle is called on the
-    whole stencil at once (``stencil``, if given, is the
-    :func:`curve_stencil` of these arguments); failures are reported for
-    the first sample in curve-major order, as a point-by-point scan meets
-    them.
+    Passes iff every residual is below tol * (1 + |value|); no curves pass
+    with residual 0.  All stencil points must stay inside the unit
+    polydisk.  The oracle is called on the whole :func:`curve_stencil` at
+    once; failures are reported for the first sample in curve-major order,
+    as a point-by-point scan meets them.
     """
+    if not len(curves):
+        return CurveCheckReport(True, 0.0)
     coords = [_coords(c) for c in curves]
-    zetas = np.broadcast_to(np.asarray(zeta_samples, dtype=complex),
-                            (len(coords), np.shape(zeta_samples)[-1]))
-    if stencil is None:
-        stencil = curve_stencil(curve, coords, zetas, step)
+    zetas = np.asarray(zeta_samples, dtype=complex)
+    stencil = curve_stencil(curve, coords, zetas, step)
     width = len(STENCIL_OFFSETS)
     flat = stencil.reshape(-1, stencil.shape[-1])
     outside = np.flatnonzero(np.any(np.abs(flat) >= 1.0, axis=1))
     reach = outside[0] if len(outside) else len(flat)
 
     def sample(i):
-        c, j = divmod(int(i), zetas.shape[1])
-        return coords[c], complex(zetas[c, j])
+        c, j = divmod(int(i), stencil.shape[1])
+        return coords[c], complex(zetas[j] if zetas.ndim == 1 else zetas[c, j])
 
     values, exc = evaluate_prefix(oracle, flat[:reach])
     done = len(values) // width
@@ -198,11 +199,10 @@ def f_holomorphy_check(
     *,
     step: float = FD_STEP,
     tol: float = FD_TOL,
-    stencil: np.ndarray | None = None,
 ) -> CurveCheckReport:
     """:func:`curve_check` of the function along the integral curves of the field."""
     return curve_check(jo.oracle, lambda c, w: integral_curve(field, c, w), curves,
-                       zeta_samples, step=step, tol=tol, stencil=stencil)
+                       zeta_samples, step=step, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -325,13 +325,14 @@ def forelli_pipeline(jo: JetOracle, field: DiagonalField,
     stencil = curve_stencil(lambda c, w: integral_curve(nfield, c, w),
                             [c.coords for c in curves], zetas, FD_STEP)
     inside = np.all(np.abs(stencil) < 1.0, axis=(1, 2, 3))
+    del stencil  # f_holomorphy_check rebuilds it for the kept curves
     curves = [c for c, keep in zip(curves, inside) if keep]
     if not curves:
         return ForelliVerdict(HYPOTHESIS_VIOLATED,
                               reason="no sampled curve stays inside the polydisk",
                               diagnostics=diag)
 
-    curve_report = f_holomorphy_check(jo, nfield, curves, zetas, stencil=stencil[inside])
+    curve_report = f_holomorphy_check(jo, nfield, curves, zetas)
     diag["f_holomorphy"] = {"passed": curve_report.passed,
                             "max_residual": curve_report.max_residual,
                             "curves": len(curves)}
@@ -370,10 +371,11 @@ def forelli_pipeline(jo: JetOracle, field: DiagonalField,
 
     points = polydisk_points(rng, psi.dim, config.compare_points,
                              r_min=0.0, r_max=COMPARE_RADIUS)
-    diffs = np.abs(evaluate(jo.oracle, points) - eval_taylor(psi, np.array(points)))
-    i = int(np.argmax(diffs))
-    max_diff = float(diffs[i])
-    worst_point = points[i] if max_diff > 0.0 else None
+    grid = np.reshape(np.array(points, dtype=complex), (len(points), psi.dim))
+    diffs = np.abs(evaluate(jo.oracle, grid) - eval_taylor(psi, grid))
+    diffs[~np.isfinite(diffs)] = math.inf  # a NaN value is no agreement
+    max_diff = float(diffs.max(initial=0.0))
+    worst_point = points[int(np.argmax(diffs))] if max_diff > 0.0 else None
     diag["comparison"] = {"max_diff": max_diff, "points": len(points),
                           "radius": COMPARE_RADIUS}
     threshold = config.compare_tol * jo.bound

@@ -34,29 +34,45 @@ def halfplane_points(rng: np.random.Generator, n: int,
     return [complex(x, y) for x, y in zip(xs, ys)]
 
 
+def _one_by_one(points: np.ndarray):
+    """The points as an oracle for one point takes them: complex or tuple of complex."""
+    return map(tuple, points.tolist()) if points.ndim == 2 else points.tolist()
+
+
 def evaluate_prefix(oracle, points) -> tuple[np.ndarray, Exception | None]:
     """Oracle values up to its first failing point, and that point's exception.
 
     One batched call is made.  Only if it raises or returns the wrong shape
     is a RuntimeWarning emitted and the oracle called point by point, with
     a ``complex`` for a half-plane point and a tuple of ``complex`` for a
-    polydisk point.  If a point-by-point call raises at point i, the values
-    of points 0..i-1 are returned with that exception; otherwise all values
-    are returned with None.  The returned array is the caller's to modify.
+    polydisk point.  An (N, N) batch is ambiguous, since an oracle written
+    for one tuple returns N values for it too (one per coordinate), so its
+    batched values are also compared with one call per point.  If a
+    point-by-point call raises at point i, the values of points 0..i-1 are
+    returned with that exception; otherwise all values are returned with
+    None.  The returned array is the caller's to modify.
     """
     points = np.asarray(points, dtype=complex)
     n = len(points)
     try:
         values = np.array(oracle(points), dtype=complex)
-        if values.shape == (n,):
-            return values, None
         reason = f"values of shape {values.shape}"
     except Exception as exc:  # any failure of the batched call means: retry per point
-        reason = type(exc).__name__
+        values, reason = None, type(exc).__name__
+    if values is not None and values.shape == (n,):
+        if points.ndim == 1 or n != points.shape[1]:
+            return values, None
+        try:
+            single = np.array([complex(oracle(point)) for point in _one_by_one(points)])
+        except Exception:  # an oracle that takes batches only
+            return values, None
+        if np.allclose(single, values, rtol=1e-12, atol=0.0, equal_nan=True):
+            return values, None
+        reason = "values unlike its single-point values"
     warnings.warn(f"oracle rejected a batch ({reason}); evaluating point by point",
                   RuntimeWarning)
     found: list[complex] = []
-    for point in map(tuple, points.tolist()) if points.ndim == 2 else points.tolist():
+    for point in _one_by_one(points):
         try:
             found.append(complex(oracle(point)))
         except Exception as exc:  # handed to the caller, which reports the point

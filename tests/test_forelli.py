@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from holoflow import (ANTIHOLOMORPHIC_OBSTRUCTION, HOLOMORPHIC,
@@ -230,3 +231,34 @@ def test_vanishing_bilinear_sum_documented_value():
     assert total == pytest.approx(0.25)
     report = antiholomorphic_vanishing(jet, DiagonalField((1, 1)), trials=4)
     assert not report.passed
+
+
+def test_curve_check_without_curves_passes():
+    jo = jet_oracle(TaylorSeries.monomial(2, (1, 0), (0, 0)))
+    report = f_holomorphy_check(jo, DiagonalField((1, 1)), [], ZETAS)
+    assert report.passed and report.max_residual == 0.0
+    verdict = forelli_pipeline(jo, DiagonalField((1, 1)), ForelliConfig(n_curves=0))
+    assert verdict.tag == HYPOTHESIS_VIOLATED
+
+
+def test_comparison_without_points_passes():
+    jo = jet_oracle(TaylorSeries.monomial(2, (1, 0), (0, 0)))
+    verdict = forelli_pipeline(jo, DiagonalField((1, 1)), ForelliConfig(compare_points=0))
+    assert verdict.tag == HOLOMORPHIC
+    assert verdict.diagnostics["comparison"]["max_diff"] == 0.0
+
+
+def test_comparison_fails_on_a_nan_value():
+    # curves keep |z_1| >= 0.15 e^{-2}, so only comparison points reach the
+    # band |z_1| < 0.02: NaN below 0.01, off by 1 between 0.01 and 0.02
+    jet = TaylorSeries.monomial(2, (1, 1), (0, 0))
+
+    def oracle(z):
+        r = np.abs(z[..., 0])
+        values = eval_taylor(jet, z)
+        return np.where(r < 0.01, np.nan, np.where(r < 0.02, values + 1.0, values))
+
+    config = ForelliConfig(compare_points=2000)
+    verdict = forelli_pipeline(JetOracle(oracle, jet, 1.0), DiagonalField((1, 1)), config)
+    assert verdict.tag == HYPOTHESIS_VIOLATED
+    assert abs(verdict.witness[0]) < 0.01
