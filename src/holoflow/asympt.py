@@ -40,6 +40,8 @@ DEFAULT_Y_SAMPLES = (0.0, 0.7, -1.3, 2.9, -4.2, 6.1)
 
 
 def _exponent(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError("exponents must be exact (int, Fraction, or 'p/q' string)")
     return Fraction(value)

@@ -309,6 +309,8 @@ def _run_forelli(sc: Scenario, out: Path, tolerance: float | None,
                  seed: int, max_level) -> tuple[dict, bool]:
     field = _field(sc)
     jet = _parse_jet(sc)
+    if jet.dim != field.dim:
+        sc.error("rates", f"dimension mismatch: {field.dim} rates, jet dim {jet.dim}")
     oracle_name = sc.get("oracle", "jet")
     if oracle_name == "jet":
         oracle = lambda z: eval_taylor(jet, z)

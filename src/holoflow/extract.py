@@ -2,20 +2,23 @@
 
 Given samples of  f(z) = sum c_j e^(-lambda_j z)  on a vertical line
 Re z = x0 and the exact rational grid the levels come from, each
-coefficient is the window average of the running residual weighted by
-e^(lambda_j z).  Two implementation choices control the error budget:
+coefficient is a window mean of f(z) e^(lambda_j z), that is one DFT bin:
 
-* The averaging window [-L, L] is snapped to an exact integer multiple of
-  the common period of all grid frequencies (2L = 2 pi q K, where q is the
-  lcm of the level denominators).  Over such a window every cross term
-  e^(-i (lambda_i - lambda_j) y) averages to exactly zero, and the
-  equispaced node sum reproduces that zero exactly as long as the node
-  count exceeds the largest frequency-period product, so the only leakage
-  left is double rounding.  An unaligned window leaks
-  |c_i| e^(-(lambda_i-lambda_j) x0) / (L |lambda_i - lambda_j|) per term,
-  which for close levels is far above any useful tolerance.
+* The window [-L, L) is snapped to a multiple of the common period of all
+  grid frequencies, 2L = 2 pi q K with q the lcm of the level denominators.
+  On Q equispaced nodes y_n = -L + 2Ln/Q the mean for level j/q is
+  c_j = e^(lambda_j x0) (-1)^(jK) ifft(samples)[jK mod Q], and other grid
+  levels land in other bins, so cross terms cancel exactly while Q exceeds
+  every jK (Trefethen & Weideman, SIAM Review 56, 2014).  The sign
+  e^(-i lambda_j L) = (-1)^(jK) is exact; as a float phase with L near 1e4
+  it is off by 1e-12.  Q is rounded up to a 5-smooth FFT length.
+* A bin of the raw samples carries the rounding error of the whole sum,
+  up to a decade more than a level-by-level mean of the running residual.
+  So the terms found are subtracted (deflation), a second transform of the
+  residual corrects every coefficient, and the corrections are subtracted
+  too; the residual left feeds the consistency check.
 * x0 must stay small: the weight e^(lambda x0) multiplies the float
-  rounding noise of the residual, so recovering level lambda costs
+  rounding noise of the samples, so recovering level lambda costs
   eps * e^(lambda x0) in absolute error.  The default x0 = 1 keeps that
   below 1e-11 for lambda <= 10; x0 = 8 would bury every coefficient.
 
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +39,8 @@ from .sampling import evaluate
 
 #: required quadrature nodes per oscillation period of the fastest grid level
 NODES_PER_PERIOD = 20
+#: most line nodes one extraction or sup may sample; a larger window fails up front
+MAX_NODES = 2**22
 
 
 class ExtractionError(RuntimeError):
@@ -77,17 +81,24 @@ def aligned_window(grid: LevelGrid, half_width: float) -> tuple[float, int, int]
     denominators.  For q so large that pi*q exceeds the request, one full
     common period is used.
     """
-    q = 1
-    for lam in grid.levels:
-        q = math.lcm(q, Fraction(lam).denominator)
+    q = math.lcm(1, *(lam.denominator for lam in grid.levels))
     K = max(1, round(half_width / (math.pi * q)))
     return math.pi * q * K, q, K
+
+
+def _five_smooth(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n."""
+    odd = [3**b * 5**c for b in range(16) for c in range(11)]
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd)
 
 
 def _effective_nodes(params: ExtractionParams, q: int, K: int) -> int:
     lam_max = float(params.grid.levels[-1]) if params.grid.levels else 0.0
     periods = lam_max * q * K
-    return max(params.nodes, int(math.ceil(NODES_PER_PERIOD * periods)) + 1)
+    Q = _five_smooth(max(params.nodes, int(math.ceil(NODES_PER_PERIOD * periods)) + 1))
+    if Q > MAX_NODES:
+        raise ExtractionError(f"window needs Q = {Q} line nodes; MAX_NODES = {MAX_NODES}")
+    return Q
 
 
 def _line_values(oracle, z: np.ndarray) -> np.ndarray:
@@ -115,36 +126,34 @@ def extract_coefficients(
     """Recover one coefficient per grid level from line samples of the oracle.
 
     The oracle is called once, on the array of all line nodes (see
-    :func:`sampling.evaluate`).  Levels are processed in ascending order;
-    after each level the estimated term is subtracted from the node values,
-    so level j averages the running residual.  Estimates below params.tol in
+    :func:`sampling.evaluate`); each coefficient is a DFT bin refined by one
+    deflation step (see the module docstring).  Estimates below params.tol in
     modulus are reported as zero.  If ``trace`` is a list, rows (level,
-    coefficient, residual sup norm) are appended for CSV export.
+    coefficient, sup norm of the residual without the levels up to this one)
+    are appended for CSV export.
     """
     levels = list(params.grid.levels)
     if n_levels is not None:
         if n_levels < 1:
             raise ValueError("n_levels must be >= 1")
         levels = levels[:n_levels]
-    y = quadrature_nodes(params)
-    z = params.x0 + 1j * y
+    _, q, K = aligned_window(params.grid, params.half_width)
+    z = params.x0 + 1j * quadrature_nodes(params)
     vals = _line_values(oracle, z)
 
-    norm0 = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    norm = norm0
-    coeffs: list[complex] = []
-    for lam in levels:
-        lam_f = float(lam)
-        weight = np.exp(lam_f * z)
-        c = complex(np.mean(vals * weight))
-        if abs(c) < params.tol:
-            c = 0j
-        else:
-            vals -= c * np.exp(-lam_f * z)
-        norm = float(np.max(np.abs(vals)))
-        coeffs.append(c)
-        if trace is not None:
-            trace.append((lam_f, c, norm))
+    lam = np.array([float(v) for v in levels])
+    bins = np.array([v.numerator * (q // v.denominator) * K for v in levels], dtype=np.int64)
+    weight = np.exp(lam * params.x0) * np.where(bins % 2, -1.0, 1.0)
+    bins %= len(z)
+    norm0 = float(np.max(np.abs(vals)))
+    coeffs = np.zeros(len(levels), dtype=complex)
+    for _ in range(2):  # the bins of the samples, then those of the deflated residual
+        found = coeffs + weight * np.fft.ifft(vals)[bins]
+        found[np.abs(found) < params.tol] = 0
+        for i in np.flatnonzero(found - coeffs):
+            vals -= (found[i] - coeffs[i]) * np.exp(-lam[i] * z)
+        coeffs = found
+    norm = float(np.max(np.abs(vals)))
     if n_levels is None and levels:
         # after the whole grid is consumed, only snapped-to-zero terms and
         # content decaying faster than lambda_max may legitimately remain
@@ -155,7 +164,16 @@ def extract_coefficients(
             raise ExtractionError(
                 f"residual norm {norm:.3e} after all {len(levels)} levels "
                 f"(allowed {allowance:.3e}); oracle is inconsistent with the level grid")
-    return HolomorphicExpansion(zip(levels, coeffs))
+    if trace is not None:
+        # walk down from the final residual, adding each term back
+        rows = []
+        for i in reversed(range(len(levels))):
+            rows.append((float(lam[i]), complex(coeffs[i]), norm))
+            if coeffs[i] != 0:
+                vals += coeffs[i] * np.exp(-lam[i] * z)
+                norm = float(np.max(np.abs(vals)))
+        trace.extend(reversed(rows))
+    return HolomorphicExpansion(zip(levels, coeffs.tolist()))
 
 
 def shift_difference(oracle: Callable[[complex], complex], a: float):

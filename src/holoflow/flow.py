@@ -26,6 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 _TAU_TOL = 1e-12
+#: most multiples of 1/q a level grid may span; a wider one exceeds extract.MAX_NODES
+MAX_LATTICE = 2**18
 
 
 class SpectrumError(ValueError):
@@ -173,7 +175,11 @@ def level_grid(field: DiagonalField, lambda_max) -> LevelGrid:
     """Enumerate every value  sum_j n_j |r_j| <= lambda_max  (n_j >= 0 integers).
 
     Because (alpha,k)+(alpha,m) depends only on k+m, enumerating single
-    multi-indices n is exhaustive.  Requires a positive-ratio spectrum.
+    multi-indices n is exhaustive.  The sums are multiples of 1/q (q the lcm of
+    the rate denominators), marked in a table over 0..lambda_max q by or-ing in
+    the table shifted by 1, 2, 4, ... steps of each rate: N log2(lambda_max q)
+    passes, however many multi-indices there are.  Requires a positive-ratio
+    spectrum and lambda_max q <= MAX_LATTICE.
     """
     lam_max = _as_fraction(lambda_max)
     if lam_max <= 0:
@@ -182,19 +188,20 @@ def level_grid(field: DiagonalField, lambda_max) -> LevelGrid:
         raise SpectrumError("level grid requires a positive-ratio spectrum "
                             "(mixed spectra have no well-ordered levels)")
     rates = tuple(abs(r) for r in field.rates)
-    found: set[Fraction] = set()
-
-    def recurse(j: int, acc: Fraction) -> None:
-        if j == len(rates):
-            found.add(acc)
-            return
-        value = acc
-        while value <= lam_max:
-            recurse(j + 1, value)
-            value += rates[j]
-
-    recurse(0, Fraction(0))
-    return LevelGrid(rates=rates, lambda_max=lam_max, levels=tuple(sorted(found)))
+    q = math.lcm(*(r.denominator for r in rates))
+    top = math.floor(lam_max * q)
+    if top > MAX_LATTICE:
+        raise ValueError(f"level grid up to {lam_max} on multiples of 1/{q} needs "
+                         f"{top + 1} entries, over the budget of MAX_LATTICE = {MAX_LATTICE}")
+    reach = np.zeros(top + 1, dtype=bool)
+    reach[0] = True
+    for r in rates:
+        shift = int(r * q)
+        while shift <= top:
+            reach[shift:] |= reach[:-shift]
+            shift *= 2
+    levels = tuple(Fraction(int(j), q) for j in np.flatnonzero(reach))
+    return LevelGrid(rates=rates, lambda_max=lam_max, levels=levels)
 
 
 class NormalizedField(NamedTuple):

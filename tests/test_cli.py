@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,21 @@ def test_dimension_mismatch_is_config_error(tmp_path, capsys):
     )
     assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
     assert "dimension mismatch" in capsys.readouterr().err
+
+
+def test_forelli_rates_and_jet_of_different_dimension_exit_two(tmp_path, capsys):
+    scenario = tmp_path / "forelli_dims.txt"
+    scenario.write_text(
+        "kind = forelli\n"
+        "rates = 1/1 2/1 3/1\n"
+        "term = 1 0 | 0 0 | 1.0 | 0.0\n"
+        "term = 0 2 | 0 0 | 1.0 | 0.0\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "forelli_dims.txt:2" in err and "dimension mismatch" in err
 
 
 def test_term_lines_of_mixed_dimension_are_line_anchored(tmp_path, capsys):

@@ -12,18 +12,40 @@ from holoflow import (DiagonalField, ExtractionError, ExtractionParams,
                       HolomorphicExpansion, extract_coefficients, level_grid,
                       residual, sampled_sup, shift_difference,
                       verify_cauchy_bound)
-from holoflow.extract import aligned_window, quadrature_nodes
+from holoflow.extract import MAX_NODES, aligned_window, quadrature_nodes
 from holoflow.reports import fitted_decay_rate
 from holoflow.sampling import evaluate, evaluate_prefix
 from holoflow.wirtinger import dbar_fd_component
 
-from conftest import random_expansion_sixths
+from conftest import random_coeff, random_expansion_sixths
 
 SIXTH_GRID = level_grid(DiagonalField((Fraction(1, 6),)), 10)
 
 
 def default_params(grid=SIXTH_GRID) -> ExtractionParams:
     return ExtractionParams(grid=grid)
+
+
+def sequential_sweep(oracle, params):
+    """Reference: trace rows of the window mean of the running residual, level by level."""
+    z = params.x0 + 1j * quadrature_nodes(params)
+    vals = evaluate(oracle, z)
+    rows = []
+    for lam in params.grid.levels:
+        c = complex(np.mean(vals * np.exp(float(lam) * z)))
+        c = 0j if abs(c) < params.tol else c
+        vals = vals - c * np.exp(-float(lam) * z)
+        rows.append((float(lam), c, float(np.max(np.abs(vals)))))
+    return rows
+
+
+def random_source(rng, grid, n_terms=6) -> HolomorphicExpansion:
+    picks = sorted(rng.choice(len(grid), size=n_terms, replace=False))
+    return HolomorphicExpansion([(grid.levels[i], random_coeff(rng, 0.1, 1.0)) for i in picks])
+
+
+def never_called(z):
+    raise AssertionError("the oracle must not be sampled")
 
 
 def test_params_validation():
@@ -41,6 +63,16 @@ def test_window_is_common_period_multiple():
     assert L == pytest.approx(math.pi * q * K)
     # every pair of grid frequencies completes整 whole periods: L * (1/q) multiple of pi
     assert (L / math.pi) % 1 == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rates, lam_max, expected", [
+    (("1/6",), 10, 4096),                     # the floor params.nodes, 2^12
+    (("1/7", "1/11"), 5, 7776),               # 7701 nodes needed; 7776 = 2^5 3^5
+    (("1/7", "1/11", "1/13"), "3/2", 30375),  # 30021 = 3 * 10007 needed; 30375 = 3^5 5^3
+])
+def test_node_count_is_the_next_five_smooth_length(rates, lam_max, expected):
+    grid = level_grid(DiagonalField(tuple(Fraction(r) for r in rates)), Fraction(lam_max))
+    assert len(quadrature_nodes(default_params(grid))) == expected
 
 
 def test_zero_oracle_recovers_all_zeros():
@@ -82,6 +114,42 @@ def test_trace_rows_match_levels():
     assert [row[0] for row in trace] == [0.0, 1.0, 2.0, 3.0]
     # residual norm collapses once the only term is removed
     assert trace[0][2] > 0.1 and trace[1][2] < 1e-12
+
+
+@pytest.mark.parametrize("rates, lam_max, n_sources",
+                         [(("1/6",), 10, 20), (("1/5", "1/7", "1/9"), 2, 3)])
+def test_transform_matches_sequential_sweep(rng, rates, lam_max, n_sources):
+    grid = level_grid(DiagonalField(tuple(Fraction(r) for r in rates)), lam_max)
+    params = default_params(grid)
+    for _ in range(n_sources):
+        src = random_expansion_sixths(rng) if len(rates) == 1 else random_source(rng, grid)
+        trace = []
+        rec = extract_coefficients(src, params, trace=trace)
+        reference = sequential_sweep(src, params)
+        assert [row[0] for row in trace] == [row[0] for row in reference]
+        assert max(abs(c - ref[1]) for c, ref in zip(rec.coeffs, reference)) <= 1e-12
+        assert max(abs(row[2] - ref[2]) for row, ref in zip(trace, reference)) <= 1e-12
+
+
+def test_four_rate_grid_recovers_its_source(rng):
+    grid = level_grid(DiagonalField((Fraction(1, 7), Fraction(1, 11), Fraction(1, 13),
+                                     Fraction(1, 17))), 2)
+    src = random_source(rng, grid)
+    rec = extract_coefficients(src, default_params(grid))
+    expected = dict(src.pairs())
+    assert max(abs(c - expected.get(lam, 0)) for lam, c in rec.pairs()) <= 1e-8
+
+
+@pytest.mark.parametrize("params", [
+    ExtractionParams(grid=level_grid(DiagonalField((Fraction(1, 101), Fraction(1, 103),
+                                                    Fraction(1, 107))), Fraction(1, 5))),
+    ExtractionParams(grid=SIXTH_GRID, half_width=1e7),
+    ExtractionParams(grid=SIXTH_GRID, nodes=MAX_NODES + 1),
+])
+def test_oversized_window_fails_before_sampling(params):
+    for run in (extract_coefficients, sampled_sup):
+        with pytest.raises(ExtractionError, match=f"Q = .*MAX_NODES = {MAX_NODES}"):
+            run(never_called, params)
 
 
 def test_n_levels_truncates_the_loop():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holoflow import (BasePoint, DiagonalField, SpectrumClass, SpectrumError,
@@ -152,6 +152,38 @@ def test_level_grid_is_closed_under_addition(rng):
             for b in g.levels:
                 if a + b <= g.lambda_max:
                     assert a + b in members
+
+
+def brute_force_levels(rates, lam_max) -> tuple:
+    found = set()
+
+    def walk(j, acc):
+        if j == len(rates):
+            found.add(acc)
+            return
+        while acc <= lam_max:
+            walk(j + 1, acc)
+            acc += rates[j]
+
+    walk(0, Fraction(0))
+    return tuple(sorted(found))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.fractions(Fraction(1, 4), 4, max_denominator=4), min_size=1, max_size=3),
+       st.fractions(Fraction(1, 6), 5, max_denominator=6))
+@example([Fraction(2, 3), Fraction(3, 2)], Fraction(4))
+@example([Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)], Fraction(3))
+@example([Fraction(3, 2), Fraction(2)], Fraction(1))
+def test_level_grid_matches_brute_force(rates, lam_max):
+    assert level_grid(DiagonalField(tuple(rates)), lam_max).levels == \
+        brute_force_levels(rates, lam_max)
+
+
+def test_level_grid_refuses_an_oversized_lattice():
+    field = DiagonalField((Fraction(1, 101), Fraction(1, 103), Fraction(1, 107)))
+    with pytest.raises(ValueError, match="MAX_LATTICE"):
+        level_grid(field, 3)
 
 
 def test_normalize_time_sign_flip():
