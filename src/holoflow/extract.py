@@ -11,12 +11,12 @@ coefficient is a window mean of f(z) e^(lambda_j z), that is one DFT bin:
   levels land in other bins, so cross terms cancel exactly while Q exceeds
   every jK (Trefethen & Weideman, SIAM Review 56, 2014).  The sign
   e^(-i lambda_j L) = (-1)^(jK) is exact; as a float phase with L near 1e4
-  it is off by 1e-12.  Q is rounded up to a 5-smooth FFT length.
+  it is off by about 1e-12.  Q is rounded up to a 5-smooth FFT length.
 * A bin of the raw samples carries the rounding error of the whole sum,
-  up to a decade more than a level-by-level mean of the running residual.
-  So the terms found are subtracted (deflation), a second transform of the
-  residual corrects every coefficient, and the corrections are subtracted
-  too; the residual left feeds the consistency check.
+  up to about a decade more than a level-by-level mean of the running
+  residual.  So the terms found are subtracted (deflation), a second
+  transform of the residual corrects every coefficient, and the
+  corrections are subtracted too; what is left feeds the consistency check.
 * x0 must stay small: the weight e^(lambda x0) multiplies the float
   rounding noise of the samples, so recovering level lambda costs
   eps * e^(lambda x0) in absolute error.  The default x0 = 1 keeps that
@@ -87,7 +87,7 @@ def aligned_window(grid: LevelGrid, half_width: float) -> tuple[float, int, int]
 
 
 def _five_smooth(n: int) -> int:
-    """The least 2^a 3^b 5^c >= n."""
+    """The least 2^a 3^b 5^c >= n, for n <= 2**23."""
     odd = [3**b * 5**c for b in range(16) for c in range(11)]
     return min(p << (-(-n // p) - 1).bit_length() for p in odd)
 
@@ -95,10 +95,10 @@ def _five_smooth(n: int) -> int:
 def _effective_nodes(params: ExtractionParams, q: int, K: int) -> int:
     lam_max = float(params.grid.levels[-1]) if params.grid.levels else 0.0
     periods = lam_max * q * K
-    Q = _five_smooth(max(params.nodes, int(math.ceil(NODES_PER_PERIOD * periods)) + 1))
+    Q = max(params.nodes, int(math.ceil(NODES_PER_PERIOD * periods)) + 1)
     if Q > MAX_NODES:
         raise ExtractionError(f"window needs Q = {Q} line nodes; MAX_NODES = {MAX_NODES}")
-    return Q
+    return _five_smooth(Q)  # MAX_NODES is 5-smooth, so this stays within it
 
 
 def _line_values(oracle, z: np.ndarray) -> np.ndarray:
