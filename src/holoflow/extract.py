@@ -12,11 +12,13 @@ coefficient is a window mean of f(z) e^(lambda_j z), that is one DFT bin:
   every jK (Trefethen & Weideman, SIAM Review 56, 2014).  The sign
   e^(-i lambda_j L) = (-1)^(jK) is exact; as a float phase with L near 1e4
   it is off by about 1e-12.  Q is rounded up to a 5-smooth FFT length.
-* A bin of the raw samples carries the rounding error of the whole sum,
-  up to about a decade more than a level-by-level mean of the running
-  residual.  So the terms found are subtracted (deflation), a second
-  transform of the residual corrects every coefficient, and the
-  corrections are subtracted too; what is left feeds the consistency check.
+* A bin of the raw samples carries the rounding error of the whole sum, up
+  to a decade more than a level-by-level mean of the running residual.  So
+  the terms found are subtracted as c e^(-lambda z) with np.exp, as that
+  sweep did (synthesizing them by FFT lost up to four decades on the large
+  grids), a second transform of the residual corrects every coefficient,
+  and the corrections, at rounding level, are subtracted by one FFT of
+  their bins; what is left feeds the consistency check.
 * x0 must stay small: the weight e^(lambda x0) multiplies the float
   rounding noise of the samples, so recovering level lambda costs
   eps * e^(lambda x0) in absolute error.  The default x0 = 1 keeps that
@@ -125,12 +127,11 @@ def extract_coefficients(
 ) -> HolomorphicExpansion:
     """Recover one coefficient per grid level from line samples of the oracle.
 
-    The oracle is called once, on the array of all line nodes (see
-    :func:`sampling.evaluate`); each coefficient is a DFT bin refined by one
-    deflation step (see the module docstring).  Estimates below params.tol in
-    modulus are reported as zero.  If ``trace`` is a list, rows (level,
-    coefficient, sup norm of the residual without the levels up to this one)
-    are appended for CSV export.
+    The oracle is called once, on all line nodes (see :func:`sampling.evaluate`);
+    each coefficient is a DFT bin refined by one deflation step (module
+    docstring), and reported as zero below params.tol in modulus.  If ``trace``
+    is a list, rows (level, coefficient, sup of the residual without the levels
+    up to this one) are appended for CSV export.
     """
     levels = list(params.grid.levels)
     if n_levels is not None:
@@ -146,13 +147,15 @@ def extract_coefficients(
     weight = np.exp(lam * params.x0) * np.where(bins % 2, -1.0, 1.0)
     bins %= len(z)
     norm0 = float(np.max(np.abs(vals)))
-    coeffs = np.zeros(len(levels), dtype=complex)
-    for _ in range(2):  # the bins of the samples, then those of the deflated residual
-        found = coeffs + weight * np.fft.ifft(vals)[bins]
-        found[np.abs(found) < params.tol] = 0
-        for i in np.flatnonzero(found - coeffs):
-            vals -= (found[i] - coeffs[i]) * np.exp(-lam[i] * z)
-        coeffs = found
+    first = weight * np.fft.ifft(vals)[bins]
+    first[np.abs(first) < params.tol] = 0
+    for i in np.flatnonzero(first):
+        vals -= first[i] * np.exp(-lam[i] * z)
+    coeffs = first + weight * np.fft.ifft(vals)[bins]
+    coeffs[np.abs(coeffs) < params.tol] = 0
+    spectrum = np.zeros_like(vals)
+    spectrum[bins] = (coeffs - first) / weight
+    vals -= np.fft.fft(spectrum)  # sum of (coeffs - first) e^(-lambda z)
     norm = float(np.max(np.abs(vals)))
     if n_levels is None and levels:
         # after the whole grid is consumed, only snapped-to-zero terms and
@@ -164,8 +167,7 @@ def extract_coefficients(
             raise ExtractionError(
                 f"residual norm {norm:.3e} after all {len(levels)} levels "
                 f"(allowed {allowance:.3e}); oracle is inconsistent with the level grid")
-    if trace is not None:
-        # walk down from the final residual, adding each term back
+    if trace is not None:  # walk down from the final residual, adding each term back
         rows = []
         for i in reversed(range(len(levels))):
             rows.append((float(lam[i]), complex(coeffs[i]), norm))

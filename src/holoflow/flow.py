@@ -176,10 +176,9 @@ def level_grid(field: DiagonalField, lambda_max) -> LevelGrid:
 
     Because (alpha,k)+(alpha,m) depends only on k+m, enumerating single
     multi-indices n is exhaustive.  The sums are multiples of 1/q (q the lcm of
-    the rate denominators), marked in a table over 0..lambda_max q by or-ing in
-    the table shifted by 1, 2, 4, ... steps of each rate: N log2(lambda_max q)
-    passes, however many multi-indices there are.  Requires a positive-ratio
-    spectrum and lambda_max q <= MAX_LATTICE.
+    the rate denominators); a table over 0..lambda_max q marks them, or-ing in
+    its own shifts by 1, 2, 4, ... steps of each rate (N log2(lambda_max q)
+    passes).  Requires a positive-ratio spectrum and lambda_max q <= MAX_LATTICE.
     """
     lam_max = _as_fraction(lambda_max)
     if lam_max <= 0:
@@ -191,8 +190,7 @@ def level_grid(field: DiagonalField, lambda_max) -> LevelGrid:
     q = math.lcm(*(r.denominator for r in rates))
     top = math.floor(lam_max * q)
     if top > MAX_LATTICE:
-        raise ValueError(f"level grid up to {lam_max} on multiples of 1/{q} needs "
-                         f"{top + 1} entries, over the budget of MAX_LATTICE = {MAX_LATTICE}")
+        raise ValueError(f"level grid spans {top} multiples of 1/{q}; MAX_LATTICE = {MAX_LATTICE}")
     reach = np.zeros(top + 1, dtype=bool)
     reach[0] = True
     for r in rates:
