@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 _TAU_TOL = 1e-12
-#: most multiples of 1/q a level grid may span; a wider one exceeds extract.MAX_NODES
+#: most multiples of 1/q a level grid may span, so the most levels (plus one) it holds
 MAX_LATTICE = 2**18
 
 
