@@ -82,11 +82,6 @@ class AsymptoticExpansion:
         """Levels that carry at least one nonzero term, ascending."""
         return self._levels
 
-    def terms_at_level(self, lam) -> tuple[tuple[Fraction, Fraction, complex], ...]:
-        lam = Fraction(lam)
-        out = [(mu, nu, p) for (mu, nu), p in self._terms.items() if mu + nu == lam]
-        return tuple(sorted(out, key=lambda t: (t[0], t[1])))
-
     def all_terms(self) -> tuple[tuple[Fraction, Fraction, complex], ...]:
         return tuple(sorted(((mu, nu, p) for (mu, nu), p in self._terms.items()),
                             key=lambda t: (t[0] + t[1], t[0], t[1])))

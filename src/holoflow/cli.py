@@ -42,8 +42,8 @@ from .asympt import HolomorphicExpansion, eval_expansion, max_principle_bound, \
     pushforward, tail_bound_check
 from .extract import ExtractionParams, extract_coefficients, sampled_sup, \
     verify_cauchy_bound
-from .flow import (BasePoint, DiagonalField, integral_curve, level_grid, level_of,
-                   normalize_time)
+from .flow import (BasePoint, DiagonalField, SpectrumError, integral_curve, level_grid,
+                   level_of, normalize_time)
 from .forelli import ForelliConfig, JetOracle, forelli_pipeline
 from .reports import write_decay_csv
 from .sampling import evaluate, polydisk_points
@@ -252,9 +252,16 @@ def _run_extraction(sc: Scenario, out: Path, tolerance: float | None,
     source = _parse_expansion(sc)
     grid_rates = sc.get_fractions("grid_rates")
     lam_max = max_level if max_level is not None else sc.get_fraction("lambda_max")
-    if lam_max is None:
-        sc.error("lambda_max", "extraction needs lambda_max (or --max-level)")
-    grid = level_grid(DiagonalField(tuple(grid_rates)), lam_max)
+    if lam_max is None or lam_max <= 0:
+        sc.error("lambda_max", "extraction needs lambda_max > 0 (or --max-level)")
+    try:
+        field = DiagonalField(tuple(grid_rates))
+    except ValueError as exc:
+        sc.error("grid_rates", str(exc))
+    try:  # MAX_LATTICE stays a plain ValueError: a job too large, exit 1
+        grid = level_grid(field, lam_max)
+    except SpectrumError as exc:
+        sc.error("grid_rates", str(exc))
     missing = [str(lam) for lam in source.levels if lam not in grid]
     if missing:
         sc.error("exp_term", f"oracle levels {missing} are off the grid")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +43,8 @@ from .sampling import evaluate
 NODES_PER_PERIOD = 20
 #: most line nodes one extraction or sup may sample; a larger window fails up front
 MAX_NODES = 2**22
+#: abscissa of the line sampled_sup reads, next to the boundary Re z = 0
+SUP_X = 1e-9
 
 
 class ExtractionError(RuntimeError):
@@ -192,25 +194,17 @@ def shift_difference(oracle: Callable[[complex], complex], a: float):
     return shifted
 
 
-def sampled_sup(
-    oracle: Callable,
-    params: ExtractionParams,
-    x_values: Sequence[float] = (1e-9, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0),
-) -> float:
-    """Sup of |oracle| over the aligned y-grid at several abscissas.
+def sampled_sup(oracle: Callable, params: ExtractionParams) -> float:
+    """Sup of |oracle| over the aligned y-grid on the line Re z = SUP_X.
 
-    One batched oracle call per abscissa.  Includes a near-boundary segment
-    (x = 1e-9 by default), so for an on-grid exponential sum the sampled sup
-    is at least the modulus of every coefficient up to a factor
-    e^(-lambda x_min): the discrete window mean that produces a coefficient
-    is itself bounded by this sup.
+    One batched oracle call.  By the maximum principle a bounded holomorphic
+    exponential sum takes its sup over Re z >= SUP_X on that line, and the
+    aligned window mean that produces a coefficient is exact there, so the
+    sampled max is at least |c_j| e^(-lambda_j SUP_X) for every grid level;
+    samples at larger abscissas could only add values below the true sup.
     """
-    y = quadrature_nodes(params)
-    worst = 0.0
-    for x in x_values:
-        vals = _line_values(oracle, x + 1j * y)
-        worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
+    vals = _line_values(oracle, SUP_X + 1j * quadrature_nodes(params))
+    return float(np.max(np.abs(vals)))
 
 
 @dataclass(frozen=True)
@@ -239,7 +233,11 @@ def verify_cauchy_bound(
     M: float,
     tol: float = 1e-6,
 ) -> CauchyBoundReport:
-    """Check every coefficient modulus against M (a sampled sup of |oracle|)."""
+    """Check every coefficient modulus against M (a sampled sup of |oracle|).
+
+    M already carries the oracle's samples (see :func:`sampled_sup`); ``oracle``
+    is accepted for the callers that pass it and is never evaluated.
+    """
     if M <= 0:
         raise ValueError("bound M must be positive")
     ratios = []

@@ -67,9 +67,6 @@ class DiagonalField:
     def eigenvalues(self) -> tuple[complex, ...]:
         return tuple(complex(r) * self.time_unit for r in self.rates)
 
-    def is_canonical(self) -> bool:
-        return self.time_unit == 1 and all(r > 0 for r in self.rates)
-
 
 class SpectrumClass(Enum):
     POSITIVE_RATIOS = "positive_ratios"

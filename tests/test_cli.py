@@ -248,3 +248,44 @@ def test_bad_max_level_exits_two(tmp_path, capsys, value):
                  "--max-level", value])
     assert exc.value.code == 2
     assert "--max-level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rates, message", [
+    ("0 1/2", "all rates must be nonzero"),
+    ("1/2 -1/3", "positive-ratio spectrum"),
+])
+def test_bad_grid_rates_are_line_anchored(tmp_path, capsys, rates, message):
+    scenario = tmp_path / "grid.txt"
+    scenario.write_text(
+        "kind = extraction\n"
+        "lambda_max = 3/1\n"
+        f"grid_rates = {rates}\n"
+        "exp_term = 1/1 | 1.0 | 0.0\n"
+    )
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "grid.txt:3" in err and message in err
+
+
+def test_nonpositive_lambda_max_is_line_anchored(tmp_path, capsys):
+    scenario = tmp_path / "lam.txt"
+    scenario.write_text(
+        "kind = extraction\n"
+        "grid_rates = 1/2\n"
+        "lambda_max = 0\n"
+        "exp_term = 1/1 | 1.0 | 0.0\n"
+    )
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert "lam.txt:3" in capsys.readouterr().err
+
+
+def test_oversized_lattice_is_a_job_error_not_a_config_error(tmp_path, capsys):
+    scenario = tmp_path / "huge.txt"
+    scenario.write_text(
+        "kind = extraction\n"
+        "grid_rates = 1/101 1/103 1/107\n"
+        "lambda_max = 3/1\n"
+        "exp_term = 0 | 1.0 | 0.0\n"
+    )
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert "MAX_LATTICE" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from holoflow import (DiagonalField, ExtractionError, ExtractionParams,
                       HolomorphicExpansion, extract_coefficients, level_grid,
                       residual, sampled_sup, shift_difference,
                       verify_cauchy_bound)
-from holoflow.extract import MAX_NODES, aligned_window, quadrature_nodes
+from holoflow.extract import MAX_NODES, SUP_X, aligned_window, quadrature_nodes
 from holoflow.reports import fitted_decay_rate
 from holoflow.sampling import evaluate, evaluate_prefix
 from holoflow.wirtinger import dbar_fd_component
@@ -218,6 +218,28 @@ def test_sampled_sup_dominates_every_coefficient(rng):
         M = sampled_sup(src, default_params())
         report = verify_cauchy_bound(src, src, M)
         assert report.passed, (report.max_ratio, report.worst_level)
+        # |f| <= sum |c_j| e^(-lambda_j x) on the half-plane
+        assert M <= sum(abs(c) for _, c in src.pairs()) * (1 + 1e-12)
+
+
+def test_sampled_sup_is_one_batched_call_on_one_line():
+    src = HolomorphicExpansion([(Fraction(1, 3), 1.0), (Fraction(5, 2), 0.5j)])
+    lines = []
+
+    def counting(z):
+        lines.append(np.unique(np.real(z)))
+        return src(z)
+
+    params = default_params()
+    assert sampled_sup(counting, params) == sampled_sup(src, params)
+    assert len(lines) == 1
+    assert lines[0].tolist() == [SUP_X]
+
+
+def test_cauchy_bound_never_evaluates_the_oracle():
+    e = HolomorphicExpansion([(Fraction(1), 0.5), (Fraction(2), -0.5)])
+    report = verify_cauchy_bound(e, never_called, 1.0)
+    assert report.passed and report.max_ratio == pytest.approx(0.5)
 
 
 def test_cauchy_bound_flags_oversized_coefficient():
