@@ -372,14 +372,14 @@ def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator,
 
     reach = 0.6 / (abs(ex.alpha) * max(1.0, t))
     curves = polydisk_points(rng, 2, 10, r_min=0.15, r_max=0.4)
-    zetas = []  # ten samples per curve, drawn curve by curve
-    for _ in curves:
-        for _ in range(10):
-            r = rng.uniform(0.0, reach)
-            th = rng.uniform(0.0, TWO_PI)
-            zetas.append(r * complex(math.cos(th), math.sin(th)))
+    # ten samples per curve, drawn curve by curve: (r, th) is one row of draws
+    u = rng.random((len(curves), 10, 2))
+    r, th = reach * u[..., 0], TWO_PI * u[..., 1]
+    zetas = np.empty(r.shape, dtype=complex)
+    zetas.real = r * np.cos(th)
+    zetas.imag = r * np.sin(th)
     curve_rep = curve_check(oracle, lambda C, w: spiral_curve(ex, C, w), curves,
-                            np.reshape(zetas, (len(curves), 10)), tol=1e-6)
+                            zetas, tol=1e-6)
     checks["curve_holomorphy"] = {"passed": curve_rep.passed,
                                   "max_residual": curve_rep.max_residual}
 

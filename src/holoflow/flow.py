@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -42,10 +42,15 @@ def _as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class DiagonalField:
-    """Diagonal field with rational rates and a unit-modulus time factor."""
+    """Diagonal field with rational rates and a unit-modulus time factor.
+
+    ``eigenvalues`` (alpha_j = r_j * tau as complex doubles) is derived from
+    the other two fields once, and takes no part in equality, hash or repr.
+    """
 
     rates: tuple
     time_unit: complex = 1 + 0j
+    eigenvalues: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rates = tuple(_as_fraction(r) for r in self.rates)
@@ -58,14 +63,11 @@ class DiagonalField:
             raise ValueError(f"time unit must have modulus 1, got |tau| = {abs(tau)}")
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "time_unit", tau)
+        object.__setattr__(self, "eigenvalues", tuple(complex(r) * tau for r in rates))
 
     @property
     def dim(self) -> int:
         return len(self.rates)
-
-    @property
-    def eigenvalues(self) -> tuple[complex, ...]:
-        return tuple(complex(r) * self.time_unit for r in self.rates)
 
 
 class SpectrumClass(Enum):

@@ -15,14 +15,20 @@ import numpy as np
 
 def polydisk_points(rng: np.random.Generator, dim: int, n: int,
                     r_min: float = 0.05, r_max: float = 0.95) -> list[tuple[complex, ...]]:
-    """Random points with every coordinate modulus in [r_min, r_max]."""
-    points = []
-    for _ in range(n):
-        radii = rng.uniform(r_min, r_max, size=dim)
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=dim)
-        points.append(tuple(r * complex(math.cos(p), math.sin(p))
-                            for r, p in zip(radii, phases)))
-    return points
+    """Random points with every coordinate modulus in [r_min, r_max].
+
+    The draws are one block, in the order a point-by-point loop takes them
+    (the dim radii of a point, then its dim phases), and ``uniform`` is
+    ``low + (high - low) * random()``, so the points and the generator's
+    state afterwards are those of that loop.  Coordinates are ``np.complex128``.
+    """
+    u = rng.random((n, 2, dim))
+    radii = r_min + (r_max - r_min) * u[:, 0]
+    phases = 2.0 * math.pi * u[:, 1]
+    z = np.empty((n, dim), dtype=complex)
+    z.real = radii * np.cos(phases)
+    z.imag = radii * np.sin(phases)
+    return list(zip(*z.T))
 
 
 def halfplane_points(rng: np.random.Generator, n: int,

@@ -55,7 +55,7 @@ def _as_key(k, m, dim: int) -> tuple[MultiIndex, MultiIndex]:
 class TaylorSeries:
     """Finite map (k, m) -> a_{km} with zero coefficients pruned."""
 
-    __slots__ = ("_dim", "_terms")
+    __slots__ = ("_dim", "_terms", "_degree", "_plan")
 
     def __init__(self, dim: int, terms: Mapping | Iterable | None = None):
         dim = int(dim)
@@ -72,6 +72,12 @@ class TaylorSeries:
             else:
                 data[key] = a
         self._terms = data
+        # per term: coefficient, order and the factors (j, k_j, m_j) with k_j or m_j nonzero
+        self._plan = tuple(
+            (a, k.order + m.order,
+             tuple((j, kj, mj) for j, (kj, mj) in enumerate(zip(k, m)) if kj or mj))
+            for (k, m), a in data.items())
+        self._degree = max((order for _a, order, _f in self._plan), default=0)
 
     @classmethod
     def monomial(cls, dim: int, k, m, coeff: complex = 1.0) -> "TaylorSeries":
@@ -88,9 +94,7 @@ class TaylorSeries:
     @property
     def degree(self) -> int:
         """Largest |k|+|m| with nonzero coefficient (0 for the zero jet)."""
-        if not self._terms:
-            return 0
-        return max(k.order + m.order for k, m in self._terms)
+        return self._degree
 
     def terms(self) -> dict[tuple[MultiIndex, MultiIndex], complex]:
         return dict(self._terms)
@@ -134,10 +138,11 @@ class TaylorSeries:
         # coordinate columns: complex scalars for one point, arrays for a batch
         cols = zs.tolist() if zs.ndim == 1 else list(zs.T)
         total = 0j if zs.ndim == 1 else np.zeros(len(zs), dtype=complex)
-        for (k, m), a in self._terms.items():
-            if k.order + m.order <= order:
+        for a, term_order, factors in self._plan:
+            if term_order <= order:
                 value = 1 + 0j
-                for zj, kj, mj in zip(cols, k, m):
+                for j, kj, mj in factors:
+                    zj = cols[j]
                     if kj:
                         value = value * zj ** kj
                     if mj:

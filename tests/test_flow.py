@@ -1,6 +1,7 @@
 """Fields, curves, spectrum classification, and the exact level grid."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -30,6 +31,24 @@ def test_field_validation():
 def test_field_accepts_fraction_strings():
     f = DiagonalField(("1/2", "-3/4"))
     assert f.rates == (Fraction(1, 2), Fraction(-3, 4))
+
+
+def test_field_eigenvalues_are_kept_out_of_equality_hash_and_repr():
+    f = DiagonalField(("1/2", 3, Fraction(-2, 3)), 1j)
+    assert f.eigenvalues == tuple(complex(r) * 1j for r in f.rates)
+    assert f == DiagonalField((Fraction(1, 2), Fraction(3), Fraction(-2, 3)), 1j)
+    assert f != DiagonalField(f.rates)
+    assert hash(f) == hash((f.rates, f.time_unit))
+    assert repr(f) == ("DiagonalField(rates=(Fraction(1, 2), Fraction(3, 1), "
+                       "Fraction(-2, 3)), time_unit=1j)")
+
+
+def test_replacing_the_time_unit_rebuilds_the_eigenvalues():
+    f = DiagonalField((Fraction(1, 2), Fraction(3)))
+    tau = cmath.exp(0.25j)
+    g = dataclasses.replace(f, time_unit=tau)
+    assert g.eigenvalues == (0.5 * tau, 3 * tau)
+    assert f.eigenvalues == (0.5 + 0j, 3 + 0j)
 
 
 def test_base_point_validation():

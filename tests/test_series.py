@@ -33,6 +33,42 @@ def test_eval_on_a_batch_matches_single_points(rng, dim):
             assert value == pytest.approx(direct, rel=1e-12, abs=1e-14)
 
 
+def term_by_term(s, z, order):
+    """Reference partial sum over the coefficient map, in the kernel's product order."""
+    zs = np.asarray(z, dtype=complex)
+    cols = zs.tolist() if zs.ndim == 1 else list(zs.T)
+    total = 0j if zs.ndim == 1 else np.zeros(len(zs), dtype=complex)
+    for (k, m), a in s.terms().items():
+        if k.order + m.order <= order:
+            value = 1 + 0j
+            for zj, kj, mj in zip(cols, k, m):
+                if kj:
+                    value = value * zj ** kj
+                if mj:
+                    value = value * zj.conjugate() ** mj
+            total = total + a * value
+    return total
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_partial_sum_equals_the_term_by_term_sum_at_every_order(rng, dim):
+    for _ in range(4):
+        s = random_jet(rng, dim, 5, 8)
+        points = np.array([random_interior_point(rng, dim) for _ in range(7)])
+        for order in range(s.degree + 2):
+            assert np.array_equal(s.partial_sum(points, order), term_by_term(s, points, order))
+            for z in points:
+                assert s.partial_sum(tuple(z), order) == term_by_term(s, tuple(z), order)
+
+
+def test_degree_is_zero_for_the_zero_jet_and_for_a_cancelled_sum(rng):
+    assert TaylorSeries.zero(3).degree == 0
+    s = random_jet(rng, 3, 5, 6)
+    assert s.degree == max(k.order + m.order for k, m in s.terms())
+    cancelled = s + s.scale(-1)
+    assert not cancelled and cancelled.degree == 0
+
+
 def test_dbar_fd_is_elementwise_on_arrays():
     f = lambda w: w ** 3 + 2.0 * np.conj(w) * w  # dbar f = 2 w
     zetas = np.array([[0.3 + 0.1j, -0.5j], [1.2, 0.7 - 0.4j]])
