@@ -91,6 +91,11 @@ class Scenario:
             raise ScenarioError(self.path, None, f"missing required key {key!r}")
         return value
 
+    def check(self, key: str, ok: bool, rule: str) -> None:
+        """Reject the value of key, at its line, unless ok; rule is what it must be."""
+        if not ok:
+            self.error(key, f"{key} must be {rule}, got {self.get(key)!r}")
+
     def get_all(self, key: str) -> list[tuple[int, str]]:
         return self.entries.get(key, [])
 
@@ -298,14 +303,24 @@ def _run_extraction(sc: Scenario, out: Path, tolerance: float | None,
     return report, passed
 
 
+def _exponent_t(sc: Scenario, t):
+    sc.check("t", t > 0, "> 0")
+    return t
+
+
+def _spiral_alpha(sc: Scenario) -> complex:
+    alpha = sc.get_complex("alpha", -1 + 1j)
+    sc.check("alpha", alpha.real < 0 and alpha.imag > 0, "a complex with Re < 0 and Im > 0")
+    return alpha
+
+
 def _named_oracle(sc: Scenario, name: str):
     if name == "resonant":
-        t = sc.get_float("t", 1.0)
-        ex = cx.ResonantExample(t)
+        ex = cx.ResonantExample(_exponent_t(sc, sc.get_float("t", 1.0)))
         return lambda z: cx.phi_resonant(ex, z)
     if name == "spiral":
-        alpha = sc.get_complex("alpha", -1 + 1j)
-        ex = cx.SpiralExample.create(alpha, sc.get_float("t", 1.0))
+        alpha = _spiral_alpha(sc)
+        ex = cx.SpiralExample.create(alpha, _exponent_t(sc, sc.get_float("t", 1.0)))
         return lambda z: cx.phi_spiral(ex, z)
     if name == "remark":
         return cx.phi_remark
@@ -324,6 +339,7 @@ def _run_forelli(sc: Scenario, out: Path, tolerance: float | None,
     else:
         oracle = _named_oracle(sc, oracle_name)
     bound = sc.get_float("bound", None)
+    sc.check("bound", bound is None or bound >= 0, ">= 0")
     if bound is None:
         rng = np.random.default_rng(seed + 1)
         pts = polydisk_points(rng, jet.dim, 512, r_min=0.0, r_max=0.95)
@@ -347,10 +363,10 @@ def _run_counterexample(sc: Scenario, out: Path, tolerance: float | None,
     which = sc.require("which")
     kwargs: dict = {"seed": seed}
     if which == "resonant":
-        kwargs["t"] = sc.get_fraction("t", Fraction(1))
+        kwargs["t"] = _exponent_t(sc, sc.get_fraction("t", Fraction(1)))
     elif which == "spiral":
-        kwargs["t"] = sc.get_float("t", 1.0)
-        kwargs["alpha"] = sc.get_complex("alpha", -1 + 1j)
+        kwargs["alpha"] = _spiral_alpha(sc)
+        kwargs["t"] = _exponent_t(sc, sc.get_float("t", 1.0))
     elif which != "remark":
         sc.error("which", f"unknown counterexample {which!r}")
     suite = cx.counterexample_suite(which, **kwargs)
@@ -365,9 +381,11 @@ def _run_bounds(sc: Scenario, out: Path, tolerance: float | None,
     lam = sc.get_fraction("claimed_rate")
     if lam is None:
         sc.error("claimed_rate", "bounds scenarios need claimed_rate")
+    sc.check("claimed_rate", lam >= 0, ">= 0")
     x_lo = sc.get_float("x_lo", 0.01)
     tol = tolerance if tolerance is not None else sc.get_float("tolerance", 1e-6)
     bound = sc.get_float("bound", None)
+    sc.check("bound", bound is None or bound > 0, "> 0")
     if bound is None:
         ys = np.linspace(-40.0, 40.0, 4001)
         bound = float(np.max(np.abs(evaluate(source, x_lo + 1j * ys))))

@@ -32,11 +32,11 @@ from fractions import Fraction
 import numpy as np
 
 from .flow import BasePoint, DiagonalField, integral_curve
-from .forelli import (HYPOTHESIS_VIOLATED, ForelliConfig, JetOracle, curve_check,
+from .forelli import (FD_STEP, HYPOTHESIS_VIOLATED, ForelliConfig, JetOracle, curve_check,
                       f_holomorphy_check, forelli_pipeline)
-from .sampling import polydisk_points
+from .sampling import evaluate, polydisk_points
 from .series import TaylorSeries, antiholomorphic_part, taylor_remainder_check
-from .wirtinger import dbar_fd_component
+from .wirtinger import CIRCLE, dbar_circle
 
 TWO_PI = 2.0 * math.pi
 
@@ -286,8 +286,13 @@ class SuiteReport:
         }
 
 
-def _wirtinger_witness(oracle, point, step: float = 1e-5) -> float:
-    return max(abs(dbar_fd_component(oracle, point, j, step)) for j in range(len(point)))
+def _wirtinger_witness(oracle, point) -> float:
+    """max_j |d phi / d zbar_j| at point, from one call on the N coordinate circles."""
+    point = np.asarray(point, dtype=complex)
+    n = len(point)
+    circles = point + FD_STEP * CIRCLE[:, None] * np.eye(n)[:, None, :]  # (N, 4, N)
+    values = evaluate(oracle, circles.reshape(-1, n)).reshape(n, len(CIRCLE))
+    return float(np.abs(dbar_circle(values, FD_STEP)[1]).max())
 
 
 def counterexample_suite(which: str, *, t=1, alpha: complex = -1 + 1j,

@@ -5,9 +5,9 @@ Taylor jet and a diagonal field, and decides whether the data force the
 function to be holomorphic near the origin:
 
 1. spectrum gate: the field must have positive eigenvalue ratios;
-2. curve check: finite-difference dbar of the restriction to sampled
+2. curve check: the circle-rule dbar of the restriction to sampled
    integral curves must vanish; the function is called once on the array
-   of every curve point and stencil offset;
+   of every circle point;
 3. obstruction check: every anti-holomorphic jet coefficient must vanish,
    tested both exactly on the coefficient map and through the bilinear
    level sums  sum a_{km} c^k conj(c)^m  at all random base points at once;
@@ -34,14 +34,14 @@ from .flow import (BasePoint, DiagonalField, SpectrumClass, SpectrumError,
 from .sampling import evaluate, evaluate_prefix, halfplane_points, polydisk_points
 from .series import (TaylorSeries, antiholomorphic_part, eval_taylor,
                      holomorphic_part, level_parts, taylor_remainder_check)
-from .wirtinger import STENCIL, dbar_stencil
+from .wirtinger import CIRCLE, dbar_circle
 
 HOLOMORPHIC = "holomorphic"
 HYPOTHESIS_VIOLATED = "hypothesis_violated"
 NOT_F_HOLOMORPHIC = "not_f_holomorphic"
 ANTIHOLOMORPHIC_OBSTRUCTION = "antiholomorphic_obstruction"
 
-#: finite-difference step and pass threshold of the curve check
+#: circle radius and pass threshold of the curve check
 FD_STEP = 1e-5
 FD_TOL = 1e-6
 #: threshold and number of base points of the bilinear vanishing sums
@@ -53,9 +53,6 @@ COMPARE_RADIUS = 0.5
 CERT_SLACK = 0.05
 CERT_POINTS = 512
 CERT_RADIUS = 0.999
-#: curve-check sample offsets in units of the step: the centre, then the
-#: four dbar samples
-STENCIL_OFFSETS = np.array((0,) + STENCIL)
 
 
 @dataclass(frozen=True)
@@ -127,48 +124,39 @@ class CurveCheckReport:
     note: str = ""
 
 
-def curve_stencil(curve: Callable, curves: Sequence, zetas, step: float) -> np.ndarray:
-    """Points curve(c, zeta + step * offset) for every curve, sample and offset.
-
-    zetas has shape (Z,) (the same samples on every curve) or (C, Z); the
-    result has shape (C, Z, 5, N) with the offsets of STENCIL_OFFSETS (N = 0
-    if there are no curves).
-    """
-    zetas = np.broadcast_to(np.asarray(zetas, dtype=complex), (len(curves), np.shape(zetas)[-1]))
-    if not len(curves):
-        return np.empty(zetas.shape + (len(STENCIL_OFFSETS), 0), dtype=complex)
-    return np.stack([curve(c, row[:, None] + step * STENCIL_OFFSETS)
-                     for c, row in zip(curves, zetas)])
-
-
 def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_samples, *,
-                step: float = FD_STEP, tol: float = FD_TOL) -> CurveCheckReport:
+                tol: float = FD_TOL) -> CurveCheckReport:
     """Sampled dbar residual of  zeta -> oracle(curve(c, zeta))  over the curves.
 
-    Passes iff every residual is below tol * (1 + |value|); no curves pass
-    with residual 0.  All stencil points must stay inside the unit
-    polydisk.  The oracle is called on the whole :func:`curve_stencil` at
-    once; failures are reported for the first sample in curve-major order,
-    as a point-by-point scan meets them.
+    Each sample zeta is replaced by the circle zeta + FD_STEP * CIRCLE, and
+    its residual is |dbar| / (1 + |circle mean|) by :func:`dbar_circle`.
+    zeta_samples has shape (Z,) (the same samples on every curve) or (C, Z).
+    Passes iff every residual is below tol; no curves pass with residual 0.
+    All circle points must stay inside the unit polydisk.  The oracle is
+    called once on every point of every circle; failures are reported for
+    the first sample in curve-major order, as a point-by-point scan meets
+    them.
     """
     if not len(curves):
         return CurveCheckReport(True, 0.0)
     coords = [_coords(c) for c in curves]
     zetas = np.asarray(zeta_samples, dtype=complex)
-    stencil = curve_stencil(curve, coords, zetas, step)
-    width = len(STENCIL_OFFSETS)
-    flat = stencil.reshape(-1, stencil.shape[-1])
+    zetas = np.broadcast_to(zetas, (len(coords), zetas.shape[-1]))
+    circles = np.stack([curve(c, row[:, None] + FD_STEP * CIRCLE)
+                        for c, row in zip(coords, zetas)])
+    width = len(CIRCLE)
+    flat = circles.reshape(-1, circles.shape[-1])
     outside = np.flatnonzero(np.any(np.abs(flat) >= 1.0, axis=1))
     reach = outside[0] if len(outside) else len(flat)
 
     def sample(i):
-        c, j = divmod(int(i), stencil.shape[1])
-        return coords[c], complex(zetas[j] if zetas.ndim == 1 else zetas[c, j])
+        c, j = divmod(int(i), zetas.shape[1])
+        return coords[c], complex(zetas[c, j])
 
     values, exc = evaluate_prefix(oracle, flat[:reach])
     done = len(values) // width
-    values = values[: done * width].reshape(done, width)
-    scaled = np.abs(dbar_stencil(*values[:, 1:].T, step)) / (1.0 + np.abs(values[:, 0]))
+    mean, dbar = dbar_circle(values[: done * width].reshape(done, width), FD_STEP)
+    scaled = np.abs(dbar) / (1.0 + np.abs(mean))
     bad = np.flatnonzero(~np.isfinite(scaled))
     scored = scaled[: bad[0] if len(bad) else done]
     worst, witness = 0.0, None
@@ -184,9 +172,9 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_sample
         return CurveCheckReport(False, worst, witness=sample(done),
                                 inconclusive=True, note=f"oracle failed: {exc}")
     if reach < len(flat):
-        (c, zeta), offset = sample(reach // width), STENCIL_OFFSETS[reach % width]
+        (c, zeta), offset = sample(reach // width), CIRCLE[reach % width]
         raise ValueError(f"curve through {c} leaves the polydisk at zeta = "
-                         f"{complex(zeta + step * offset)}")
+                         f"{complex(zeta + FD_STEP * offset)}")
     passed = worst < tol
     return CurveCheckReport(passed, worst, witness=None if passed else witness)
 
@@ -197,12 +185,11 @@ def f_holomorphy_check(
     curves: Sequence,
     zeta_samples: Sequence[complex],
     *,
-    step: float = FD_STEP,
     tol: float = FD_TOL,
 ) -> CurveCheckReport:
     """:func:`curve_check` of the function along the integral curves of the field."""
     return curve_check(jo.oracle, lambda c, w: integral_curve(field, c, w), curves,
-                       zeta_samples, step=step, tol=tol)
+                       zeta_samples, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -321,15 +308,12 @@ def forelli_pipeline(jo: JetOracle, field: DiagonalField,
     rng = np.random.default_rng(config.seed)
     curves = [BasePoint(c) for c in
               polydisk_points(rng, nfield.dim, config.n_curves, r_min=0.15, r_max=0.7)]
+    # no circle point leaves the polydisk: every rate r_j is positive, |c_j| <= 0.7
+    # and Re zeta >= 0.1 - FD_STEP > 0 on every circle, so |c_j| e^(-r_j Re zeta) < 0.7
     zetas = halfplane_points(rng, config.n_zeta, x_range=(0.1, 2.0), y_range=(-2.0, 2.0))
-    stencil = curve_stencil(lambda c, w: integral_curve(nfield, c, w),
-                            [c.coords for c in curves], zetas, FD_STEP)
-    inside = np.all(np.abs(stencil) < 1.0, axis=(1, 2, 3))
-    del stencil  # f_holomorphy_check rebuilds it for the kept curves
-    curves = [c for c, keep in zip(curves, inside) if keep]
     if not curves:
         return ForelliVerdict(HYPOTHESIS_VIOLATED,
-                              reason="no sampled curve stays inside the polydisk",
+                              reason="no curves sampled (n_curves = 0)",
                               diagnostics=diag)
 
     curve_report = f_holomorphy_check(jo, nfield, curves, zetas)

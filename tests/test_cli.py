@@ -289,3 +289,39 @@ def test_oversized_lattice_is_a_job_error_not_a_config_error(tmp_path, capsys):
     )
     assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 1
     assert "MAX_LATTICE" in capsys.readouterr().err
+
+
+_FORELLI = "kind = forelli\nrates = 1/1 2/1\nterm = 0 0 | 0 0 | 0.0 | 0.0\n"
+_BOUNDS = "kind = bounds\nexp_term = 1/1 | 0.5 | 0.0\n"
+OUT_OF_MODEL_BASES = {
+    "forelli-spiral": _FORELLI + "oracle = spiral\n",
+    "forelli-resonant": _FORELLI + "oracle = resonant\n",
+    "forelli": _FORELLI,
+    "counterexample-spiral": "kind = counterexample\nwhich = spiral\n",
+    "counterexample-resonant": "kind = counterexample\nwhich = resonant\n",
+    "bounds": _BOUNDS + "claimed_rate = 1/1\n",
+    "bounds-no-rate": _BOUNDS,
+}
+
+
+@pytest.mark.parametrize("base, bad", [
+    ("forelli-spiral", "alpha = 0.5+1i"),
+    ("forelli-spiral", "alpha = -1-1i"),
+    ("counterexample-spiral", "alpha = 1+1i"),
+    ("counterexample-spiral", "alpha = -1+0i"),
+    ("forelli-resonant", "t = 0"),
+    ("forelli-spiral", "t = -1"),
+    ("counterexample-resonant", "t = 0"),
+    ("counterexample-spiral", "t = -0.5"),
+    ("forelli", "bound = -1"),
+    ("bounds", "bound = 0"),
+    ("bounds-no-rate", "claimed_rate = -1"),
+])
+def test_out_of_model_parameters_exit_two_at_their_line(tmp_path, capsys, base, bad):
+    body = OUT_OF_MODEL_BASES[base]
+    scenario = tmp_path / "model.txt"
+    scenario.write_text(body + bad + "\n")
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    key = bad.split("=")[0].strip()
+    line = body.count("\n") + 1
+    assert f"model.txt:{line}: {key} must be" in capsys.readouterr().err

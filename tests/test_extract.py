@@ -15,7 +15,7 @@ from holoflow import (DiagonalField, ExtractionError, ExtractionParams,
 from holoflow.extract import MAX_NODES, SUP_X, aligned_window, quadrature_nodes
 from holoflow.reports import fitted_decay_rate
 from holoflow.sampling import evaluate, evaluate_prefix
-from holoflow.wirtinger import dbar_fd_component
+from holoflow.wirtinger import CIRCLE, dbar_circle
 
 from conftest import random_coeff, random_expansion_sixths
 
@@ -309,23 +309,28 @@ def test_point_by_point_failure_keeps_the_values_before_it():
         evaluate(oracle, points)
 
 
+def dbar_z2(oracle, z):
+    """d oracle / d zbar_2 at z from one evaluate call on the 4 x 4 circle batch."""
+    points = np.tile(np.asarray(z, dtype=complex), (len(CIRCLE), 1))
+    points[:, 1] += 1e-5 * CIRCLE
+    return dbar_circle(evaluate(oracle, points), 1e-5)[1]
+
+
 def test_square_batch_of_a_single_point_oracle_is_not_misread():
-    # with N = 4 the four dbar samples form a 4 x 4 batch, and z[0] * z[1]
+    # with N = 4 the four circle samples form a 4 x 4 batch, and z[0] * z[1]
     # of that batch has the right shape but multiplies rows, not coordinates
     z = (0.1 + 0.2j, 0.3 - 0.1j, -0.2 + 0.1j, 0.4j)
     with pytest.warns(RuntimeWarning, match="single-point"):
-        assert abs(dbar_fd_component(lambda w: w[0] * w[1], z, 1)) < 1e-8
+        assert abs(dbar_z2(lambda w: w[0] * w[1], z)) < 1e-8
     with pytest.warns(RuntimeWarning, match="single-point"):
-        assert dbar_fd_component(lambda w: w[0] * np.conj(w[1]), z, 1) == \
-            pytest.approx(z[0], abs=1e-8)
+        assert dbar_z2(lambda w: w[0] * np.conj(w[1]), z) == pytest.approx(z[0], abs=1e-8)
 
 
 def test_square_batch_of_a_batched_oracle_is_accepted():
     z = (0.1 + 0.2j, 0.3 - 0.1j, -0.2 + 0.1j, 0.4j)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch_only = dbar_fd_component(lambda w: w[:, 0] * np.conj(w[:, 1]), z, 1)
-        either = dbar_fd_component(lambda w: np.asarray(w)[..., 0] * np.conj(np.asarray(w)[..., 1]),
-                                   z, 1)
+        batch_only = dbar_z2(lambda w: w[:, 0] * np.conj(w[:, 1]), z)
+        either = dbar_z2(lambda w: np.asarray(w)[..., 0] * np.conj(np.asarray(w)[..., 1]), z)
     assert batch_only == pytest.approx(z[0], abs=1e-8)
     assert either == pytest.approx(z[0], abs=1e-8)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoflow import (ANTIHOLOMORPHIC_OBSTRUCTION, HOLOMORPHIC,
                       HYPOTHESIS_VIOLATED, NOT_F_HOLOMORPHIC, BasePoint,
@@ -31,6 +33,20 @@ def test_curve_check_passes_for_holomorphic_function():
     report = f_holomorphy_check(jo, DiagonalField((1, 2)), CURVES, ZETAS)
     assert report.passed
     assert report.max_residual < 1e-8
+
+
+def test_curve_check_makes_one_call_of_four_points_per_sample():
+    jet = TaylorSeries.monomial(2, (2, 0), (0, 0))
+    sizes = []
+
+    def oracle(z):
+        sizes.append(len(z))
+        return eval_taylor(jet, z)
+
+    report = f_holomorphy_check(JetOracle(oracle, jet, 1.0), DiagonalField((1, 2)),
+                                CURVES, ZETAS)
+    assert report.passed
+    assert sizes == [4 * len(CURVES) * len(ZETAS)]
 
 
 def test_curve_check_passes_for_resonant_invariant():
@@ -262,3 +278,16 @@ def test_comparison_fails_on_a_nan_value():
     verdict = forelli_pipeline(JetOracle(oracle, jet, 1.0), DiagonalField((1, 1)), config)
     assert verdict.tag == HYPOTHESIS_VIOLATED
     assert abs(verdict.witness[0]) < 0.01
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(Fraction(1, 8), 8, max_denominator=8), min_size=1, max_size=5),
+       st.integers(0, 2**32 - 1))
+def test_pipeline_keeps_every_drawn_curve(rates, seed):
+    # base moduli <= 0.7, Re zeta >= 0.1 beyond the circle radius and positive
+    # rates keep every circle point inside the polydisk
+    dim = len(rates)
+    jet = TaylorSeries.monomial(dim, (1,) + (0,) * (dim - 1), (0,) * dim)
+    config = ForelliConfig(seed=seed)
+    verdict = forelli_pipeline(jet_oracle(jet), DiagonalField(tuple(rates)), config)
+    assert verdict.diagnostics["f_holomorphy"]["curves"] == config.n_curves

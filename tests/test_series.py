@@ -11,7 +11,7 @@ from holoflow import (MultiIndex, TaylorSeries, antiholomorphic_part,
                       eval_taylor, format_series, holomorphic_part,
                       parse_series, taylor_remainder_check,
                       wirtinger_F_derivative)
-from holoflow.wirtinger import dbar_fd, dbar_fd_component
+from holoflow.wirtinger import CIRCLE, dbar_circle, dbar_fd
 
 from conftest import random_interior_point, random_jet
 
@@ -67,6 +67,17 @@ def test_degree_is_zero_for_the_zero_jet_and_for_a_cancelled_sum(rng):
     assert s.degree == max(k.order + m.order for k, m in s.terms())
     cancelled = s + s.scale(-1)
     assert not cancelled and cancelled.degree == 0
+
+
+def test_dbar_circle_with_four_points_is_the_central_difference(rng):
+    assert CIRCLE.tolist() == [1, 1j, -1, -1j]
+    h = 1e-5
+    values = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
+    f_xp, f_yp, f_xm, f_ym = values.T  # f at z + h, z + ih, z - h, z - ih
+    central = 0.5 * ((f_xp - f_xm) / (2 * h) + 1j * (f_yp - f_ym) / (2 * h))
+    mean, dbar = dbar_circle(values, h)
+    assert np.abs(dbar - central).max() <= 1e-14 * np.abs(values).max() / h
+    assert np.array_equal(mean, values.mean(axis=1))
 
 
 def test_dbar_fd_is_elementwise_on_arrays():
@@ -188,10 +199,10 @@ def test_wirtinger_matches_finite_differences(rng):
         s = random_jet(rng, 2, 4, 6)
         deriv = wirtinger_F_derivative(s, alphas)
         z = random_interior_point(rng, 2, 0.2, 0.7)
-        fd = 0j
-        for j, aj in enumerate(alphas):
-            partial = dbar_fd_component(lambda w: eval_taylor(s, w), z, j, step=1e-5)
-            fd += partial * complex(aj).conjugate() * complex(z[j]).conjugate()
+        circles = np.array(z) + 1e-5 * CIRCLE[:, None] * np.eye(2)[:, None, :]
+        partials = dbar_circle(eval_taylor(s, circles.reshape(-1, 2)).reshape(2, -1), 1e-5)[1]
+        fd = sum(p * complex(aj).conjugate() * complex(zj).conjugate()
+                 for p, aj, zj in zip(partials, alphas, z))
         assert abs(fd - eval_taylor(deriv, z)) < 1e-6
 
 
