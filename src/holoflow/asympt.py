@@ -107,10 +107,11 @@ class AsymptoticExpansion:
         return f"AsymptoticExpansion(levels={len(self._levels)}, terms={len(self._terms)})"
 
     def partial(self, zeta, n: int | None = None):
-        """Partial sum through stored level index n (all levels if None); broadcasts."""
+        """Partial sum through stored level index n (all levels if None, none if -1);
+        broadcasts."""
         if n is None:
             n = len(self._levels) - 1
-        if n >= len(self._levels):
+        if not -1 <= n < len(self._levels):
             raise ValueError(f"level index {n} out of range ({len(self._levels)} levels)")
         z = np.asarray(zeta, dtype=complex)
         total = np.zeros_like(z)
@@ -184,10 +185,10 @@ class HolomorphicExpansion:
         return f"HolomorphicExpansion(levels={len(self._levels)})"
 
     def partial(self, z, n: int | None = None):
-        """Sum of c_j e^(-lambda_j z) for j <= n; broadcasts over arrays."""
+        """Sum of c_j e^(-lambda_j z) for j <= n (all if None, none if -1); broadcasts."""
         if n is None:
             n = len(self._levels) - 1
-        if n >= len(self._levels):
+        if not -1 <= n < len(self._levels):
             raise ValueError(f"term index {n} out of range ({len(self._levels)} terms)")
         total = np.zeros_like(np.asarray(z, dtype=complex))
         for lam, c in list(self.pairs())[: n + 1]:
@@ -261,7 +262,7 @@ def tail_bound_check(
         raise ValueError("abscissas must be strictly increasing")
     if not len(y_samples):
         raise ValueError("need at least one y sample")
-    if e.levels and n >= len(e.levels):
+    if e.levels and not 0 <= n < len(e.levels):
         raise ValueError(f"level index {n} out of range")
     lam_n = float(e.levels[n]) if e.levels else 0.0
 

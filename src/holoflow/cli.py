@@ -5,21 +5,14 @@ Usage::
     holoflow run scenario.txt [--out DIR] [--tolerance X] [--seed N]
                               [--max-level P/Q]
 
-Scenario files are plain ``key = value`` text; ``#`` starts a comment and
-repeated keys accumulate (term lines).  Rates and levels are exact
-fractions ``p/q``; complex values use ``a+bi``.  The oracle catalog is
-closed: polynomial jets (``term`` lines), finite holomorphic expansions
-(``exp_term`` lines), and the named counterexamples.
-
-Keys by kind
-------------
-pushforward:    rates, tau?, term+, base_point, lambda_max?, seed?, tolerance?
-extraction:     grid_rates, lambda_max, exp_term+, x0?, window?, nodes?,
-                snap_tol?, tolerance?
-forelli:        rates, tau?, term+, oracle? (jet|resonant|spiral|remark),
-                t?, alpha?, bound?, expect?, seed?, tolerance?
-counterexample: which (resonant|spiral|remark), t?, alpha?, seed?
-bounds:         exp_term+, claimed_rate, x_lo?, bound?, tolerance?
+Scenario files are plain ``key = value`` text; ``#`` starts a comment.
+``KEYS`` lists the keys each kind reads; any other key, or a key given
+twice other than the accumulating ``term`` and ``exp_term`` lines, is a
+configuration error.  The flags override the ``tolerance``, ``seed`` and
+``lambda_max`` keys.  Rates and levels are exact fractions ``p/q``; complex
+values use ``a+bi``.  The oracle catalog is closed: polynomial jets
+(``term`` lines), finite holomorphic expansions (``exp_term`` lines), and
+the named counterexamples.
 
 Outputs: ``report.json`` plus CSV tables in the output directory; exit
 status 0 iff every required check passed, 2 on configuration errors.
@@ -44,10 +37,24 @@ from .extract import ExtractionParams, extract_coefficients, sampled_sup, \
     verify_cauchy_bound
 from .flow import (BasePoint, DiagonalField, SpectrumError, integral_curve, level_grid,
                    level_of, normalize_time)
-from .forelli import ForelliConfig, JetOracle, forelli_pipeline
+from .forelli import CERT_RADIUS, TAGS, ForelliConfig, JetOracle, forelli_pipeline
 from .reports import write_decay_csv
 from .sampling import evaluate, polydisk_points
 from .series import MultiIndex, TaylorSeries, eval_taylor, parse_term_line
+
+
+#: the keys each kind reads besides ``kind`` and ``seed``
+KEYS = {
+    "pushforward": ("rates", "tau", "term", "base_point", "lambda_max", "tolerance"),
+    "extraction": ("grid_rates", "lambda_max", "exp_term", "x0", "window", "nodes",
+                   "snap_tol", "tolerance"),
+    "forelli": ("rates", "tau", "term", "oracle", "t", "alpha", "bound", "expect",
+                "tolerance"),
+    "counterexample": ("which", "t", "alpha"),
+    "bounds": ("exp_term", "claimed_rate", "x_lo", "bound", "tolerance"),
+}
+#: the keys whose lines accumulate
+REPEATABLE = ("term", "exp_term")
 
 
 class ScenarioError(Exception):
@@ -57,11 +64,26 @@ class ScenarioError(Exception):
         super().__init__(f"{where}: {message}")
 
 
-class Scenario:
-    """Parsed key/value file; values keep their line numbers for diagnostics."""
+def parse_complex(token: str) -> complex:
+    return complex(token.strip().replace("i", "j"))
 
-    def __init__(self, path):
+
+#: default of Scenario.value for a required key
+REQUIRED = object()
+#: what a value read by each parser must be, for error messages
+_WHAT = {int: "an integer", float: "a number", Fraction: "an exact fraction p/q",
+         parse_complex: "a complex number like 1+2i"}
+
+
+class Scenario:
+    """Parsed key/value file; values keep their line numbers for diagnostics.
+
+    overrides maps keys to values that replace the file's; None is no override.
+    """
+
+    def __init__(self, path, overrides=None):
         self.path = Path(path)
+        self.overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
         self.entries: dict[str, list[tuple[int, str]]] = {}
         try:
             text = self.path.read_text()
@@ -73,85 +95,41 @@ class Scenario:
                 continue
             if "=" not in line:
                 raise ScenarioError(self.path, lineno, "expected 'key = value'")
-            key, value = line.split("=", 1)
-            self.entries.setdefault(key.strip(), []).append((lineno, value.strip()))
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in self.entries and key not in REPEATABLE:
+                raise ScenarioError(self.path, lineno, f"{key} given twice (first at "
+                                                       f"line {self.entries[key][0][0]})")
+            self.entries.setdefault(key, []).append((lineno, value))
 
     def error(self, key: str, message: str):
         line = self.entries[key][0][0] if key in self.entries else None
         raise ScenarioError(self.path, line, message)
 
-    def get(self, key: str, default=None) -> str | None:
+    def value(self, key: str, parse=str, default=REQUIRED, many: bool = False):
+        """The override of key, else its file value parsed by parse (a list of
+        every whitespace token parsed, if many), else default."""
+        if key in self.overrides:
+            return self.overrides[key]
         if key not in self.entries:
+            if default is REQUIRED:
+                raise ScenarioError(self.path, None, f"missing required key {key!r}")
             return default
-        return self.entries[key][-1][1]
-
-    def require(self, key: str) -> str:
-        value = self.get(key)
-        if value is None:
-            raise ScenarioError(self.path, None, f"missing required key {key!r}")
-        return value
+        text = self.entries[key][0][1]
+        values = []
+        for token in text.split() if many else [text]:
+            try:
+                values.append(parse(token))
+            except (ValueError, ZeroDivisionError):
+                self.error(key, f"{key} must be {_WHAT[parse]}, got {token!r}")
+        return values if many else values[0]
 
     def check(self, key: str, ok: bool, rule: str) -> None:
         """Reject the value of key, at its line, unless ok; rule is what it must be."""
         if not ok:
-            self.error(key, f"{key} must be {rule}, got {self.get(key)!r}")
+            self.error(key, f"{key} must be {rule}, got {self.value(key, default=None)!r}")
 
     def get_all(self, key: str) -> list[tuple[int, str]]:
         return self.entries.get(key, [])
-
-    def get_int(self, key: str, default: int) -> int:
-        value = self.get(key)
-        if value is None:
-            return default
-        try:
-            return int(value)
-        except ValueError:
-            self.error(key, f"{key} must be an integer, got {value!r}")
-
-    def get_float(self, key: str, default: float | None) -> float | None:
-        value = self.get(key)
-        if value is None:
-            return default
-        try:
-            return float(value)
-        except ValueError:
-            self.error(key, f"{key} must be a number, got {value!r}")
-
-    def get_fraction(self, key: str, default=None):
-        value = self.get(key)
-        if value is None:
-            return default
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            self.error(key, f"{key} must be an exact fraction p/q, got {value!r}")
-
-    def get_fractions(self, key: str) -> list[Fraction]:
-        value = self.require(key)
-        try:
-            return [Fraction(tok) for tok in value.split()]
-        except (ValueError, ZeroDivisionError):
-            self.error(key, f"{key} must be fractions p/q separated by spaces")
-
-    def get_complex(self, key: str, default=None):
-        value = self.get(key)
-        if value is None:
-            return default
-        try:
-            return parse_complex(value)
-        except ValueError:
-            self.error(key, f"{key} must be a complex number like 1+2i, got {value!r}")
-
-    def get_complexes(self, key: str) -> list[complex]:
-        value = self.require(key)
-        try:
-            return [parse_complex(tok) for tok in value.split()]
-        except ValueError:
-            self.error(key, f"{key} must be complex numbers separated by spaces")
-
-
-def parse_complex(token: str) -> complex:
-    return complex(token.strip().replace("i", "j"))
 
 
 def _parse_jet(sc: Scenario) -> TaylorSeries:
@@ -196,8 +174,8 @@ def _parse_expansion(sc: Scenario) -> HolomorphicExpansion:
 
 
 def _field(sc: Scenario) -> DiagonalField:
-    rates = sc.get_fractions("rates")
-    tau = sc.get_complex("tau", 1 + 0j)
+    rates = sc.value("rates", Fraction, many=True)
+    tau = sc.value("tau", parse_complex, 1 + 0j)
     try:
         return DiagonalField(tuple(rates), tau)
     except ValueError as exc:
@@ -208,11 +186,10 @@ def _json_complex(c: complex) -> list[float]:
     return [c.real, c.imag]
 
 
-def _run_pushforward(sc: Scenario, out: Path, tolerance: float | None,
-                     seed: int, max_level) -> tuple[dict, bool]:
+def _run_pushforward(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     field = _field(sc)
     jet = _parse_jet(sc)
-    c = sc.get_complexes("base_point")
+    c = sc.value("base_point", parse_complex, many=True)
     if not (len(c) == jet.dim == field.dim):
         sc.error("base_point", f"dimension mismatch: {len(c)} base coordinates, "
                                f"jet dim {jet.dim}, field dim {field.dim}")
@@ -220,9 +197,9 @@ def _run_pushforward(sc: Scenario, out: Path, tolerance: float | None,
         c = BasePoint(c)
     except ValueError as exc:
         sc.error("base_point", str(exc))
-    tol = tolerance if tolerance is not None else sc.get_float("tolerance", 1e-10)
+    tol = sc.value("tolerance", float, 1e-10)
     nfield, _ = normalize_time(field)
-    lam_max = max_level if max_level is not None else sc.get_fraction("lambda_max")
+    lam_max = sc.value("lambda_max", Fraction, None)
     if lam_max is None:
         lam_max = max((level_of(k, nfield.rates) + level_of(m, nfield.rates)
                        for (k, m) in jet.terms()), default=Fraction(0))
@@ -252,13 +229,11 @@ def _run_pushforward(sc: Scenario, out: Path, tolerance: float | None,
     return report, passed
 
 
-def _run_extraction(sc: Scenario, out: Path, tolerance: float | None,
-                    seed: int, max_level) -> tuple[dict, bool]:
+def _run_extraction(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     source = _parse_expansion(sc)
-    grid_rates = sc.get_fractions("grid_rates")
-    lam_max = max_level if max_level is not None else sc.get_fraction("lambda_max")
-    if lam_max is None or lam_max <= 0:
-        sc.error("lambda_max", "extraction needs lambda_max > 0 (or --max-level)")
+    grid_rates = sc.value("grid_rates", Fraction, many=True)
+    lam_max = sc.value("lambda_max", Fraction)
+    sc.check("lambda_max", lam_max > 0, "> 0")
     try:
         field = DiagonalField(tuple(grid_rates))
     except ValueError as exc:
@@ -270,14 +245,14 @@ def _run_extraction(sc: Scenario, out: Path, tolerance: float | None,
     missing = [str(lam) for lam in source.levels if lam not in grid]
     if missing:
         sc.error("exp_term", f"oracle levels {missing} are off the grid")
-    params = ExtractionParams(
-        grid=grid,
-        x0=sc.get_float("x0", 1.0),
-        half_width=sc.get_float("window", 64.0),
-        nodes=sc.get_int("nodes", 4096),
-        tol=sc.get_float("snap_tol", 1e-6),
-    )
-    compare_tol = tolerance if tolerance is not None else sc.get_float("tolerance", 1e-8)
+    x0, window = sc.value("x0", float, 1.0), sc.value("window", float, 64.0)
+    nodes, snap_tol = sc.value("nodes", int, 4096), sc.value("snap_tol", float, 1e-6)
+    sc.check("x0", x0 > 0, "> 0")
+    sc.check("window", window > 0, "> 0")
+    sc.check("nodes", nodes >= 2, ">= 2")
+    sc.check("snap_tol", snap_tol > 0, "> 0")
+    params = ExtractionParams(grid, x0, window, nodes, snap_tol)
+    compare_tol = sc.value("tolerance", float, 1e-8)
 
     trace: list = []
     recovered = extract_coefficients(source, params, trace=trace)
@@ -309,45 +284,44 @@ def _exponent_t(sc: Scenario, t):
 
 
 def _spiral_alpha(sc: Scenario) -> complex:
-    alpha = sc.get_complex("alpha", -1 + 1j)
+    alpha = sc.value("alpha", parse_complex, -1 + 1j)
     sc.check("alpha", alpha.real < 0 and alpha.imag > 0, "a complex with Re < 0 and Im > 0")
     return alpha
 
 
 def _named_oracle(sc: Scenario, name: str):
     if name == "resonant":
-        ex = cx.ResonantExample(_exponent_t(sc, sc.get_float("t", 1.0)))
+        ex = cx.ResonantExample(_exponent_t(sc, sc.value("t", float, 1.0)))
         return lambda z: cx.phi_resonant(ex, z)
     if name == "spiral":
         alpha = _spiral_alpha(sc)
-        ex = cx.SpiralExample.create(alpha, _exponent_t(sc, sc.get_float("t", 1.0)))
+        ex = cx.SpiralExample.create(alpha, _exponent_t(sc, sc.value("t", float, 1.0)))
         return lambda z: cx.phi_spiral(ex, z)
     if name == "remark":
         return cx.phi_remark
     sc.error("oracle", f"unknown oracle {name!r} (catalog: jet, resonant, spiral, remark)")
 
 
-def _run_forelli(sc: Scenario, out: Path, tolerance: float | None,
-                 seed: int, max_level) -> tuple[dict, bool]:
+def _run_forelli(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     field = _field(sc)
     jet = _parse_jet(sc)
     if jet.dim != field.dim:
         sc.error("rates", f"dimension mismatch: {field.dim} rates, jet dim {jet.dim}")
-    oracle_name = sc.get("oracle", "jet")
+    oracle_name = sc.value("oracle", default="jet")
     if oracle_name == "jet":
         oracle = lambda z: eval_taylor(jet, z)
     else:
         oracle = _named_oracle(sc, oracle_name)
-    bound = sc.get_float("bound", None)
+    bound = sc.value("bound", float, None)
     sc.check("bound", bound is None or bound >= 0, ">= 0")
-    if bound is None:
+    expect = sc.value("expect", default="holomorphic")
+    sc.check("expect", expect in TAGS, "one of " + ", ".join(TAGS))
+    if bound is None:  # sampled on the torus where reconstruct audits the level sups
         rng = np.random.default_rng(seed + 1)
-        pts = polydisk_points(rng, jet.dim, 512, r_min=0.0, r_max=0.95)
+        pts = polydisk_points(rng, jet.dim, 512, r_min=CERT_RADIUS, r_max=CERT_RADIUS)
         bound = max(float(np.max(np.abs(evaluate(oracle, pts)))), 1e-12)
-    config = ForelliConfig(seed=seed,
-                           compare_tol=tolerance if tolerance is not None else 1e-10)
+    config = ForelliConfig(seed=seed, compare_tol=sc.value("tolerance", float, 1e-10))
     verdict = forelli_pipeline(JetOracle(oracle, jet, bound), field, config)
-    expect = sc.get("expect", "holomorphic")
     passed = verdict.tag == expect
     report = {
         "verdict": verdict.to_json_dict(),
@@ -358,15 +332,14 @@ def _run_forelli(sc: Scenario, out: Path, tolerance: float | None,
     return report, passed
 
 
-def _run_counterexample(sc: Scenario, out: Path, tolerance: float | None,
-                        seed: int, max_level) -> tuple[dict, bool]:
-    which = sc.require("which")
+def _run_counterexample(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
+    which = sc.value("which")
     kwargs: dict = {"seed": seed}
     if which == "resonant":
-        kwargs["t"] = _exponent_t(sc, sc.get_fraction("t", Fraction(1)))
+        kwargs["t"] = _exponent_t(sc, sc.value("t", Fraction, Fraction(1)))
     elif which == "spiral":
         kwargs["alpha"] = _spiral_alpha(sc)
-        kwargs["t"] = _exponent_t(sc, sc.get_float("t", 1.0))
+        kwargs["t"] = _exponent_t(sc, sc.value("t", float, 1.0))
     elif which != "remark":
         sc.error("which", f"unknown counterexample {which!r}")
     suite = cx.counterexample_suite(which, **kwargs)
@@ -375,16 +348,13 @@ def _run_counterexample(sc: Scenario, out: Path, tolerance: float | None,
     return suite.to_json_dict(), suite.passed
 
 
-def _run_bounds(sc: Scenario, out: Path, tolerance: float | None,
-                seed: int, max_level) -> tuple[dict, bool]:
+def _run_bounds(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     source = _parse_expansion(sc)
-    lam = sc.get_fraction("claimed_rate")
-    if lam is None:
-        sc.error("claimed_rate", "bounds scenarios need claimed_rate")
+    lam = sc.value("claimed_rate", Fraction)
     sc.check("claimed_rate", lam >= 0, ">= 0")
-    x_lo = sc.get_float("x_lo", 0.01)
-    tol = tolerance if tolerance is not None else sc.get_float("tolerance", 1e-6)
-    bound = sc.get_float("bound", None)
+    x_lo = sc.value("x_lo", float, 0.01)
+    tol = sc.value("tolerance", float, 1e-6)
+    bound = sc.value("bound", float, None)
     sc.check("bound", bound is None or bound > 0, "> 0")
     if bound is None:
         ys = np.linspace(-40.0, 40.0, 4001)
@@ -416,18 +386,22 @@ _RUNNERS = {
 
 
 def run_scenario(path, out_dir, tolerance=None, seed=None, max_level=None) -> int:
-    sc = Scenario(path)
-    kind = sc.require("kind")
+    sc = Scenario(path, {"tolerance": tolerance, "seed": seed, "lambda_max": max_level})
+    kind = sc.value("kind")
     if kind not in _RUNNERS:
         sc.error("kind", f"unknown kind {kind!r} (one of {sorted(_RUNNERS)})")
+    unread = [key for key in sc.entries if key not in ("kind", "seed", *KEYS[kind])]
+    if unread:
+        sc.error(unread[0], f"{kind} scenarios do not read {unread[0]!r} "
+                            f"(keys: kind, seed, {', '.join(KEYS[kind])})")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    eff_seed = seed if seed is not None else sc.get_int("seed", 0)
-    report, passed = _RUNNERS[kind](sc, out, tolerance, eff_seed, max_level)
+    seed = sc.value("seed", int, 0)
+    report, passed = _RUNNERS[kind](sc, out, seed)
     payload = {
         "kind": kind,
         "scenario": str(path),
-        "seed": eff_seed,
+        "seed": seed,
         "passed": passed,
         "report": report,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -40,6 +40,8 @@ HOLOMORPHIC = "holomorphic"
 HYPOTHESIS_VIOLATED = "hypothesis_violated"
 NOT_F_HOLOMORPHIC = "not_f_holomorphic"
 ANTIHOLOMORPHIC_OBSTRUCTION = "antiholomorphic_obstruction"
+#: every verdict tag
+TAGS = (HOLOMORPHIC, HYPOTHESIS_VIOLATED, NOT_F_HOLOMORPHIC, ANTIHOLOMORPHIC_OBSTRUCTION)
 
 #: circle radius and pass threshold of the curve check
 FD_STEP = 1e-5

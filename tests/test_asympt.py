@@ -144,6 +144,23 @@ def test_eval_expansion_partial_level_indexing():
         e.partial(z, 2)
 
 
+@pytest.mark.parametrize("expansion", [
+    AsymptoticExpansion([(1, 0, 1.0), (2, 0, 1.0), (3, 0, 1.0)]),
+    HolomorphicExpansion([(1, 1.0), (2, 1.0), (3, 1.0)]),
+])
+def test_partial_sum_rejects_level_index_below_minus_one(expansion):
+    assert expansion.partial(0.5, -1) == 0  # the empty sum
+    with pytest.raises(ValueError, match="out of range"):
+        expansion.partial(0.5, -2)
+
+
+def test_tail_bound_rejects_negative_level_index():
+    # n = -1 used to index the last level and report its rate
+    e = AsymptoticExpansion([(1, 0, 1.0), (2, 0, 1.0), (3, 0, 1.0)])
+    with pytest.raises(ValueError, match="out of range"):
+        tail_bound_check(lambda z: e.partial(z), e, n=-1)
+
+
 def test_tail_bound_exact_expansion_passes():
     e = AsymptoticExpansion([(1, 0, 1.0), (3, 0, -2j)])
     report = tail_bound_check(lambda z: e.partial(z), e, n=1)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from holoflow import cli
 from holoflow.cli import main, parse_complex
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -72,6 +73,29 @@ def test_failing_expectation_exits_one(tmp_path):
         "expect = holomorphic\n"
     )
     assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 1
+
+
+def test_monomial_jet_is_holomorphic_under_the_default_bound(tmp_path):
+    # the default bound is sampled on the torus where reconstruct audits the
+    # level sups; sampled inside |z_j| <= 0.95 it read hypothesis_violated
+    scenario = tmp_path / "z1.txt"
+    scenario.write_text("kind = forelli\nrates = 1/1 2/1\nterm = 1 0 | 0 0 | 1.0 | 0.0\n")
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["report"]["verdict"]["tag"] == "holomorphic"
+
+
+def test_forelli_tolerance_key_and_flag_reach_the_pipeline(tmp_path, monkeypatch):
+    seen = []
+    pipeline = cli.forelli_pipeline
+    monkeypatch.setattr(cli, "forelli_pipeline", lambda jo, field, config: (
+        seen.append(config.compare_tol) or pipeline(jo, field, config)))
+    scenario = tmp_path / "tol.txt"
+    scenario.write_text((SCENARIOS / "forelli_quadratic.txt").read_text() + "tolerance = 1e-7\n")
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "a")]) == 0
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "b"),
+                    "--tolerance", "1e-9"]) == 0
+    assert seen == [1e-7, 1e-9]
 
 
 def test_expected_negative_verdict_exits_zero(tmp_path):
@@ -144,8 +168,7 @@ def _strip_timestamp(payload: dict) -> dict:
     return payload
 
 
-@pytest.mark.parametrize("name", ["forelli_quadratic.txt", "extraction_demo.txt",
-                                  "counterexample_resonant.txt"])
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.txt")))
 def test_repeated_runs_identical_modulo_timestamp(tmp_path, name):
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert run_cli(["run", str(SCENARIOS / name), "--out", str(out1)]) == 0
@@ -293,6 +316,7 @@ def test_oversized_lattice_is_a_job_error_not_a_config_error(tmp_path, capsys):
 
 _FORELLI = "kind = forelli\nrates = 1/1 2/1\nterm = 0 0 | 0 0 | 0.0 | 0.0\n"
 _BOUNDS = "kind = bounds\nexp_term = 1/1 | 0.5 | 0.0\n"
+_EXTRACTION = "kind = extraction\ngrid_rates = 1/2\nlambda_max = 3\nexp_term = 1 | 1.0 | 0.0\n"
 OUT_OF_MODEL_BASES = {
     "forelli-spiral": _FORELLI + "oracle = spiral\n",
     "forelli-resonant": _FORELLI + "oracle = resonant\n",
@@ -301,6 +325,7 @@ OUT_OF_MODEL_BASES = {
     "counterexample-resonant": "kind = counterexample\nwhich = resonant\n",
     "bounds": _BOUNDS + "claimed_rate = 1/1\n",
     "bounds-no-rate": _BOUNDS,
+    "extraction": _EXTRACTION,
 }
 
 
@@ -316,6 +341,11 @@ OUT_OF_MODEL_BASES = {
     ("forelli", "bound = -1"),
     ("bounds", "bound = 0"),
     ("bounds-no-rate", "claimed_rate = -1"),
+    ("extraction", "x0 = 0"),
+    ("extraction", "window = -64"),
+    ("extraction", "nodes = 1"),
+    ("extraction", "snap_tol = 0"),
+    ("forelli", "expect = holomorphc"),
 ])
 def test_out_of_model_parameters_exit_two_at_their_line(tmp_path, capsys, base, bad):
     body = OUT_OF_MODEL_BASES[base]
@@ -325,3 +355,20 @@ def test_out_of_model_parameters_exit_two_at_their_line(tmp_path, capsys, base, 
     key = bad.split("=")[0].strip()
     line = body.count("\n") + 1
     assert f"model.txt:{line}: {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base, extra, line, message", [
+    ("counterexample-resonant", "tolerance = 1e-6", 3,
+     "counterexample scenarios do not read 'tolerance'"),
+    ("forelli", "lambda_max = 3", 4, "forelli scenarios do not read 'lambda_max'"),
+    ("bounds", "rates = 1/1", 4, "bounds scenarios do not read 'rates'"),
+    ("extraction", "x0 = 1.0\nx0 = 2.0", 6, "x0 given twice (first at line 5)"),
+    ("counterexample-resonant", "seed = 1\nseed = 2", 4, "seed given twice (first at line 3)"),
+], ids=["unread-tolerance", "unread-lambda_max", "unread-rates", "repeated-x0",
+        "repeated-seed"])
+def test_unread_and_repeated_keys_exit_two_at_their_line(tmp_path, capsys, base, extra,
+                                                        line, message):
+    scenario = tmp_path / "keys.txt"
+    scenario.write_text(OUT_OF_MODEL_BASES[base] + extra + "\n")
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert f"keys.txt:{line}: {message}" in capsys.readouterr().err
