@@ -291,12 +291,10 @@ def _spiral_alpha(sc: Scenario) -> complex:
 
 def _named_oracle(sc: Scenario, name: str):
     if name == "resonant":
-        ex = cx.ResonantExample(_exponent_t(sc, sc.value("t", float, 1.0)))
-        return lambda z: cx.phi_resonant(ex, z)
+        return cx.ResonantExample(_exponent_t(sc, sc.value("t", float, 1.0)))
     if name == "spiral":
-        alpha = _spiral_alpha(sc)
-        ex = cx.SpiralExample.create(alpha, _exponent_t(sc, sc.value("t", float, 1.0)))
-        return lambda z: cx.phi_spiral(ex, z)
+        return cx.SpiralExample.create(_spiral_alpha(sc),
+                                       _exponent_t(sc, sc.value("t", float, 1.0)))
     if name == "remark":
         return cx.phi_remark
     sc.error("oracle", f"unknown oracle {name!r} (catalog: jet, resonant, spiral, remark)")
@@ -394,9 +392,13 @@ def run_scenario(path, out_dir, tolerance=None, seed=None, max_level=None) -> in
     if unread:
         sc.error(unread[0], f"{kind} scenarios do not read {unread[0]!r} "
                             f"(keys: kind, seed, {', '.join(KEYS[kind])})")
+    seed = sc.value("seed", int, 0)
+    sc.check("seed", seed >= 0, ">= 0")
+    if "tolerance" in KEYS[kind]:  # checked here for every kind that reads it
+        tol = sc.value("tolerance", float, None)
+        sc.check("tolerance", tol is None or 0 < tol < np.inf, "finite and > 0")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seed = sc.value("seed", int, 0)
     report, passed = _RUNNERS[kind](sc, out, seed)
     payload = {
         "kind": kind,

@@ -26,14 +26,15 @@ uncheckable even though they exist mathematically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .flow import BasePoint, DiagonalField, integral_curve
+from .flow import DiagonalField, integral_curve
 from .forelli import (FD_STEP, HYPOTHESIS_VIOLATED, ForelliConfig, JetOracle, curve_check,
-                      f_holomorphy_check, forelli_pipeline)
+                      forelli_pipeline)
 from .sampling import evaluate, polydisk_points
 from .series import TaylorSeries, antiholomorphic_part, taylor_remainder_check
 from .wirtinger import CIRCLE, dbar_circle
@@ -47,13 +48,17 @@ class BranchSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class ResonantExample:
-    """phi = exp(-1/(|z1|^t |z2|)), extended by 0 across {z1 z2 = 0}."""
+    """phi = exp(-1/(|z1|^t |z2|)), extended by 0 across {z1 z2 = 0}; calling
+    the example evaluates :func:`phi_resonant`, so it is its own oracle."""
 
     t: float = 1.0
 
     def __post_init__(self):
         if not self.t > 0:
             raise ValueError("t must be positive")
+
+    def __call__(self, z):
+        return phi_resonant(self, z)
 
 
 def phi_resonant(ex: ResonantExample, z):
@@ -91,29 +96,24 @@ def choose_branch_exponent(alpha: complex, t: float, *, b_step: float = 1e-3,
     if not t > 0:
         raise ValueError("t must be positive")
     lo0, hi0 = sector_angles(alpha)
-    n_steps = int(round((b_max - 1.0) / b_step))
+    bs = 1.0 + np.arange(1, int(round((b_max - 1.0) / b_step)) + 1) * b_step
     for k in range(k_max + 1):
-        lo_k, hi_k = lo0 + TWO_PI * k, hi0 + TWO_PI * k
-        best = None
-        for i in range(1, n_steps + 1):
-            b = 1.0 + i * b_step
-            lo, hi = b * lo_k, b * hi_k
-            if hi - lo >= math.pi:
-                break
-            j = round(((lo + hi) / 2.0 - math.pi) / TWO_PI)
-            margin = min(lo - (0.5 * math.pi + TWO_PI * j),
-                         (1.5 * math.pi + TWO_PI * j) - hi)
-            if margin > 0 and (best is None or margin > best[0]):
-                best = (margin, b)
-        if best is not None:
-            return best[1], k
+        lo, hi = bs * (lo0 + TWO_PI * k), bs * (hi0 + TWO_PI * k)
+        below_pi = np.logical_and.accumulate(hi - lo < math.pi)  # the scan stops at pi
+        j = np.round(((lo + hi) / 2.0 - math.pi) / TWO_PI)
+        margin = np.minimum(lo - (0.5 * math.pi + TWO_PI * j),
+                            (1.5 * math.pi + TWO_PI * j) - hi)
+        margin = np.where(below_pi & (margin > 0), margin, 0.0)
+        if margin.max(initial=0.0) > 0:
+            return float(bs[np.argmax(margin)]), k  # the first b of largest margin
     raise BranchSearchError(
         f"no (b, k) with b <= {b_max}, k <= {k_max} for sector [{lo0:.6f}, {hi0:.6f}]")
 
 
 @dataclass(frozen=True)
 class SpiralExample:
-    """phi = exp(xi^b) for the field (alpha, t conj(alpha)) with branch data."""
+    """phi = exp(xi^b) for the field (alpha, t conj(alpha)) with branch data;
+    calling the example evaluates :func:`phi_spiral`."""
 
     alpha: complex
     t: float
@@ -142,6 +142,9 @@ class SpiralExample:
         if np.any(positive):
             raise ValueError(f"Re(xi^b) >= 0 at sector point {xis[np.argmax(positive)]}")
         return ex
+
+    def __call__(self, z):
+        return phi_spiral(self, z)
 
     @property
     def gamma(self) -> complex:
@@ -210,23 +213,24 @@ class IdentityReport:
 
 
 def verify_time_identity(ex: SpiralExample, zetas, tol: float = 1e-12) -> IdentityReport:
-    """Check  gamma Re(alpha zeta) + (conj(gamma)/t) Re(beta zeta) = zeta  pointwise."""
-    worst, witness = 0.0, None
+    """Check  gamma Re(alpha zeta) + (conj(gamma)/t) Re(beta zeta) = zeta  pointwise.
+
+    The witness is the first zeta of largest nonzero error, if that is >= tol.
+    """
+    zetas = np.asarray(zetas, dtype=complex).ravel()
     g = ex.gamma
-    for zeta in zetas:
-        zeta = complex(zeta)
-        lhs = g * (ex.alpha * zeta).real + (g.conjugate() / ex.t) * (ex.beta * zeta).real
-        err = abs(lhs - zeta)
-        if err > worst:
-            worst, witness = err, zeta
-    return IdentityReport(worst < tol, worst, witness if worst >= tol else None)
+    errors = np.abs(g * (ex.alpha * zetas).real
+                    + (g.conjugate() / ex.t) * (ex.beta * zetas).real - zetas)
+    worst = float(errors.max(initial=0.0))
+    witness = complex(zetas[np.argmax(errors)]) if worst >= tol and worst > 0 else None
+    return IdentityReport(worst < tol, worst, witness)
 
 
 def _zero_jet_radii(log_ratio, n: int, tol: float, v_cap: float = 640.0,
                     points: int = 5) -> list[float]:
     """Radii exp(-v) on which  residual / r^n  visibly drops below tol.
 
-    log_ratio(v) is the log of the ratio along the diagonal direction at
+    log_ratio(v, n) is the log of the ratio along the diagonal direction at
     radius e^(-v); beyond its hump it is strictly decreasing, so bisection
     finds where it crosses +5 (grid start) and log(tol) - 5 (grid end).
     """
@@ -235,30 +239,29 @@ def _zero_jet_radii(log_ratio, n: int, tol: float, v_cap: float = 640.0,
     def bisect(target: float, v_lo: float, v_hi: float) -> float:
         for _ in range(80):
             mid = 0.5 * (v_lo + v_hi)
-            if log_ratio(mid) > target:
+            if log_ratio(mid, n) > target:
                 v_lo = mid
             else:
                 v_hi = mid
         return v_hi
 
     # walk out to find the decreasing regime and a bracket for the end target
-    v_hump = 1e-3
     step = 0.25
     v = step
-    best = log_ratio(v)
-    while v < v_cap and log_ratio(v + step) >= best:
+    best = log_ratio(v, n)
+    while v < v_cap and log_ratio(v + step, n) >= best:
         v += step
-        best = log_ratio(v)
+        best = log_ratio(v, n)
         step *= 1.3
     v_hump = v
     v_end_hi = v_hump
-    while v_end_hi < v_cap and log_ratio(v_end_hi) > target_end:
+    while v_end_hi < v_cap and log_ratio(v_end_hi, n) > target_end:
         v_end_hi = min(v_cap, v_end_hi * 1.5 + 0.5)
-    if log_ratio(v_end_hi) > target_end:
+    if log_ratio(v_end_hi, n) > target_end:
         raise ValueError(
             f"order-{n} remainder cannot be certified within double range")
     v_end = bisect(target_end, v_hump, v_end_hi)
-    if log_ratio(v_hump) <= 5.0:
+    if log_ratio(v_hump, n) <= 5.0:
         v_start = v_hump
     else:
         v_start = bisect(5.0, v_hump, v_end)
@@ -274,8 +277,11 @@ class SuiteReport:
     which: str
     params: dict
     checks: dict
-    passed: bool
-    decay_reports: dict
+    decay_reports: dict = dataclass_field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return all(c["passed"] for c in self.checks.values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -286,13 +292,34 @@ class SuiteReport:
         }
 
 
-def _wirtinger_witness(oracle, point) -> float:
-    """max_j |d phi / d zbar_j| at point, from one call on the N coordinate circles."""
-    point = np.asarray(point, dtype=complex)
-    n = len(point)
-    circles = point + FD_STEP * CIRCLE[:, None] * np.eye(n)[:, None, :]  # (N, 4, N)
-    values = evaluate(oracle, circles.reshape(-1, n)).reshape(n, len(CIRCLE))
-    return float(np.abs(dbar_circle(values, FD_STEP)[1]).max())
+def _witness_check(oracle) -> dict:
+    """max_j |d phi / d zbar_j| at (0.5, 0.5), from one call on the coordinate circles."""
+    point = np.array([0.5, 0.5], dtype=complex)
+    circles = point + FD_STEP * CIRCLE[:, None] * np.eye(2)[:, None, :]  # (2, 4, 2)
+    values = evaluate(oracle, circles.reshape(-1, 2)).reshape(2, len(CIRCLE))
+    residual = float(np.abs(dbar_circle(values, FD_STEP)[1]).max())
+    return {"passed": residual > 1e-3, "residual": residual, "point": "(0.5, 0.5)"}
+
+
+def _zero_jet_check(oracle, log_ratio, max_order: int, decay: dict) -> dict:
+    """Remainders of the zero jet at orders 1..max_order, on the radii of
+    :func:`_zero_jet_radii`; each order's report goes into decay."""
+    zero_jet = TaylorSeries.zero(2)
+    passed = True
+    for n in range(1, max_order + 1):
+        rep = taylor_remainder_check(oracle, zero_jet, n, _zero_jet_radii(log_ratio, n, 1e-8))
+        decay[f"zero_jet_order_{n}"] = rep
+        passed = passed and rep.passed
+    return {"passed": passed, "orders": max_order}
+
+
+def _field_curve_check(oracle, field: DiagonalField, rng: np.random.Generator,
+                       x_hi: float) -> dict:
+    """Curve check along 10 integral curves of field at 40 shared samples zeta."""
+    curves = polydisk_points(rng, 2, 10, r_min=0.15, r_max=0.5)
+    zetas = rng.uniform(0.02, x_hi, 40) + 1j * rng.uniform(-2.0, 2.0, 40)
+    rep = curve_check(oracle, partial(integral_curve, field), curves, zetas, tol=1e-8)
+    return {"passed": rep.passed, "max_residual": rep.max_residual}
 
 
 def counterexample_suite(which: str, *, t=1, alpha: complex = -1 + 1j,
@@ -315,66 +342,33 @@ def counterexample_suite(which: str, *, t=1, alpha: complex = -1 + 1j,
 
 
 def _resonant_suite(t: Fraction, rng: np.random.Generator, max_order: int) -> SuiteReport:
-    if t <= 0:
-        raise ValueError("t must be positive")
     ex = ResonantExample(float(t))
-    oracle = lambda z: phi_resonant(ex, z)
     field = DiagonalField((Fraction(1), -t))
-    zero_jet = TaylorSeries.zero(2)
-    jo = JetOracle(oracle, zero_jet, bound=1.0)
-    checks: dict = {}
-    decay: dict = {}
+    x_hi = 0.6 / max(1.0, ex.t)
+    checks = {"curve_holomorphy": _field_curve_check(ex, field, rng, x_hi),
+              "non_holomorphy_witness": _witness_check(ex)}
 
-    x_hi = 0.6 / max(1.0, float(t))
-    curves = [BasePoint(c) for c in polydisk_points(rng, 2, 10, r_min=0.15, r_max=0.5)]
-    zetas = [complex(x, y) for x, y in zip(rng.uniform(0.02, x_hi, 40),
-                                           rng.uniform(-2.0, 2.0, 40))]
-    curve_rep = f_holomorphy_check(jo, field, curves, zetas, tol=1e-8)
-    checks["curve_holomorphy"] = {"passed": curve_rep.passed,
-                                  "max_residual": curve_rep.max_residual}
-
-    witness_res = _wirtinger_witness(oracle, (0.5 + 0j, 0.5 + 0j))
-    checks["non_holomorphy_witness"] = {"passed": witness_res > 1e-3,
-                                        "residual": witness_res,
-                                        "point": "(0.5, 0.5)"}
-
-    tp1 = float(t) + 1.0
-
-    def resonant_log_ratio(v: float, n: int) -> float:
-        e = v * tp1
+    def log_ratio(v: float, n: int) -> float:
+        e = v * (ex.t + 1.0)
         return n * v - (math.exp(e) if e < 700.0 else math.inf)
 
-    orders_pass = True
-    for n in range(1, max_order + 1):
-        radii = _zero_jet_radii(lambda v, n=n: resonant_log_ratio(v, n), n, 1e-8)
-        rep = taylor_remainder_check(oracle, zero_jet, n, radii)
-        decay[f"zero_jet_order_{n}"] = rep
-        orders_pass = orders_pass and rep.passed
-    checks["zero_jet_remainder"] = {"passed": orders_pass, "orders": max_order}
+    decay: dict = {}
+    checks["zero_jet_remainder"] = _zero_jet_check(ex, log_ratio, max_order, decay)
 
-    worst = 0.0
-    invariant_samples = list(zip(polydisk_points(rng, 2, 100, r_min=0.1, r_max=0.5),
-                                 rng.uniform(0.0, x_hi, 100), rng.uniform(-3.0, 3.0, 100)))
-    for C, x, y in invariant_samples:
-        z = integral_curve(field, C, complex(float(x), float(y)))
-        value = abs(z[0]) ** float(t) * abs(z[1])
-        ref = abs(C[0]) ** float(t) * abs(C[1])
-        worst = max(worst, abs(value - ref))
-    checks["first_integral_constancy"] = {"passed": bool(worst < 1e-12),
-                                          "max_drift": float(worst)}
+    def invariant(z):  # |z1|^t |z2|, a first integral of the field
+        return np.abs(z[:, 0]) ** ex.t * np.abs(z[:, 1])
 
-    passed = all(c["passed"] for c in checks.values())
-    return SuiteReport("resonant", {"t": t}, checks, passed, decay)
+    base = np.array(polydisk_points(rng, 2, 100, r_min=0.1, r_max=0.5))
+    zetas = rng.uniform(0.0, x_hi, 100) + 1j * rng.uniform(-3.0, 3.0, 100)
+    moved = base * integral_curve(field, (1, 1), zetas)  # (1, 1) gives e^(-alpha_j zeta)
+    worst = float(np.max(np.abs(invariant(moved) - invariant(base))))
+    checks["first_integral_constancy"] = {"passed": worst < 1e-12, "max_drift": worst}
+    return SuiteReport("resonant", {"t": t}, checks, decay)
 
 
 def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator,
                   max_order: int) -> SuiteReport:
     ex = SpiralExample.create(alpha, t)
-    oracle = lambda z: phi_spiral(ex, z)
-    zero_jet = TaylorSeries.zero(2)
-    checks: dict = {}
-    decay: dict = {}
-
     reach = 0.6 / (abs(ex.alpha) * max(1.0, t))
     curves = polydisk_points(rng, 2, 10, r_min=0.15, r_max=0.4)
     # ten samples per curve, drawn curve by curve: (r, th) is one row of draws
@@ -383,18 +377,12 @@ def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator,
     zetas = np.empty(r.shape, dtype=complex)
     zetas.real = r * np.cos(th)
     zetas.imag = r * np.sin(th)
-    curve_rep = curve_check(oracle, lambda C, w: spiral_curve(ex, C, w), curves,
-                            zetas, tol=1e-6)
-    checks["curve_holomorphy"] = {"passed": curve_rep.passed,
-                                  "max_residual": curve_rep.max_residual}
+    curve_rep = curve_check(ex, partial(spiral_curve, ex), curves, zetas, tol=1e-6)
+    checks = {"curve_holomorphy": {"passed": curve_rep.passed,
+                                   "max_residual": curve_rep.max_residual},
+              "non_holomorphy_witness": _witness_check(ex)}
 
-    witness_res = _wirtinger_witness(oracle, (0.5 + 0j, 0.5 + 0j))
-    checks["non_holomorphy_witness"] = {"passed": witness_res > 1e-3,
-                                        "residual": witness_res,
-                                        "point": "(0.5, 0.5)"}
-
-    ident = verify_time_identity(ex, [complex(x, y) for x, y in
-                                      zip(rng.uniform(-10, 10, 100), rng.uniform(-10, 10, 100))])
+    ident = verify_time_identity(ex, rng.uniform(-10, 10, 100) + 1j * rng.uniform(-10, 10, 100))
     checks["time_identity"] = {"passed": ident.passed, "max_error": ident.max_error}
 
     sector_ok = bool(np.all(branch_power(ex, sector_samples(ex, rng, 10_000)).real < 0))
@@ -402,50 +390,26 @@ def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator,
 
     # decay constant along the all-equal-moduli direction used by the radius grid
     g_dir = -(ex.gamma + ex.gamma.conjugate() / ex.t)
-    mod_g = abs(g_dir)
     ang = math.atan2(g_dir.imag, g_dir.real) + TWO_PI * ex.branch_offset
-    c_dir = -math.cos(ex.b * ang) * mod_g ** ex.b
-    orders_pass = True
-    for n in range(1, max_order + 1):
-        radii = _zero_jet_radii(lambda v, n=n: -c_dir * v ** ex.b + n * v, n, 1e-8)
-        rep = taylor_remainder_check(oracle, zero_jet, n, radii)
-        decay[f"zero_jet_order_{n}"] = rep
-        orders_pass = orders_pass and rep.passed
-    checks["zero_jet_remainder"] = {"passed": orders_pass, "orders": max_order}
-
-    passed = all(c["passed"] for c in checks.values())
+    c_dir = -math.cos(ex.b * ang) * abs(g_dir) ** ex.b
+    decay: dict = {}
+    checks["zero_jet_remainder"] = _zero_jet_check(
+        ex, lambda v, n: -c_dir * v ** ex.b + n * v, max_order, decay)
     return SuiteReport("spiral", {"alpha": alpha, "t": t, "b": ex.b,
-                                  "branch_offset": ex.branch_offset},
-                       checks, passed, decay)
+                                  "branch_offset": ex.branch_offset}, checks, decay)
 
 
 def _remark_suite(rng: np.random.Generator) -> SuiteReport:
     jet = TaylorSeries.monomial(2, (0, 0), (1, 1))
-    oracle = phi_remark
     field = DiagonalField((Fraction(1), Fraction(-1)))
-    jo = JetOracle(oracle, jet, bound=1.0)
-    checks: dict = {}
-
-    curves = [BasePoint(c) for c in polydisk_points(rng, 2, 10, r_min=0.15, r_max=0.5)]
-    zetas = [complex(x, y) for x, y in zip(rng.uniform(0.02, 0.6, 40),
-                                           rng.uniform(-2.0, 2.0, 40))]
-    curve_rep = f_holomorphy_check(jo, field, curves, zetas, tol=1e-8)
-    checks["curve_holomorphy"] = {"passed": curve_rep.passed,
-                                  "max_residual": curve_rep.max_residual}
-
-    witness_res = _wirtinger_witness(oracle, (0.5 + 0j, 0.5 + 0j))
-    checks["non_holomorphy_witness"] = {"passed": witness_res > 1e-3,
-                                        "residual": witness_res,
-                                        "point": "(0.5, 0.5)"}
-
-    checks["jet_antiholomorphic"] = {
-        "passed": bool(antiholomorphic_part(jet)),
-        "note": "the jet itself is anti-holomorphic; the ratio hypothesis is necessary",
-    }
-
-    verdict = forelli_pipeline(jo, field, ForelliConfig(seed=int(rng.integers(2**31))))
+    checks = {"curve_holomorphy": _field_curve_check(phi_remark, field, rng, 0.6),
+              "non_holomorphy_witness": _witness_check(phi_remark),
+              "jet_antiholomorphic": {
+                  "passed": bool(antiholomorphic_part(jet)),
+                  "note": "the jet itself is anti-holomorphic; the ratio hypothesis is necessary",
+              }}
+    verdict = forelli_pipeline(JetOracle(phi_remark, jet, bound=1.0), field,
+                               ForelliConfig(seed=int(rng.integers(2**31))))
     checks["pipeline_verdict"] = {"passed": verdict.tag == HYPOTHESIS_VIOLATED,
                                   "tag": verdict.tag}
-
-    passed = all(c["passed"] for c in checks.values())
-    return SuiteReport("remark", {}, checks, passed, {})
+    return SuiteReport("remark", {}, checks)

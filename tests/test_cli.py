@@ -346,6 +346,10 @@ OUT_OF_MODEL_BASES = {
     ("extraction", "nodes = 1"),
     ("extraction", "snap_tol = 0"),
     ("forelli", "expect = holomorphc"),
+    ("bounds", "seed = -3"),
+    ("bounds", "tolerance = 0"),
+    ("extraction", "tolerance = -1e-8"),
+    ("forelli", "tolerance = nan"),
 ])
 def test_out_of_model_parameters_exit_two_at_their_line(tmp_path, capsys, base, bad):
     body = OUT_OF_MODEL_BASES[base]
@@ -372,3 +376,21 @@ def test_unread_and_repeated_keys_exit_two_at_their_line(tmp_path, capsys, base,
     scenario.write_text(OUT_OF_MODEL_BASES[base] + extra + "\n")
     assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
     assert f"keys.txt:{line}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "bounds_demo.txt:7: seed must be >= 0, got -1"),
+    (["--tolerance", "nan"], "bounds_demo.txt: tolerance must be finite and > 0, got nan"),
+    (["--tolerance", "inf"], "bounds_demo.txt: tolerance must be finite and > 0, got inf"),
+    (["--tolerance", "-1"], "bounds_demo.txt: tolerance must be finite and > 0, got -1.0"),
+], ids=["seed-negative", "tolerance-nan", "tolerance-inf", "tolerance-negative"])
+def test_out_of_model_flags_exit_two(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert run_cli(["run", str(SCENARIOS / "bounds_demo.txt"), "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_tolerance_flag_is_ignored_by_a_kind_that_never_reads_it(tmp_path):
+    assert run_cli(["run", str(SCENARIOS / "counterexample_remark.txt"),
+                    "--out", str(tmp_path / "out"), "--tolerance", "nan"]) == 0

@@ -3,6 +3,7 @@
 import cmath
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -211,3 +212,73 @@ def test_branch_search_fails_for_nearly_degenerate_sector():
     # exponent above 1 keeps its image inside a half-turn
     with pytest.raises(BranchSearchError):
         choose_branch_exponent(-1 + 0.001j, 1.0)
+
+
+@pytest.mark.parametrize("make, phi", [
+    (lambda: ResonantExample(0.7), phi_resonant),
+    (lambda: SpiralExample.create(-1 + 1j, 1.0), phi_spiral),
+], ids=["resonant", "spiral"])
+def test_example_is_its_own_oracle(rng, make, phi):
+    ex = make()
+    point = (0.4 + 0.1j, 0.3 - 0.2j)
+    assert ex(point) == phi(ex, point)
+    batch = np.array(point) * rng.uniform(0.5, 1.5, size=(7, 2))
+    batch[3, 0] = 0.0  # a point of the zero extension
+    values = ex(batch)
+    assert values.shape == (7,)
+    np.testing.assert_array_equal(values, phi(ex, batch))
+
+
+def _scalar_branch_scan(alpha, b_step=1e-3, b_max=4.0, k_max=3):
+    """The point-by-point scan that choose_branch_exponent vectorizes."""
+    lo0, hi0 = sector_angles(alpha)
+    n_steps = int(round((b_max - 1.0) / b_step))
+    for k in range(k_max + 1):
+        lo_k, hi_k = lo0 + 2 * math.pi * k, hi0 + 2 * math.pi * k
+        best = None
+        for i in range(1, n_steps + 1):
+            b = 1.0 + i * b_step
+            lo, hi = b * lo_k, b * hi_k
+            if hi - lo >= math.pi:
+                break
+            j = round(((lo + hi) / 2.0 - math.pi) / (2 * math.pi))
+            margin = min(lo - (0.5 * math.pi + 2 * math.pi * j),
+                         (1.5 * math.pi + 2 * math.pi * j) - hi)
+            if margin > 0 and (best is None or margin > best[0]):
+                best = (margin, b)
+        if best is not None:
+            return best[1], k
+    raise BranchSearchError("no branch")
+
+
+def test_branch_search_matches_the_scalar_scan():
+    outcomes = set()
+    for re in np.linspace(-3.0, -0.05, 13):
+        for im in np.linspace(0.02, 3.0, 13):
+            alpha = complex(re, im)
+            try:
+                expected = _scalar_branch_scan(alpha)
+            except BranchSearchError:
+                with pytest.raises(BranchSearchError):
+                    choose_branch_exponent(alpha, 1.0)
+                outcomes.add("error")
+                continue
+            assert choose_branch_exponent(alpha, 1.0) == expected, alpha
+            outcomes.add(expected[1])
+    assert "error" in outcomes and len(outcomes) >= 3  # errors and several shifts k
+
+
+def test_time_identity_takes_an_array_and_names_the_worst_zeta():
+    ex = SpiralExample.create(-2 + 0.5j, 3.0)
+    rng = np.random.default_rng(3)
+    zetas = rng.uniform(-10, 10, 50) + 1j * rng.uniform(-10, 10, 50)
+    assert verify_time_identity(ex, zetas).passed
+    assert verify_time_identity(ex, np.zeros(3), tol=0.0).witness is None
+    # a wrong gamma breaks the identity by O(1): the witness is the scalar argmax
+    broken = SimpleNamespace(alpha=ex.alpha, beta=ex.beta, t=ex.t, gamma=1.1 * ex.gamma)
+    g = broken.gamma
+    errors = [abs(g * (ex.alpha * z).real + (g.conjugate() / ex.t) * (ex.beta * z).real - z)
+              for z in zetas.tolist()]
+    report = verify_time_identity(broken, zetas, tol=0.0)
+    assert not report.passed and report.witness == zetas[int(np.argmax(errors))]
+    assert report.max_error == pytest.approx(max(errors), rel=1e-12)
