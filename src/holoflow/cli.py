@@ -39,7 +39,7 @@ from .flow import (BasePoint, DiagonalField, SpectrumError, integral_curve, leve
                    level_of, normalize_time)
 from .forelli import CERT_RADIUS, TAGS, ForelliConfig, JetOracle, forelli_pipeline
 from .reports import write_decay_csv
-from .sampling import evaluate, polydisk_points
+from .sampling import evaluate, halfplane_points, polydisk_points
 from .series import MultiIndex, TaylorSeries, eval_taylor, parse_term_line
 
 
@@ -207,8 +207,7 @@ def _run_pushforward(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     expansion = pushforward(jet, nfield, c, lam_max)
 
     rng = np.random.default_rng(seed)
-    zetas = np.array([complex(x, y) for x, y in zip(rng.uniform(0.0, 5.0, 100),
-                                                    rng.uniform(-4.0, 4.0, 100))])
+    zetas = halfplane_points(rng, 100, x_range=(0.0, 5.0), y_range=(-4.0, 4.0))
     errors = np.abs(eval_taylor(jet, integral_curve(nfield, c, zetas))
                     - eval_expansion(expansion, zetas))
     max_err = float(np.max(errors))
@@ -247,10 +246,10 @@ def _run_extraction(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
         sc.error("exp_term", f"oracle levels {missing} are off the grid")
     x0, window = sc.value("x0", float, 1.0), sc.value("window", float, 64.0)
     nodes, snap_tol = sc.value("nodes", int, 4096), sc.value("snap_tol", float, 1e-6)
-    sc.check("x0", x0 > 0, "> 0")
-    sc.check("window", window > 0, "> 0")
+    sc.check("x0", 0 < x0 < np.inf, "finite and > 0")
+    sc.check("window", 0 < window < np.inf, "finite and > 0")
     sc.check("nodes", nodes >= 2, ">= 2")
-    sc.check("snap_tol", snap_tol > 0, "> 0")
+    sc.check("snap_tol", 0 < snap_tol < np.inf, "finite and > 0")
     params = ExtractionParams(grid, x0, window, nodes, snap_tol)
     compare_tol = sc.value("tolerance", float, 1e-8)
 
@@ -311,7 +310,7 @@ def _run_forelli(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     else:
         oracle = _named_oracle(sc, oracle_name)
     bound = sc.value("bound", float, None)
-    sc.check("bound", bound is None or bound >= 0, ">= 0")
+    sc.check("bound", bound is None or 0 <= bound < np.inf, "finite and >= 0")
     expect = sc.value("expect", default="holomorphic")
     sc.check("expect", expect in TAGS, "one of " + ", ".join(TAGS))
     if bound is None:  # sampled on the torus where reconstruct audits the level sups
@@ -350,16 +349,16 @@ def _run_bounds(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     source = _parse_expansion(sc)
     lam = sc.value("claimed_rate", Fraction)
     sc.check("claimed_rate", lam >= 0, ">= 0")
-    x_lo = sc.value("x_lo", float, 0.01)
+    x_lo, x_hi = sc.value("x_lo", float, 0.01), 10.0  # x_hi: right edge of the samples
+    sc.check("x_lo", 0 < x_lo < x_hi, f"> 0 and < {x_hi}")
     tol = sc.value("tolerance", float, 1e-6)
     bound = sc.value("bound", float, None)
-    sc.check("bound", bound is None or bound > 0, "> 0")
+    sc.check("bound", bound is None or 0 < bound < np.inf, "finite and > 0")
     if bound is None:
         ys = np.linspace(-40.0, 40.0, 4001)
         bound = float(np.max(np.abs(evaluate(source, x_lo + 1j * ys))))
     rng = np.random.default_rng(seed)
-    samples = [complex(x, y) for x, y in zip(rng.uniform(x_lo, 10.0, 400),
-                                             rng.uniform(-20.0, 20.0, 400))]
+    samples = halfplane_points(rng, 400, x_range=(x_lo, x_hi), y_range=(-20.0, 20.0))
     mp_report = max_principle_bound(source, bound, lam, samples, x_lo=x_lo, tol=tol)
     tail_report = tail_bound_check(source, source.to_expansion(),
                                    n=len(source.to_expansion().levels) - 1)

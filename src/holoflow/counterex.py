@@ -190,11 +190,11 @@ def phi_remark(z):
 def spiral_curve(ex: SpiralExample, C, zeta):
     """Curve (C1 e^(alpha zeta), C2 e^(beta zeta)) of the non-real-ratio field.
 
-    Broadcasts like :func:`flow.integral_curve`: a scalar zeta gives a tuple.
+    Broadcasts like :func:`flow.integral_curve`: C is one base point or an
+    array of shape (..., 2); one base point and a scalar zeta give a tuple.
     """
-    points = np.array([complex(C[0]), complex(C[1])]) \
-        * np.exp(np.multiply.outer(zeta, (ex.alpha, ex.beta)))
-    return tuple(points.tolist()) if np.ndim(zeta) == 0 else points
+    points = np.asarray(C, dtype=complex) * np.exp(np.multiply.outer(zeta, (ex.alpha, ex.beta)))
+    return tuple(points.tolist()) if points.ndim == 1 else points
 
 
 def sector_samples(ex: SpiralExample, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -358,7 +358,7 @@ def _resonant_suite(t: Fraction, rng: np.random.Generator, max_order: int) -> Su
     def invariant(z):  # |z1|^t |z2|, a first integral of the field
         return np.abs(z[:, 0]) ** ex.t * np.abs(z[:, 1])
 
-    base = np.array(polydisk_points(rng, 2, 100, r_min=0.1, r_max=0.5))
+    base = polydisk_points(rng, 2, 100, r_min=0.1, r_max=0.5)
     zetas = rng.uniform(0.0, x_hi, 100) + 1j * rng.uniform(-3.0, 3.0, 100)
     moved = base * integral_curve(field, (1, 1), zetas)  # (1, 1) gives e^(-alpha_j zeta)
     worst = float(np.max(np.abs(invariant(moved) - invariant(base))))

@@ -86,7 +86,7 @@ class BasePoint:
         coords = tuple(complex(c) for c in self.coords)
         if len(coords) == 0:
             raise ValueError("base point needs at least one coordinate")
-        if any(abs(c) >= 1.0 for c in coords):
+        if not all(abs(c) < 1.0 for c in coords):  # a NaN coordinate fails too
             raise ValueError("base point coordinates must satisfy |c_j| < 1")
         object.__setattr__(self, "coords", coords)
 
@@ -135,14 +135,15 @@ def classify_spectrum(field) -> SpectrumClass:
 def integral_curve(field: DiagonalField, c, zeta):
     """The curve s_c(zeta) with components c_j e^(-alpha_j zeta).
 
-    A scalar zeta gives a tuple of N complex coordinates; an array of zeta
-    gives an array of shape zeta.shape + (N,).
+    c is one base point (a BasePoint or N coordinates) or an array of shape
+    (..., N), broadcast against zeta.shape + (N,).  One base point and a
+    scalar zeta give a tuple of N complex coordinates, anything else an array.
     """
-    coords = _coords(c)
-    if len(coords) != field.dim:
-        raise ValueError(f"base point has dimension {len(coords)}, field has {field.dim}")
-    points = np.array(coords) * np.exp(-np.multiply.outer(zeta, field.eigenvalues))
-    return tuple(points.tolist()) if np.ndim(zeta) == 0 else points
+    base = np.asarray(c.coords if isinstance(c, BasePoint) else c, dtype=complex)
+    if base.shape[-1:] != (field.dim,):
+        raise ValueError(f"base point has dimension {base.shape[-1]}, field has {field.dim}")
+    points = base * np.exp(-np.multiply.outer(zeta, field.eigenvalues))
+    return tuple(points.tolist()) if points.ndim == 1 else points
 
 
 def level_of(index, rates) -> Fraction:

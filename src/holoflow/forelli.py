@@ -29,8 +29,8 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .flow import (BasePoint, DiagonalField, SpectrumClass, SpectrumError,
-                   _coords, classify_spectrum, integral_curve, normalize_time)
+from .flow import (DiagonalField, SpectrumClass, SpectrumError, _coords, classify_spectrum,
+                   integral_curve, normalize_time)
 from .sampling import evaluate, evaluate_prefix, halfplane_points, polydisk_points
 from .series import (TaylorSeries, antiholomorphic_part, eval_taylor,
                      holomorphic_part, level_parts, taylor_remainder_check)
@@ -132,20 +132,20 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_sample
 
     Each sample zeta is replaced by the circle zeta + FD_STEP * CIRCLE, and
     its residual is |dbar| / (1 + |circle mean|) by :func:`dbar_circle`.
-    zeta_samples has shape (Z,) (the same samples on every curve) or (C, Z).
-    Passes iff every residual is below tol; no curves pass with residual 0.
-    All circle points must stay inside the unit polydisk.  The oracle is
-    called once on every point of every circle; failures are reported for
-    the first sample in curve-major order, as a point-by-point scan meets
-    them.
+    zeta_samples has shape (Z,) (the same samples on every curve) or (C, Z);
+    curve broadcasts like :func:`flow.integral_curve` and is called once, on
+    every circle point.  Passes iff every residual is below tol; no curves
+    pass with residual 0.  All circle points must stay inside the unit
+    polydisk.  The oracle is called once on every point of every circle;
+    failures are reported for the first sample in curve-major order, as a
+    point-by-point scan meets them.
     """
     if not len(curves):
         return CurveCheckReport(True, 0.0)
-    coords = [_coords(c) for c in curves]
+    base = np.array([_coords(c) for c in curves])
     zetas = np.asarray(zeta_samples, dtype=complex)
-    zetas = np.broadcast_to(zetas, (len(coords), zetas.shape[-1]))
-    circles = np.stack([curve(c, row[:, None] + FD_STEP * CIRCLE)
-                        for c, row in zip(coords, zetas)])
+    zetas = np.broadcast_to(zetas, (len(base), zetas.shape[-1]))
+    circles = curve(base[:, None, None, :], zetas[:, :, None] + FD_STEP * CIRCLE)
     width = len(CIRCLE)
     flat = circles.reshape(-1, circles.shape[-1])
     outside = np.flatnonzero(np.any(np.abs(flat) >= 1.0, axis=1))
@@ -153,7 +153,7 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_sample
 
     def sample(i):
         c, j = divmod(int(i), zetas.shape[1])
-        return coords[c], complex(zetas[c, j])
+        return tuple(base[c].tolist()), complex(zetas[c, j])
 
     values, exc = evaluate_prefix(oracle, flat[:reach])
     done = len(values) // width
@@ -236,10 +236,10 @@ def antiholomorphic_vanishing(
     for (mu, nu), part in sorted(level_parts(series, nfield.rates).items()):
         if nu == 0 or (lambda_max is not None and mu + nu > Fraction(lambda_max)):
             continue
-        totals = eval_taylor(part, np.array(points))
+        totals = eval_taylor(part, points)
         over = np.flatnonzero(np.abs(totals) >= tol)
         if len(over):
-            failures.append((mu + nu, mu, nu, points[over[0]], complex(totals[over[0]])))
+            failures.append((mu + nu, mu, nu, tuple(points[over[0]]), complex(totals[over[0]])))
     randomized_ok = not failures
     return VanishingReport(exact_ok and randomized_ok, exact_ok, randomized_ok,
                            tuple(failures))
@@ -278,8 +278,7 @@ def reconstruct(
     nfield, _ = normalize_time(field)
 
     rng = np.random.default_rng(seed)
-    points = np.array(polydisk_points(rng, psi.dim, CERT_POINTS,
-                                      r_min=CERT_RADIUS, r_max=CERT_RADIUS))
+    points = polydisk_points(rng, psi.dim, CERT_POINTS, r_min=CERT_RADIUS, r_max=CERT_RADIUS)
     worst_level = 0.0
     for part in level_parts(psi, nfield.rates).values():
         sup = float(np.max(np.abs(eval_taylor(part, points))))
@@ -308,12 +307,11 @@ def forelli_pipeline(jo: JetOracle, field: DiagonalField,
 
     nfield, _ = normalize_time(field)
     rng = np.random.default_rng(config.seed)
-    curves = [BasePoint(c) for c in
-              polydisk_points(rng, nfield.dim, config.n_curves, r_min=0.15, r_max=0.7)]
+    curves = polydisk_points(rng, nfield.dim, config.n_curves, r_min=0.15, r_max=0.7)
     # no circle point leaves the polydisk: every rate r_j is positive, |c_j| <= 0.7
     # and Re zeta >= 0.1 - FD_STEP > 0 on every circle, so |c_j| e^(-r_j Re zeta) < 0.7
     zetas = halfplane_points(rng, config.n_zeta, x_range=(0.1, 2.0), y_range=(-2.0, 2.0))
-    if not curves:
+    if not len(curves):
         return ForelliVerdict(HYPOTHESIS_VIOLATED,
                               reason="no curves sampled (n_curves = 0)",
                               diagnostics=diag)
@@ -357,11 +355,10 @@ def forelli_pipeline(jo: JetOracle, field: DiagonalField,
 
     points = polydisk_points(rng, psi.dim, config.compare_points,
                              r_min=0.0, r_max=COMPARE_RADIUS)
-    grid = np.reshape(np.array(points, dtype=complex), (len(points), psi.dim))
-    diffs = np.abs(evaluate(jo.oracle, grid) - eval_taylor(psi, grid))
+    diffs = np.abs(evaluate(jo.oracle, points) - eval_taylor(psi, points))
     diffs[~np.isfinite(diffs)] = math.inf  # a NaN value is no agreement
     max_diff = float(diffs.max(initial=0.0))
-    worst_point = points[int(np.argmax(diffs))] if max_diff > 0.0 else None
+    worst_point = tuple(points[int(np.argmax(diffs))]) if max_diff > 0.0 else None
     diag["comparison"] = {"max_diff": max_diff, "points": len(points),
                           "radius": COMPARE_RADIUS}
     threshold = config.compare_tol * jo.bound

@@ -14,13 +14,13 @@ import numpy as np
 
 
 def polydisk_points(rng: np.random.Generator, dim: int, n: int,
-                    r_min: float = 0.05, r_max: float = 0.95) -> list[tuple[complex, ...]]:
-    """Random points with every coordinate modulus in [r_min, r_max].
+                    r_min: float = 0.05, r_max: float = 0.95) -> np.ndarray:
+    """Random points with every coordinate modulus in [r_min, r_max], shape (n, dim).
 
     The draws are one block, in the order a point-by-point loop takes them
     (the dim radii of a point, then its dim phases), and ``uniform`` is
     ``low + (high - low) * random()``, so the points and the generator's
-    state afterwards are those of that loop.  Coordinates are ``np.complex128``.
+    state afterwards are those of that loop.  The dtype is complex128.
     """
     u = rng.random((n, 2, dim))
     radii = r_min + (r_max - r_min) * u[:, 0]
@@ -28,16 +28,17 @@ def polydisk_points(rng: np.random.Generator, dim: int, n: int,
     z = np.empty((n, dim), dtype=complex)
     z.real = radii * np.cos(phases)
     z.imag = radii * np.sin(phases)
-    return list(zip(*z.T))
+    return z
 
 
 def halfplane_points(rng: np.random.Generator, n: int,
                      x_range: tuple[float, float] = (0.1, 3.0),
-                     y_range: tuple[float, float] = (-3.0, 3.0)) -> list[complex]:
-    """Random points in a rectangle of the right half-plane."""
-    xs = rng.uniform(*x_range, size=n)
-    ys = rng.uniform(*y_range, size=n)
-    return [complex(x, y) for x, y in zip(xs, ys)]
+                     y_range: tuple[float, float] = (-3.0, 3.0)) -> np.ndarray:
+    """Random points in a rectangle of the right half-plane, shape (n,)."""
+    z = np.empty(n, dtype=complex)
+    z.real = rng.uniform(*x_range, size=n)
+    z.imag = rng.uniform(*y_range, size=n)
+    return z
 
 
 def _one_by_one(points: np.ndarray):

@@ -253,15 +253,16 @@ def test_term_lines_of_mixed_dimension_are_line_anchored(tmp_path, capsys):
 
 def test_base_point_outside_polydisk_is_config_error(tmp_path, capsys):
     scenario = tmp_path / "outside.txt"
-    scenario.write_text(
-        "kind = pushforward\n"
-        "rates = 1/1 1/1\n"
-        "term = 1 0 | 0 0 | 1.0 | 0.0\n"
-        "base_point = 1.5 0.5\n"
-    )
-    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "outside.txt:4" in err and "|c_j| < 1" in err
+    for point in ("1.5 0.5", "nan+0i 0.2+0.1i", "0.5 1e400"):
+        scenario.write_text(
+            "kind = pushforward\n"
+            "rates = 1/1 1/1\n"
+            "term = 1 0 | 0 0 | 1.0 | 0.0\n"
+            f"base_point = {point}\n"
+        )
+        assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "outside.txt:4" in err and "|c_j| < 1" in err
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "1/0"])
@@ -350,6 +351,17 @@ OUT_OF_MODEL_BASES = {
     ("bounds", "tolerance = 0"),
     ("extraction", "tolerance = -1e-8"),
     ("forelli", "tolerance = nan"),
+    ("extraction", "window = inf"),
+    ("extraction", "x0 = inf"),
+    ("extraction", "snap_tol = inf"),
+    ("forelli", "bound = inf"),
+    ("bounds", "bound = inf"),
+    ("bounds", "x_lo = nan"),
+    ("bounds", "x_lo = inf"),
+    ("bounds", "x_lo = 20"),
+    ("bounds", "x_lo = 10"),
+    ("bounds", "x_lo = 0"),
+    ("bounds", "x_lo = -1"),
 ])
 def test_out_of_model_parameters_exit_two_at_their_line(tmp_path, capsys, base, bad):
     body = OUT_OF_MODEL_BASES[base]

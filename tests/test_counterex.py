@@ -13,7 +13,9 @@ from holoflow import (BranchSearchError, ResonantExample, SpiralExample,
                       counterexample_suite, phi_resonant, phi_spiral,
                       sector_angles, spiral_curve, verify_time_identity)
 from holoflow.counterex import sector_samples
-from holoflow.wirtinger import dbar_fd
+from holoflow.forelli import FD_STEP
+from holoflow.sampling import polydisk_points
+from holoflow.wirtinger import CIRCLE, dbar_fd
 
 
 def test_phi_resonant_zero_extension():
@@ -126,6 +128,20 @@ def test_spiral_curve_restriction_is_holomorphic(rng):
         value = along(zeta)
         worst = max(worst, abs(dbar_fd(along, zeta)) / (1 + abs(value)))
     assert worst < 1e-6
+
+
+def test_spiral_curve_broadcasts_like_the_per_curve_calls(rng):
+    ex = SpiralExample.create(-1 + 1j, 1.0)
+    base = polydisk_points(rng, 2, 10, r_min=0.15, r_max=0.4)
+    zetas = rng.uniform(-0.4, 0.4, (10, 10)) + 1j * rng.uniform(-0.4, 0.4, (10, 10))
+    circles = zetas[:, :, None] + FD_STEP * CIRCLE
+    broadcast = spiral_curve(ex, base[:, None, None, :], circles)
+    per_curve = np.stack([spiral_curve(ex, tuple(c), row) for c, row in zip(base, circles)])
+    assert broadcast.shape == (10, 10, len(CIRCLE), 2)
+    assert np.array_equal(broadcast, per_curve)
+    # one base point, as a tuple or a row, and a scalar zeta give a tuple
+    assert spiral_curve(ex, base[0], 0.1j) == spiral_curve(ex, tuple(base[0]), 0.1j)
+    assert isinstance(spiral_curve(ex, base[0], 0.1j), tuple)
 
 
 def test_spiral_is_not_holomorphic_in_z():

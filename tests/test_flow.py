@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from holoflow import (BasePoint, DiagonalField, SpectrumClass, SpectrumError,
                       classify_spectrum, integral_curve, level_grid,
                       normalize_time)
+from holoflow.forelli import FD_STEP
+from holoflow.sampling import halfplane_points, polydisk_points
+from holoflow.wirtinger import CIRCLE
 
 from conftest import random_interior_point, random_positive_field
 
@@ -53,8 +56,9 @@ def test_replacing_the_time_unit_rebuilds_the_eigenvalues():
 
 def test_base_point_validation():
     BasePoint((0.5, -0.5j))
-    with pytest.raises(ValueError):
-        BasePoint((1.5, 0.0))
+    for coords in ((1.5, 0.0), (math.nan, 0.2), (0.1, complex(0.0, math.inf))):
+        with pytest.raises(ValueError):
+            BasePoint(coords)
 
 
 def test_classify_positive_and_mixed():
@@ -88,6 +92,26 @@ def test_integral_curve_on_an_array_of_times_matches_scalar_calls(rng):
     assert points.shape == (4, 5, 3)
     for idx in np.ndindex(zetas.shape):
         assert points[idx] == pytest.approx(integral_curve(f, c, zetas[idx]), rel=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_broadcast_circles_equal_the_per_curve_calls(dim):
+    # the (C, Z, M) circles of curve_check, in one call and in one call per curve
+    rng = np.random.default_rng(400 + dim)
+    f = DiagonalField(tuple(Fraction(int(r), 2) for r in rng.integers(1, 7, dim)))
+    base = polydisk_points(rng, dim, 6, r_min=0.15, r_max=0.7)
+    circles = halfplane_points(rng, 30).reshape(6, 5)[:, :, None] + FD_STEP * CIRCLE
+    broadcast = integral_curve(f, base[:, None, None, :], circles)
+    per_curve = np.stack([integral_curve(f, tuple(c), row) for c, row in zip(base, circles)])
+    assert broadcast.shape == (6, 5, len(CIRCLE), dim)
+    assert np.array_equal(broadcast, per_curve)
+
+
+def test_integral_curve_rejects_a_base_of_the_wrong_dimension():
+    f = DiagonalField((1, 2))
+    for base, zeta in (((0.1, 0.2, 0.3), 0.5), (np.full((4, 1, 3), 0.1 + 0j), np.ones((4, 5)))):
+        with pytest.raises(ValueError, match="base point has dimension 3, field has 2"):
+            integral_curve(f, base, zeta)
 
 
 def test_integral_curve_at_zero_time_is_base_point():

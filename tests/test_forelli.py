@@ -12,7 +12,9 @@ from holoflow import (ANTIHOLOMORPHIC_OBSTRUCTION, HOLOMORPHIC,
                       HYPOTHESIS_VIOLATED, NOT_F_HOLOMORPHIC, BasePoint,
                       DiagonalField, ForelliConfig, JetOracle, SpectrumError,
                       TaylorSeries, antiholomorphic_vanishing, eval_taylor,
-                      f_holomorphy_check, forelli_pipeline, reconstruct)
+                      f_holomorphy_check, forelli_pipeline, integral_curve,
+                      reconstruct)
+from holoflow import forelli
 
 from conftest import random_jet
 
@@ -47,6 +49,21 @@ def test_curve_check_makes_one_call_of_four_points_per_sample():
                                 CURVES, ZETAS)
     assert report.passed
     assert sizes == [4 * len(CURVES) * len(ZETAS)]
+
+
+def test_curve_check_makes_one_curve_call_per_check(monkeypatch):
+    calls = []
+
+    def counted(field, c, zeta):
+        calls.append((np.shape(c), np.shape(zeta)))
+        return integral_curve(field, c, zeta)
+
+    monkeypatch.setattr(forelli, "integral_curve", counted)
+    jet = TaylorSeries.monomial(2, (2, 0), (0, 0))
+    verdict = forelli_pipeline(jet_oracle(jet), DiagonalField((1, 2)),
+                               ForelliConfig(n_curves=24, n_zeta=48))
+    assert verdict.tag == HOLOMORPHIC
+    assert calls == [((24, 1, 1, 2), (24, 48, 4))]
 
 
 def test_curve_check_passes_for_resonant_invariant():
@@ -278,6 +295,26 @@ def test_comparison_fails_on_a_nan_value():
     verdict = forelli_pipeline(JetOracle(oracle, jet, 1.0), DiagonalField((1, 1)), config)
     assert verdict.tag == HYPOTHESIS_VIOLATED
     assert abs(verdict.witness[0]) < 0.01
+
+
+def test_pipeline_witnesses_are_tuples_of_coordinates():
+    # the vanishing failure names (point, value); the comparison failure a point
+    holo = TaylorSeries.monomial(2, (1, 0), (0, 0))
+    spoiled = holo + TaylorSeries.monomial(2, (0, 0), (1, 1), 0.5)
+    vanish = forelli_pipeline(JetOracle(lambda z: eval_taylor(holo, z), spoiled, 1.0),
+                              DiagonalField((1, 1)))
+    assert vanish.tag == ANTIHOLOMORPHIC_OBSTRUCTION
+    point, value = vanish.witness
+    assert type(point) is tuple and [type(c) for c in point] == [np.complex128] * 2
+    assert type(value) is complex
+
+    def off(z):
+        return eval_taylor(holo, z) + 1e-6 * np.asarray(z)[..., 0] ** 3
+
+    compare = forelli_pipeline(JetOracle(off, holo, 1.0), DiagonalField((1, 1)))
+    assert compare.tag == HYPOTHESIS_VIOLATED and "differs" in compare.reason
+    assert type(compare.witness) is tuple
+    assert [type(c) for c in compare.witness] == [np.complex128] * 2
 
 
 @settings(max_examples=40, deadline=None)
