@@ -24,10 +24,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .flow import (DiagonalField, SpectrumClass, SpectrumError, _coords,
-                   classify_spectrum, normalize_time)
-from .reports import (FAIL, INCONCLUSIVE, PASS, DecayReport, fitted_decay_rate,
-                      monotone_below)
+from .flow import DiagonalField, _coords, normalize_time
+from .reports import (FAIL, INCONCLUSIVE, PASS, DecayReport, clamped_exp,
+                      fitted_decay_rate, monotone_below)
 from .sampling import evaluate, evaluate_prefix
 from .series import TaylorSeries, eval_taylor, level_parts
 
@@ -217,9 +216,7 @@ def pushforward(series: TaylorSeries, field: DiagonalField, c, lambda_max) -> As
     expansion variable is the canonical curve time.
     """
     lam_max = _exponent(lambda_max)
-    if classify_spectrum(field) is not SpectrumClass.POSITIVE_RATIOS:
-        raise SpectrumError("pushforward requires a positive-ratio spectrum")
-    nfield, _ = normalize_time(field)
+    nfield, _ = normalize_time(field)  # raises SpectrumError without positive ratios
     alphas = nfield.rates
     coords = _coords(c)
     if len(coords) != series.dim or series.dim != nfield.dim:
@@ -269,23 +266,15 @@ def tail_bound_check(
     grid = np.array([complex(x, y) for x in xs for y in y_samples],
                     dtype=complex).reshape(len(xs), len(y_samples))
     samples, exc = evaluate_prefix(oracle, grid.ravel())
-    bad = np.flatnonzero(~np.isfinite(samples))
-    stop = bad[0] if len(bad) else len(samples)
-    rows = grid[: stop // len(y_samples)]
+    rows = grid[: len(samples) // len(y_samples)]
     partial = e.partial(rows, n) if e.levels else 0j
     resid = np.abs(samples[: rows.size].reshape(rows.shape) - partial)
     sups = resid.max(axis=1)
-    values, note = [], None
-    for sup, x in zip(sups, xs):
-        try:
-            values.append(float(sup) * math.exp(lam_n * x))
-        except OverflowError as err:
-            note = str(err)
-            break
-    if note is None and stop < grid.size:
-        note = (f"non-finite oracle value at {complex(grid.flat[stop])}" if len(bad)
-                else f"oracle failed: {exc}")
-    if note is not None:
+    log_sups = [math.log(sup) if sup else -math.inf for sup in sups.tolist()]
+    values = [clamped_exp(log_sup + lam_n * x) for log_sup, x in zip(log_sups, xs)]
+    if len(samples) < grid.size:
+        note = (f"oracle failed: {exc}" if exc is not None
+                else f"non-finite oracle value at {complex(grid.flat[len(samples)])}")
         return DecayReport(lam_n, tuple(xs), tuple(values), tol, INCONCLUSIVE,
                            "monotone_below_tol", note=note)
 
@@ -306,7 +295,7 @@ def tail_bound_check(
         # the epsilon-weighted residual decays only like e^(-epsilon x), so
         # "below tolerance" is unreachable on a short ladder; certify the
         # decreasing trend instead
-        wvals = [float(sup) * math.exp(rate2 * x) for sup, x in zip(sups, xs)]
+        wvals = [clamped_exp(log_sup + rate2 * x) for log_sup, x in zip(log_sups, xs)]
         nonincreasing = all(wvals[i] >= wvals[i + 1] for i in range(len(wvals) - 1))
         decayed = all(v <= tol for v in wvals) or (nonincreasing and wvals[-1] < wvals[0])
         eps_report = DecayReport(rate2, tuple(xs), tuple(wvals), tol,
@@ -346,25 +335,31 @@ def max_principle_bound(
     lam = float(Fraction(lam)) if not isinstance(lam, float) else lam
     if lam < 0:
         raise ValueError("decay rate must be >= 0")
-    if M <= 0:
-        raise ValueError("bound M must be positive")
-    samples = [complex(z) for z in samples]
-    for z in samples:
-        if z.real < x_lo - 1e-12:
-            raise ValueError(f"sample {z} lies left of the reference segment Re z = {x_lo}")
-    by_x: dict[float, float] = {}
-    worst_ratio, witness = 0.0, None
-    for z, value in zip(samples, evaluate(oracle, samples).tolist()):
-        ratio = abs(value) / (M * math.exp(-lam * (z.real - x_lo)))
-        by_x[z.real] = max(by_x.get(z.real, 0.0), ratio)
-        if ratio > worst_ratio:
-            worst_ratio, witness = ratio, z
-    xs = tuple(sorted(by_x))
-    values = tuple(by_x[x] for x in xs)
+    if not 0 < M < math.inf:
+        raise ValueError("bound M must be positive and finite")
+    z = np.asarray(samples, dtype=complex)
+    left = np.flatnonzero(z.real < x_lo - 1e-12)
+    if len(left):
+        raise ValueError(f"sample {complex(z[left[0]])} lies left of the reference "
+                         f"segment Re z = {x_lo}")
+    values, exc = evaluate_prefix(oracle, z)
+    read = z[: len(values)]
+    with np.errstate(divide="ignore"):  # a zero value has log ratio -inf, ratio 0
+        log_ratio = np.log(np.abs(values)) - math.log(M) + lam * (read.real - x_lo)
+    xs, at = np.unique(read.real, return_inverse=True)
+    worst_log = np.full(len(xs), -np.inf)
+    np.maximum.at(worst_log, at, log_ratio)
+    ratios = tuple(clamped_exp(v) for v in worst_log.tolist())
+    worst_ratio = max(ratios, default=0.0)
     verdict = PASS if worst_ratio <= 1.0 + tol else FAIL
-    return DecayReport(lam, xs, values, tol, verdict, "bound_margin",
-                       witness=witness if verdict == FAIL else None,
-                       note=f"worst ratio {worst_ratio:.6e} vs allowed 1+tol")
+    note = f"worst ratio {worst_ratio:.6e} vs allowed 1+tol"
+    if len(values) < len(z):
+        verdict = INCONCLUSIVE
+        note = (f"oracle failed: {exc}" if exc is not None
+                else f"non-finite oracle value at {complex(z[len(values)])}")
+    witness = complex(read[np.argmax(log_ratio)]) if verdict == FAIL else None
+    return DecayReport(lam, tuple(xs.tolist()), ratios, tol, verdict, "bound_margin",
+                       witness=witness, note=note)
 
 
 def residual(oracle: Callable[[complex], complex], e: HolomorphicExpansion, n: int):

@@ -65,13 +65,22 @@ class ScenarioError(Exception):
 
 
 def parse_complex(token: str) -> complex:
-    return complex(token.strip().replace("i", "j"))
+    token = token.strip()  # only a trailing i is the unit: "inf" stays infinity
+    return complex(token[:-1] + "j" if token.endswith("i") else token)
+
+
+def _fraction(token: str) -> Fraction:
+    value = Fraction(token)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"{token!r} is beyond double range")
+    return value
 
 
 #: default of Scenario.value for a required key
 REQUIRED = object()
 #: what a value read by each parser must be, for error messages
-_WHAT = {int: "an integer", float: "a number", Fraction: "an exact fraction p/q",
+_WHAT = {int: "an integer", float: "a number",
+         _fraction: "an exact fraction p/q within double range",
          parse_complex: "a complex number like 1+2i"}
 
 
@@ -163,7 +172,7 @@ def _parse_expansion(sc: Scenario) -> HolomorphicExpansion:
         if len(parts) != 3:
             raise ScenarioError(sc.path, lineno, "expected 'lambda | re | im'")
         try:
-            pairs.append((Fraction(parts[0]), complex(float(parts[1]), float(parts[2]))))
+            pairs.append((_fraction(parts[0]), complex(float(parts[1]), float(parts[2]))))
         except (ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(sc.path, lineno, str(exc))
     pairs.sort(key=lambda p: p[0])
@@ -174,7 +183,7 @@ def _parse_expansion(sc: Scenario) -> HolomorphicExpansion:
 
 
 def _field(sc: Scenario) -> DiagonalField:
-    rates = sc.value("rates", Fraction, many=True)
+    rates = sc.value("rates", _fraction, many=True)
     tau = sc.value("tau", parse_complex, 1 + 0j)
     try:
         return DiagonalField(tuple(rates), tau)
@@ -198,8 +207,11 @@ def _run_pushforward(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     except ValueError as exc:
         sc.error("base_point", str(exc))
     tol = sc.value("tolerance", float, 1e-10)
-    nfield, _ = normalize_time(field)
-    lam_max = sc.value("lambda_max", Fraction, None)
+    try:
+        nfield, _ = normalize_time(field)
+    except SpectrumError as exc:
+        sc.error("rates", str(exc))
+    lam_max = sc.value("lambda_max", _fraction, None)
     if lam_max is None:
         lam_max = max((level_of(k, nfield.rates) + level_of(m, nfield.rates)
                        for (k, m) in jet.terms()), default=Fraction(0))
@@ -230,8 +242,8 @@ def _run_pushforward(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
 
 def _run_extraction(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     source = _parse_expansion(sc)
-    grid_rates = sc.value("grid_rates", Fraction, many=True)
-    lam_max = sc.value("lambda_max", Fraction)
+    grid_rates = sc.value("grid_rates", _fraction, many=True)
+    lam_max = sc.value("lambda_max", _fraction)
     sc.check("lambda_max", lam_max > 0, "> 0")
     try:
         field = DiagonalField(tuple(grid_rates))
@@ -250,7 +262,10 @@ def _run_extraction(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     sc.check("window", 0 < window < np.inf, "finite and > 0")
     sc.check("nodes", nodes >= 2, ">= 2")
     sc.check("snap_tol", 0 < snap_tol < np.inf, "finite and > 0")
-    params = ExtractionParams(grid, x0, window, nodes, snap_tol)
+    try:  # what the checks above leave to fail is the x0 weight rule
+        params = ExtractionParams(grid, x0, window, nodes, snap_tol)
+    except ValueError as exc:
+        sc.error("x0", str(exc))
     compare_tol = sc.value("tolerance", float, 1e-8)
 
     trace: list = []
@@ -278,13 +293,14 @@ def _run_extraction(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
 
 
 def _exponent_t(sc: Scenario, t):
-    sc.check("t", t > 0, "> 0")
+    sc.check("t", 0 < t < np.inf, "finite and > 0")
     return t
 
 
 def _spiral_alpha(sc: Scenario) -> complex:
     alpha = sc.value("alpha", parse_complex, -1 + 1j)
-    sc.check("alpha", alpha.real < 0 and alpha.imag > 0, "a complex with Re < 0 and Im > 0")
+    sc.check("alpha", np.isfinite(alpha) and alpha.real < 0 and alpha.imag > 0,
+             "a finite complex with Re < 0 and Im > 0")
     return alpha
 
 
@@ -333,7 +349,7 @@ def _run_counterexample(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]
     which = sc.value("which")
     kwargs: dict = {"seed": seed}
     if which == "resonant":
-        kwargs["t"] = _exponent_t(sc, sc.value("t", Fraction, Fraction(1)))
+        kwargs["t"] = _exponent_t(sc, sc.value("t", _fraction, Fraction(1)))
     elif which == "spiral":
         kwargs["alpha"] = _spiral_alpha(sc)
         kwargs["t"] = _exponent_t(sc, sc.value("t", float, 1.0))
@@ -347,7 +363,7 @@ def _run_counterexample(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]
 
 def _run_bounds(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     source = _parse_expansion(sc)
-    lam = sc.value("claimed_rate", Fraction)
+    lam = sc.value("claimed_rate", _fraction)
     sc.check("claimed_rate", lam >= 0, ">= 0")
     x_lo, x_hi = sc.value("x_lo", float, 0.01), 10.0  # x_hi: right edge of the samples
     sc.check("x_lo", 0 < x_lo < x_hi, f"> 0 and < {x_hi}")
@@ -416,9 +432,10 @@ def run_scenario(path, out_dir, tolerance=None, seed=None, max_level=None) -> in
 
 def _positive_fraction(text: str) -> Fraction:
     try:
-        value = Fraction(text)
+        value = _fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact fraction p/q: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an exact fraction p/q within double range: "
+                                         f"{text!r}")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return value

@@ -30,6 +30,7 @@ Levels must come from an exact grid; there is no blind frequency search.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,6 +71,10 @@ class ExtractionParams:
     def __post_init__(self):
         if self.x0 <= 0:
             raise ValueError("x0 must be > 0")
+        lam_max = float(self.grid.lambda_max)
+        if lam_max * self.x0 > math.log(sys.float_info.max):  # a level weight would overflow
+            raise ValueError(f"x0 must be small enough that e^(lambda_max x0) is finite "
+                             f"(lambda_max = {lam_max}), got {self.x0}")
         if self.half_width <= 0:
             raise ValueError("half_width must be > 0")
         if self.nodes < 2:

@@ -61,9 +61,13 @@ class DiagonalField:
         tau = complex(self.time_unit)
         if abs(abs(tau) - 1.0) > _TAU_TOL:
             raise ValueError(f"time unit must have modulus 1, got |tau| = {abs(tau)}")
+        try:
+            eigenvalues = tuple(complex(r) * tau for r in rates)
+        except OverflowError:  # a rate beyond double range
+            raise ValueError("rates must lie within double range") from None
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "time_unit", tau)
-        object.__setattr__(self, "eigenvalues", tuple(complex(r) * tau for r in rates))
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
     def dim(self) -> int:

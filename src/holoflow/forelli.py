@@ -29,7 +29,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .flow import (DiagonalField, SpectrumClass, SpectrumError, _coords, classify_spectrum,
+from .flow import (DiagonalField, SpectrumClass, _coords, classify_spectrum,
                    integral_curve, normalize_time)
 from .sampling import evaluate, evaluate_prefix, halfplane_points, polydisk_points
 from .series import (TaylorSeries, antiholomorphic_part, eval_taylor,
@@ -69,8 +69,8 @@ class JetOracle:
     bound: float
 
     def __post_init__(self):
-        if self.bound < 0:
-            raise ValueError("bound must be >= 0")
+        if not 0 <= self.bound < math.inf:  # a NaN or infinite bound makes no threshold
+            raise ValueError(f"bound must be finite and >= 0, got {self.bound}")
 
     def validate_jet(self, radii=(0.3, 0.2, 0.12, 0.08, 0.05), tol: float = 1e-6):
         """Remainder reports for every order up to the jet degree."""
@@ -136,9 +136,9 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_sample
     curve broadcasts like :func:`flow.integral_curve` and is called once, on
     every circle point.  Passes iff every residual is below tol; no curves
     pass with residual 0.  All circle points must stay inside the unit
-    polydisk.  The oracle is called once on every point of every circle;
-    failures are reported for the first sample in curve-major order, as a
-    point-by-point scan meets them.
+    polydisk.  The oracle is called once on every circle point; its first
+    failure or non-finite value (:func:`sampling.evaluate_prefix`) makes the
+    check inconclusive at that sample, the first in curve-major order.
     """
     if not len(curves):
         return CurveCheckReport(True, 0.0)
@@ -170,9 +170,10 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_sample
                                 inconclusive=True, note="non-finite residual")
     if isinstance(exc, ValueError):
         raise exc
-    if exc is not None:
-        return CurveCheckReport(False, worst, witness=sample(done),
-                                inconclusive=True, note=f"oracle failed: {exc}")
+    if len(values) < reach:
+        note = (f"oracle failed: {exc}" if exc is not None
+                else f"non-finite oracle value at {tuple(flat[len(values)].tolist())}")
+        return CurveCheckReport(False, worst, sample(done), inconclusive=True, note=note)
     if reach < len(flat):
         (c, zeta), offset = sample(reach // width), CIRCLE[reach % width]
         raise ValueError(f"curve through {c} leaves the polydisk at zeta = "
@@ -224,9 +225,7 @@ def antiholomorphic_vanishing(
     holomorphic and anti-holomorphic slots are paired, which is what the
     uniqueness of expansions actually constrains).
     """
-    if classify_spectrum(field) is not SpectrumClass.POSITIVE_RATIOS:
-        raise SpectrumError("anti-holomorphic vanishing requires positive ratios")
-    nfield, _ = normalize_time(field)
+    nfield, _ = normalize_time(field)  # raises SpectrumError without positive ratios
 
     exact_ok = not antiholomorphic_part(series)
 

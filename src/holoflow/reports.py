@@ -15,19 +15,23 @@ Verdict rules
     checks where the abscissa is Re z and the limit is Re z -> infinity.
 ``remainder_trend``
     Pass if all values are already below tolerance, or if they satisfy the
-    monotone rule, or if a log-log fit against the radius shows a positive
-    slope (value ~ r^s with s above a cutoff) while the sequence actually
-    decreased.  Used for o(|z|^n) remainder checks where the abscissa is a
-    radius shrinking to 0.
+    monotone rule, or if the fit of :func:`fitted_decay_rate` at x = log r
+    shows a positive slope (value ~ r^s with s above a cutoff) while the
+    sequence actually decreased.  Used for o(|z|^n) remainder checks where
+    the abscissa is a radius shrinking to 0.
 ``bound_margin``
     Pass iff the worst sampled ratio value/bound stays below 1 + tol.
 ``uniform_tail``
     Pass iff the sup-error at the deepest truncation is below tolerance
     and did not exceed the initial error.
 
-Values may be 0.0 (structural zeros, underflow of a genuinely tiny
-residual) or inf (clamped overflow); the rules treat both directions
-conservatively.
+The tail, remainder, max-principle and curve checks read the oracle up to
+its first failure or non-finite value (:func:`sampling.evaluate_prefix`); a
+short read is INCONCLUSIVE, noted ``non-finite oracle value at <point>`` or
+``oracle failed: <exc>``.  The weighted ones score ``clamped_exp(log|residual|
++ log weight)``.  Values may be 0.0 (a zero residual; the remainder check
+scores it as the smallest subnormal, all a computed zero certifies) or inf
+(clamped overflow); the rules treat both directions conservatively.
 """
 
 from __future__ import annotations
@@ -96,26 +100,17 @@ def monotone_below(values: Sequence[float], tol: float) -> bool:
 def fitted_decay_rate(abscissas: Sequence[float], values: Sequence[float]) -> float | None:
     """Least-squares decay rate: values ~ C e^(-rate x).  None if underdetermined.
 
-    Points with non-positive value (underflowed residuals) are ignored.
+    Non-positive and non-finite values are ignored; None if fewer than two
+    remain or their abscissas span < 1e-12.  At x = log r it is -s for r^s.
     """
-    xs = [float(x) for x, v in zip(abscissas, values) if v > 0 and math.isfinite(v)]
-    vs = [math.log(v) for v in values if v > 0 and math.isfinite(v)]
-    if len(xs) < 2:
-        return None
-    slope = np.polyfit(xs, vs, 1)[0]
-    return float(-slope)
-
-
-def loglog_slope(radii: Sequence[float], values: Sequence[float]) -> float | None:
-    """Slope s of value ~ r^s.  Positive s means the value vanishes with r."""
-    pairs = [(math.log(r), math.log(v)) for r, v in zip(radii, values)
+    pairs = [(float(x), math.log(v)) for x, v in zip(abscissas, values)
              if v > 0 and math.isfinite(v)]
     if len(pairs) < 2:
         return None
     xs, ys = zip(*pairs)
     if max(xs) - min(xs) < 1e-12:
         return None
-    return float(np.polyfit(xs, ys, 1)[0])
+    return float(-np.polyfit(xs, ys, 1)[0])
 
 
 def clamped_exp(log_value: float) -> float:

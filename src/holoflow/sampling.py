@@ -2,7 +2,8 @@
 
 Oracles are called with a batch of points and return one value per point:
 points of shape (n,) for half-plane oracles, (n, N) for polydisk oracles,
-values of shape (n,).  :func:`evaluate` is the only place that calls them.
+values of shape (n,).  :func:`evaluate` and :func:`evaluate_prefix` are the
+only places that call them.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _one_by_one(points: np.ndarray):
     return map(tuple, points.tolist()) if points.ndim == 2 else points.tolist()
 
 
-def evaluate_prefix(oracle, points) -> tuple[np.ndarray, Exception | None]:
+def _values(oracle, points) -> tuple[np.ndarray, Exception | None]:
     """Oracle values up to its first failing point, and that point's exception.
 
     One batched call is made.  Only if it raises or returns the wrong shape
@@ -87,9 +88,24 @@ def evaluate_prefix(oracle, points) -> tuple[np.ndarray, Exception | None]:
     return np.array(found, dtype=complex), None
 
 
+def evaluate_prefix(oracle, points) -> tuple[np.ndarray, Exception | None]:
+    """Oracle values before the first point where it fails or returns a
+    non-finite value, and the exception if it failed there (else None).
+
+    A short read, with fewer values than points, stopped at
+    ``points[len(values)]``.  The oracle is called as by :func:`evaluate`;
+    the returned array is the caller's to modify.
+    """
+    values, exc = _values(oracle, points)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        return values[: bad[0]], None
+    return values, exc
+
+
 def evaluate(oracle, points) -> np.ndarray:
-    """Oracle values at every point; a point-by-point failure propagates unchanged."""
-    values, exc = evaluate_prefix(oracle, points)
+    """Oracle values at every point, non-finite or not; a point-by-point failure propagates."""
+    values, exc = _values(oracle, points)
     if exc is not None:
         raise exc
     return values

@@ -23,7 +23,7 @@ import numpy as np
 
 from .flow import level_of
 from .reports import (FAIL, INCONCLUSIVE, PASS, DecayReport, clamped_exp,
-                      loglog_slope, monotone_below)
+                      fitted_decay_rate, monotone_below)
 from .sampling import evaluate_prefix
 
 Point = Sequence[complex]
@@ -244,26 +244,23 @@ def taylor_remainder_check(
     directions = np.array(_direction_set(series.dim, n_directions, seed))
     points = (np.array(radii)[:, None, None] * directions).reshape(-1, series.dim)
     values, exc = evaluate_prefix(oracle, points)
-    bad = np.flatnonzero(~np.isfinite(values))
-    stop = bad[0] if len(bad) else len(values)
-    resids = np.abs(values[:stop] - series.partial_sum(points[:stop], n))
-    per_radius = len(directions)
-    ratios: list[float] = []
-    for i, r in enumerate(radii[: stop // per_radius]):
-        worst = 0.0
-        for resid in resids[i * per_radius:(i + 1) * per_radius]:
-            # a computed zero only certifies |residual| below the smallest
-            # subnormal; use that as an honest upper bound on the ratio
-            log_resid = math.log(resid) if resid else math.log(5e-324)
-            worst = max(worst, clamped_exp(log_resid - n * math.log(r)))
-        ratios.append(worst)
-    if stop < len(points):
-        note = "oracle returned non-finite value" if len(bad) else f"oracle failed: {exc}"
+    done = len(values) // len(directions)  # radii read in full
+    read = done * len(directions)
+    resids = np.abs(values[:read] - series.partial_sum(points[:read], n))
+    # a computed zero only certifies |residual| below the smallest subnormal;
+    # use that as an honest upper bound on the ratio
+    worst = np.maximum(resids.reshape(done, len(directions)).max(axis=1), 5e-324)
+    ratios = [clamped_exp(math.log(w) - n * math.log(r))
+              for w, r in zip(worst.tolist(), radii)]
+    if len(values) < len(points):
+        point = tuple(points[len(values)].tolist())
+        note = (f"oracle failed: {exc}" if exc is not None
+                else f"non-finite oracle value at {point}")
         return DecayReport(float(n), tuple(radii), tuple(ratios), tol,
-                           INCONCLUSIVE, "remainder_trend",
-                           witness=tuple(points[stop].tolist()), note=note)
+                           INCONCLUSIVE, "remainder_trend", witness=point, note=note)
 
-    slope = loglog_slope(radii, ratios)
+    rate = fitted_decay_rate([math.log(r) for r in radii], ratios)
+    slope = None if rate is None else -rate
     if all(v <= tol for v in ratios):
         verdict = PASS
     elif monotone_below(ratios, tol):

@@ -201,6 +201,28 @@ def test_tail_bound_oracle_failure_inconclusive():
     assert report.verdict == "inconclusive"
 
 
+@pytest.mark.parametrize("check", ["tail", "max_principle"])
+def test_a_nan_sample_makes_the_decay_check_inconclusive_at_its_point(check):
+    # max(0.0, nan) is 0.0, so a NaN ratio once scored 0 and the bound passed
+    nan_point = complex(4.0, 2.9)
+    oracle = lambda z: np.where(z == nan_point, np.nan, np.exp(-z))
+    if check == "tail":
+        report = tail_bound_check(oracle, AsymptoticExpansion([(1, 0, 1.0)]), n=0)
+    else:
+        samples = [complex(x, y) for x in (1.0, 2.0, 4.0, 8.0) for y in (0.0, 2.9)]
+        report = max_principle_bound(oracle, math.exp(-1.0), 1, samples, x_lo=1.0)
+    assert report.verdict == "inconclusive"
+    assert report.note == f"non-finite oracle value at {nan_point}"
+
+
+def test_tail_bound_epsilon_weight_beyond_double_range_saturates():
+    # e^((80 - epsilon) 12) overflows a double; the weighting happens in the log domain
+    e = AsymptoticExpansion([(1, 0, 1.0), (80, 0, 1.0)])
+    report = tail_bound_check(lambda z: e.partial(z), e, n=0)
+    assert report.passed
+    assert report.epsilon_form is not None and report.epsilon_form.passed
+
+
 def test_zero_expansion_tail_bounds_the_oracle_itself():
     # all-zero expansion: a passing tail check at level 0 certifies that the
     # oracle itself is below tolerance on the grid

@@ -1,6 +1,7 @@
 """Scenario parsing, report emission, exit codes, and determinism."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -24,6 +25,8 @@ def test_parse_complex_forms():
     assert parse_complex("1+2i") == 1 + 2j
     assert parse_complex("-1+1i") == -1 + 1j
     assert parse_complex("0.5i") == 0.5j
+    assert parse_complex("inf") == complex(math.inf, 0)  # only a trailing i is the unit
+    assert parse_complex("-1e400+1i") == complex(-math.inf, 1)
 
 
 def test_forelli_scenario_exits_zero(tmp_path):
@@ -62,6 +65,21 @@ def test_pushforward_and_bounds_scenarios(tmp_path):
                     "--out", str(tmp_path / "b")]) == 0
     push = json.loads((tmp_path / "p" / "report.json").read_text())
     assert push["report"]["expansion"] == [["1", "2", [0.8 * 0.7, 0.0]]]
+
+
+@pytest.mark.parametrize("line, replacement", [
+    ("claimed_rate = 1/1", "claimed_rate = 100"),
+    ("claimed_rate = 1/1", "claimed_rate = 1000000"),
+    ("x_lo = 0.01", "x_lo = 0.01\nbound = 1e-320"),
+], ids=["steep-rate", "steeper-rate", "subnormal-bound"])
+def test_bound_weight_beyond_double_range_fails_the_max_principle(tmp_path, line, replacement):
+    # M e^(-lambda (x - x_lo)) underflows to 0 here; the ratio is formed in the log domain
+    scenario = tmp_path / "bounds.txt"
+    scenario.write_text((SCENARIOS / "bounds_demo.txt").read_text().replace(line, replacement))
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    assert report["max_principle"]["verdict"] == "fail"
+    assert report["max_principle"]["witness"] is not None
 
 
 def test_failing_expectation_exits_one(tmp_path):
@@ -253,7 +271,7 @@ def test_term_lines_of_mixed_dimension_are_line_anchored(tmp_path, capsys):
 
 def test_base_point_outside_polydisk_is_config_error(tmp_path, capsys):
     scenario = tmp_path / "outside.txt"
-    for point in ("1.5 0.5", "nan+0i 0.2+0.1i", "0.5 1e400"):
+    for point in ("1.5 0.5", "nan+0i 0.2+0.1i", "0.5 1e400", "0.5 inf"):
         scenario.write_text(
             "kind = pushforward\n"
             "rates = 1/1 1/1\n"
@@ -265,7 +283,7 @@ def test_base_point_outside_polydisk_is_config_error(tmp_path, capsys):
         assert "outside.txt:4" in err and "|c_j| < 1" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "1/0"])
+@pytest.mark.parametrize("value", ["0", "-1", "1/0", "1e400"])
 def test_bad_max_level_exits_two(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as exc:
         run_cli(["run", str(SCENARIOS / "extraction_demo.txt"), "--out", str(tmp_path),
@@ -289,6 +307,35 @@ def test_bad_grid_rates_are_line_anchored(tmp_path, capsys, rates, message):
     assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "grid.txt:3" in err and message in err
+
+
+def test_pushforward_rates_without_positive_ratios_exit_two_at_their_line(tmp_path, capsys):
+    scenario = tmp_path / "push.txt"
+    scenario.write_text(
+        "kind = pushforward\n"
+        "rates = 1/1 -1/1\n"
+        "term = 1 0 | 0 0 | 1.0 | 0.0\n"
+        "base_point = 0.5 0.5\n"
+    )
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "push.txt:2: cannot normalize a field without positive ratios" in err
+
+
+def test_exp_term_level_beyond_double_range_exits_two_at_its_line(tmp_path, capsys):
+    scenario = tmp_path / "level.txt"
+    scenario.write_text("kind = bounds\nexp_term = 1e400 | 0.5 | 0.0\nclaimed_rate = 1/1\n")
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert "level.txt:2: '1e400' is beyond double range" in capsys.readouterr().err
+
+
+def test_non_finite_sampled_bound_is_a_job_error(tmp_path, capsys):
+    # a NaN coefficient makes the sampled default bound NaN; JetOracle refuses it
+    scenario = tmp_path / "nan_bound.txt"
+    scenario.write_text("kind = forelli\nrates = 1/1 2/1\nterm = 1 0 | 0 0 | nan | 0.0\n")
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert "error: bound must be finite and >= 0, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_nonpositive_lambda_max_is_line_anchored(tmp_path, capsys):
@@ -327,6 +374,10 @@ OUT_OF_MODEL_BASES = {
     "bounds": _BOUNDS + "claimed_rate = 1/1\n",
     "bounds-no-rate": _BOUNDS,
     "extraction": _EXTRACTION,
+    "forelli-no-rates": "kind = forelli\nterm = 0 0 | 0 0 | 0.0 | 0.0\n",
+    "pushforward-no-rates": "kind = pushforward\nterm = 1 0 | 0 0 | 1.0 | 0.0\n"
+                            "base_point = 0.5 0.5\n",
+    "extraction-no-grid": "kind = extraction\nlambda_max = 3\nexp_term = 1 | 1.0 | 0.0\n",
 }
 
 
@@ -362,6 +413,17 @@ OUT_OF_MODEL_BASES = {
     ("bounds", "x_lo = 10"),
     ("bounds", "x_lo = 0"),
     ("bounds", "x_lo = -1"),
+    ("forelli-resonant", "t = inf"),
+    ("forelli-resonant", "t = 1e400"),
+    ("counterexample-resonant", "t = 1e400"),
+    ("counterexample-spiral", "t = 1e400"),
+    ("counterexample-spiral", "alpha = -1e400+1i"),
+    ("forelli-spiral", "alpha = -1e400+1i"),
+    ("pushforward-no-rates", "rates = 1e400 1/2"),
+    ("forelli-no-rates", "rates = 1e400 1/2"),
+    ("extraction-no-grid", "grid_rates = 1e400"),
+    ("bounds-no-rate", "claimed_rate = 1e400"),
+    ("extraction", "x0 = 300"),
 ])
 def test_out_of_model_parameters_exit_two_at_their_line(tmp_path, capsys, base, bad):
     body = OUT_OF_MODEL_BASES[base]

@@ -55,6 +55,9 @@ def test_params_validation():
         ExtractionParams(grid=SIXTH_GRID, nodes=1)
     with pytest.raises(ValueError):
         ExtractionParams(grid=SIXTH_GRID, tol=-1.0)
+    with pytest.raises(ValueError, match="e\\^\\(lambda_max x0\\) is finite"):
+        ExtractionParams(grid=SIXTH_GRID, x0=71.0)  # e^(10 * 71) overflows
+    ExtractionParams(grid=SIXTH_GRID, x0=70.0)
 
 
 def test_window_is_common_period_multiple():

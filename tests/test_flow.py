@@ -29,6 +29,8 @@ def test_field_validation():
         DiagonalField((Fraction(1),), time_unit=2.0)
     with pytest.raises(TypeError):
         DiagonalField((0.5,))  # floats are not exact rates
+    with pytest.raises(ValueError, match="double range"):
+        DiagonalField((Fraction(10**400), Fraction(1, 2)))  # its eigenvalue would overflow
 
 
 def test_field_accepts_fraction_strings():

@@ -30,6 +30,18 @@ CURVES = [BasePoint((0.4, 0.3)), BasePoint((0.25 - 0.3j, 0.5j)), BasePoint((0.6,
 ZETAS = [0.2 + 0.0j, 0.5 + 0.7j, 1.0 - 0.4j, 1.5 + 1.1j]
 
 
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0])
+def test_jet_oracle_rejects_a_bound_that_is_not_finite_and_nonnegative(bound):
+    # a NaN or infinite bound made the comparison threshold compare_tol * bound
+    # NaN or inf, so z1 + z2 against the jet z1 read holomorphic
+    jet = TaylorSeries.monomial(2, (1, 0), (0, 0))
+    oracle = lambda z: z[:, 0] + z[:, 1]
+    verdict = forelli_pipeline(JetOracle(oracle, jet, 1.0), DiagonalField((1, 2)))
+    assert verdict.tag == HYPOTHESIS_VIOLATED
+    with pytest.raises(ValueError, match="bound must be finite and >= 0"):
+        JetOracle(oracle, jet, bound)
+
+
 def test_curve_check_passes_for_holomorphic_function():
     jo = jet_oracle(TaylorSeries.monomial(2, (2, 0), (0, 0)))
     report = f_holomorphy_check(jo, DiagonalField((1, 2)), CURVES, ZETAS)
@@ -100,6 +112,36 @@ def test_curve_check_oracle_failure_is_inconclusive():
     jo = JetOracle(oracle, TaylorSeries.zero(2), 1.0)
     report = f_holomorphy_check(jo, DiagonalField((1, 1)), CURVES, ZETAS)
     assert report.inconclusive and not report.passed
+
+
+def test_curve_check_nan_value_is_inconclusive_at_its_point():
+    jet = TaylorSeries.monomial(2, (2, 0), (0, 0))
+    field = DiagonalField((1, 2))
+    nan_point = integral_curve(field, CURVES[1].coords, ZETAS[2] + forelli.FD_STEP * 1j)
+
+    def oracle(z):
+        return np.where(np.all(z == nan_point, axis=1), np.nan, eval_taylor(jet, z))
+
+    report = f_holomorphy_check(JetOracle(oracle, jet, 1.0), field, CURVES, ZETAS)
+    assert report.inconclusive and not report.passed
+    assert report.note == f"non-finite oracle value at {nan_point}"
+    assert report.witness == (CURVES[1].coords, ZETAS[2])
+
+
+def test_pipeline_with_a_nan_on_a_curve_is_hypothesis_violated():
+    jet = TaylorSeries.monomial(2, (2, 0), (0, 0))
+    calls = []
+
+    def oracle(z):
+        calls.append(len(z))
+        values = eval_taylor(jet, z)
+        if len(calls) == 1:  # the curve check's one call
+            values[7] = np.nan
+        return values
+
+    verdict = forelli_pipeline(JetOracle(oracle, jet, 1.0), DiagonalField((1, 2)))
+    assert verdict.tag == HYPOTHESIS_VIOLATED
+    assert verdict.reason.startswith("curve check inconclusive: non-finite oracle value at (")
 
 
 def test_vanishing_passes_for_holomorphic_jet(rng):

@@ -244,6 +244,17 @@ def test_remainder_oracle_failure_is_inconclusive():
     assert not report.passed
 
 
+def test_remainder_nan_sample_is_inconclusive_at_its_point():
+    s = TaylorSeries.monomial(1, (1,), (0,))
+    radii = (0.1, 0.05, 0.02)
+    oracle = lambda z: np.where(z[:, 0] == 0.05, np.nan, z[:, 0])
+    report = taylor_remainder_check(oracle, s, 1, radii, n_directions=1)
+    assert report.verdict == "inconclusive"
+    assert report.note == f"non-finite oracle value at {((0.05 + 0j),)}"
+    assert report.witness == ((0.05 + 0j),)
+    assert len(report.values) == 1  # the radius read in full before it
+
+
 def test_remainder_order_beyond_degree_asserts_no_higher_terms():
     # a stored jet of lower degree may be checked at higher order; it passes
     # exactly when the function really has nothing in between
