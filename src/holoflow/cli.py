@@ -24,6 +24,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -37,7 +38,7 @@ from .extract import ExtractionParams, extract_coefficients, sampled_sup, \
     verify_cauchy_bound
 from .flow import (BasePoint, DiagonalField, SpectrumError, integral_curve, level_grid,
                    level_of, normalize_time)
-from .forelli import CERT_RADIUS, TAGS, ForelliConfig, JetOracle, forelli_pipeline
+from .forelli import CERT_POINTS, CERT_RADIUS, TAGS, ForelliConfig, JetOracle, forelli_pipeline
 from .reports import write_decay_csv
 from .sampling import evaluate, halfplane_points, polydisk_points
 from .series import MultiIndex, TaylorSeries, eval_taylor, parse_term_line
@@ -331,7 +332,7 @@ def _run_forelli(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     sc.check("expect", expect in TAGS, "one of " + ", ".join(TAGS))
     if bound is None:  # sampled on the torus where reconstruct audits the level sups
         rng = np.random.default_rng(seed + 1)
-        pts = polydisk_points(rng, jet.dim, 512, r_min=CERT_RADIUS, r_max=CERT_RADIUS)
+        pts = polydisk_points(rng, jet.dim, CERT_POINTS, r_min=CERT_RADIUS, r_max=CERT_RADIUS)
         bound = max(float(np.max(np.abs(evaluate(oracle, pts)))), 1e-12)
     config = ForelliConfig(seed=seed, compare_tol=sc.value("tolerance", float, 1e-10))
     verdict = forelli_pipeline(JetOracle(oracle, jet, bound), field, config)
@@ -349,7 +350,8 @@ def _run_counterexample(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]
     which = sc.value("which")
     kwargs: dict = {"seed": seed}
     if which == "resonant":
-        kwargs["t"] = _exponent_t(sc, sc.value("t", _fraction, Fraction(1)))
+        kwargs["t"] = sc.value("t", _fraction, Fraction(1))
+        sc.check("t", 0 < kwargs["t"] <= cx.RESONANT_T_MAX, f"in (0, {cx.RESONANT_T_MAX}]")
     elif which == "spiral":
         kwargs["alpha"] = _spiral_alpha(sc)
         kwargs["t"] = _exponent_t(sc, sc.value("t", float, 1.0))
@@ -398,6 +400,18 @@ _RUNNERS = {
 }
 
 
+def _finite_json(value):
+    """value with each non-finite float as the string "inf", "-inf" or "nan",
+    which float() reads back; report.json stays strict JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {key: _finite_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(item) for item in value]
+    return value
+
+
 def run_scenario(path, out_dir, tolerance=None, seed=None, max_level=None) -> int:
     sc = Scenario(path, {"tolerance": tolerance, "seed": seed, "lambda_max": max_level})
     kind = sc.value("kind")
@@ -423,9 +437,8 @@ def run_scenario(path, out_dir, tolerance=None, seed=None, max_level=None) -> in
         "report": report,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(out / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False)
+    (out / "report.json").write_text(text + "\n")
     print(f"{kind}: {'pass' if passed else 'FAIL'} -> {out / 'report.json'}")
     return 0 if passed else 1
 

@@ -40,6 +40,9 @@ from .series import TaylorSeries, antiholomorphic_part, taylor_remainder_check
 from .wirtinger import CIRCLE, dbar_circle
 
 TWO_PI = 2.0 * math.pi
+#: largest resonant t the suite supports: its curve samples have Re zeta in
+#: [0.02, 0.6 / t], an empty range beyond t = 30
+RESONANT_T_MAX = 30
 
 
 class BranchSearchError(RuntimeError):
@@ -326,13 +329,15 @@ def counterexample_suite(which: str, *, t=1, alpha: complex = -1 + 1j,
                          seed: int = 0, max_order: int = 8) -> SuiteReport:
     """Run every verifiable property of the named example and bundle reports.
 
-    which: 'resonant' (field (1, -t), t exact rational), 'spiral'
-    (field (alpha, t conj(alpha))), or 'remark' (conj(z1) conj(z2) on the
-    field (1, -1), documenting that mixed real ratios break reconstruction
-    while curve-holomorphy survives).
+    which: 'resonant' (field (1, -t), t exact rational in
+    (0, RESONANT_T_MAX]), 'spiral' (field (alpha, t conj(alpha))), or
+    'remark' (conj(z1) conj(z2) on the field (1, -1), documenting that mixed
+    real ratios break reconstruction while curve-holomorphy survives).
     """
     rng = np.random.default_rng(seed)
     if which == "resonant":
+        if not 0 < t <= RESONANT_T_MAX:
+            raise ValueError(f"resonant t must be in (0, {RESONANT_T_MAX}], got {t}")
         return _resonant_suite(Fraction(t), rng, max_order)
     if which == "spiral":
         return _spiral_suite(complex(alpha), float(t), rng, max_order)
@@ -371,12 +376,8 @@ def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator,
     ex = SpiralExample.create(alpha, t)
     reach = 0.6 / (abs(ex.alpha) * max(1.0, t))
     curves = polydisk_points(rng, 2, 10, r_min=0.15, r_max=0.4)
-    # ten samples per curve, drawn curve by curve: (r, th) is one row of draws
-    u = rng.random((len(curves), 10, 2))
-    r, th = reach * u[..., 0], TWO_PI * u[..., 1]
-    zetas = np.empty(r.shape, dtype=complex)
-    zetas.real = r * np.cos(th)
-    zetas.imag = r * np.sin(th)
+    # ten samples per curve in the disk |zeta| <= reach, drawn curve by curve
+    zetas = polydisk_points(rng, 1, 10 * len(curves), r_min=0.0, r_max=reach).reshape(-1, 10)
     curve_rep = curve_check(ex, partial(spiral_curve, ex), curves, zetas, tol=1e-6)
     checks = {"curve_holomorphy": {"passed": curve_rep.passed,
                                    "max_residual": curve_rep.max_residual},

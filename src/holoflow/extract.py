@@ -129,7 +129,6 @@ def quadrature_nodes(params: ExtractionParams) -> np.ndarray:
 def extract_coefficients(
     oracle: Callable,
     params: ExtractionParams,
-    n_levels: int | None = None,
     trace: list | None = None,
 ) -> HolomorphicExpansion:
     """Recover one coefficient per grid level from line samples of the oracle.
@@ -140,11 +139,7 @@ def extract_coefficients(
     is a list, rows (level, coefficient, sup of the residual without the levels
     up to this one) are appended for CSV export.
     """
-    levels = list(params.grid.levels)
-    if n_levels is not None:
-        if n_levels < 1:
-            raise ValueError("n_levels must be >= 1")
-        levels = levels[:n_levels]
+    levels = params.grid.levels
     _, q, K = aligned_window(params.grid, params.half_width)
     z = params.x0 + 1j * quadrature_nodes(params)
     vals = _line_values(oracle, z)
@@ -164,7 +159,7 @@ def extract_coefficients(
     spectrum[bins] = (coeffs - first) / weight
     vals -= np.fft.fft(spectrum)  # sum of (coeffs - first) e^(-lambda z)
     norm = float(np.max(np.abs(vals)))
-    if n_levels is None and levels:
+    if levels:
         # after the whole grid is consumed, only snapped-to-zero terms and
         # content decaying faster than lambda_max may legitimately remain
         scale = max(1.0, norm0)

@@ -8,9 +8,10 @@ function to be holomorphic near the origin:
 2. curve check: the circle-rule dbar of the restriction to sampled
    integral curves must vanish; the function is called once on the array
    of every circle point;
-3. obstruction check: every anti-holomorphic jet coefficient must vanish,
-   tested both exactly on the coefficient map and through the bilinear
-   level sums  sum a_{km} c^k conj(c)^m  at all random base points at once;
+3. obstruction check: every anti-holomorphic jet coefficient must vanish.
+   The monomials c^k conj(c)^m are independent, so the restriction to every
+   curve has no e^(-nu conj(zeta)) term with nu > 0 exactly when no
+   coefficient with m != 0 is left; this is decided on the coefficient map;
 4. reconstruction: the m = 0 part of the jet is the candidate, its level
    polynomials and coefficients are audited against the sampled sup bound,
    and the candidate is compared with the function on a batch of interior
@@ -24,13 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from .flow import (DiagonalField, SpectrumClass, _coords, classify_spectrum,
-                   integral_curve, normalize_time)
+                   integral_curve, level_of, normalize_time)
 from .sampling import evaluate, evaluate_prefix, halfplane_points, polydisk_points
 from .series import (TaylorSeries, antiholomorphic_part, eval_taylor,
                      holomorphic_part, level_parts, taylor_remainder_check)
@@ -46,9 +46,6 @@ TAGS = (HOLOMORPHIC, HYPOTHESIS_VIOLATED, NOT_F_HOLOMORPHIC, ANTIHOLOMORPHIC_OBS
 #: circle radius and pass threshold of the curve check
 FD_STEP = 1e-5
 FD_TOL = 1e-6
-#: threshold and number of base points of the bilinear vanishing sums
-VANISH_TOL = 1e-10
-VANISH_TRIALS = 32
 #: polydisk radius of the final comparison
 COMPARE_RADIUS = 0.5
 #: slack, torus points and torus radius of the reconstruction bound audit
@@ -99,10 +96,6 @@ class ForelliVerdict:
     witness: object = None
     level: object = None
     diagnostics: dict = dataclass_field(default_factory=dict)
-
-    @property
-    def is_holomorphic(self) -> bool:
-        return self.tag == HOLOMORPHIC
 
     def to_json_dict(self) -> dict:
         out = {"tag": self.tag, "reason": self.reason, "diagnostics": self.diagnostics}
@@ -195,53 +188,17 @@ def f_holomorphy_check(
                        zeta_samples, tol=tol)
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    passed: bool
-    exact_passed: bool
-    randomized_passed: bool
-    failures: tuple = ()
+def antiholomorphic_vanishing(series: TaylorSeries, field: DiagonalField) -> list:
+    """The jet's terms with m != 0 as (level, (k, m), a), lowest level first.
 
-    @property
-    def first_failure(self):
-        return self.failures[0] if self.failures else None
-
-
-def antiholomorphic_vanishing(
-    series: TaylorSeries,
-    field: DiagonalField,
-    lambda_max=None,
-    *,
-    trials: int = VANISH_TRIALS,
-    seed: int = 0,
-    tol: float = VANISH_TOL,
-) -> VanishingReport:
-    """Check that every anti-holomorphic contribution of the jet vanishes.
-
-    Exact side: every coefficient with m != 0 is zero.  Randomized side:
-    for each exponent pair (mu, nu) with nu > 0 and mu + nu <= lambda_max,
-    the bilinear sum  sum_{(alpha,k)=mu,(alpha,m)=nu} a_{km} c^k conj(c)^m
-    stays below tol at random interior points (the level polynomials in the
-    holomorphic and anti-holomorphic slots are paired, which is what the
-    uniqueness of expansions actually constrains).
+    level is (alpha,k) + (alpha,m) on the normalized rates.  Along a curve of
+    the field such a term contributes to e^(-mu zeta - nu conj(zeta)) with
+    nu = (alpha,m) > 0, and the monomials c^k conj(c)^m are independent, so
+    the anti-holomorphic data vanish exactly when the list is empty.
     """
     nfield, _ = normalize_time(field)  # raises SpectrumError without positive ratios
-
-    exact_ok = not antiholomorphic_part(series)
-
-    rng = np.random.default_rng(seed)
-    points = polydisk_points(rng, series.dim, trials, r_min=0.2, r_max=0.9)
-    failures = []
-    for (mu, nu), part in sorted(level_parts(series, nfield.rates).items()):
-        if nu == 0 or (lambda_max is not None and mu + nu > Fraction(lambda_max)):
-            continue
-        totals = eval_taylor(part, points)
-        over = np.flatnonzero(np.abs(totals) >= tol)
-        if len(over):
-            failures.append((mu + nu, mu, nu, tuple(points[over[0]]), complex(totals[over[0]])))
-    randomized_ok = not failures
-    return VanishingReport(exact_ok and randomized_ok, exact_ok, randomized_ok,
-                           tuple(failures))
+    return sorted((level_of(k, nfield.rates) + level_of(m, nfield.rates), (k, m), a)
+                  for (k, m), a in antiholomorphic_part(series).terms().items())
 
 
 @dataclass(frozen=True)
@@ -328,20 +285,13 @@ def forelli_pipeline(jo: JetOracle, field: DiagonalField,
                               reason="restriction to a sampled curve is not holomorphic",
                               witness=curve_report.witness, diagnostics=diag)
 
-    vanish = antiholomorphic_vanishing(jo.jet, nfield, seed=config.seed)
-    diag["vanishing"] = {"passed": vanish.passed, "exact": vanish.exact_passed,
-                         "randomized": vanish.randomized_passed}
-    if not vanish.passed:
-        failure = vanish.first_failure
-        level = failure[0] if failure else None
-        witness = (failure[3], failure[4]) if failure else None
-        if failure is None:
-            # exact check caught a coefficient too small for the bilinear sums
-            bad = sorted(antiholomorphic_part(jo.jet).terms().items())[0]
-            level, witness = None, bad
+    terms = antiholomorphic_vanishing(jo.jet, nfield)
+    diag["vanishing"] = {"passed": not terms, "terms": len(terms)}
+    if terms:
+        level, key, a = terms[0]
         return ForelliVerdict(ANTIHOLOMORPHIC_OBSTRUCTION,
                               reason="anti-holomorphic jet data does not vanish",
-                              level=level, witness=witness, diagnostics=diag)
+                              level=level, witness=(key, a), diagnostics=diag)
 
     psi, recon = reconstruct(jo, nfield, seed=config.seed)
     diag["reconstruction"] = {"passed": recon.passed,

@@ -67,6 +67,10 @@ def test_pushforward_and_bounds_scenarios(tmp_path):
     assert push["report"]["expansion"] == [["1", "2", [0.8 * 0.7, 0.0]]]
 
 
+def reject_constant(token):
+    raise ValueError(f"report.json holds the non-JSON constant {token}")
+
+
 @pytest.mark.parametrize("line, replacement", [
     ("claimed_rate = 1/1", "claimed_rate = 100"),
     ("claimed_rate = 1/1", "claimed_rate = 1000000"),
@@ -77,9 +81,12 @@ def test_bound_weight_beyond_double_range_fails_the_max_principle(tmp_path, line
     scenario = tmp_path / "bounds.txt"
     scenario.write_text((SCENARIOS / "bounds_demo.txt").read_text().replace(line, replacement))
     assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 1
-    report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    # strict JSON: a saturated value is written as the string "inf", never as Infinity
+    report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                        parse_constant=reject_constant)["report"]
     assert report["max_principle"]["verdict"] == "fail"
     assert report["max_principle"]["witness"] is not None
+    assert all(float(v) >= 0 for v in report["max_principle"]["values"])
 
 
 def test_failing_expectation_exits_one(tmp_path):
@@ -416,6 +423,8 @@ OUT_OF_MODEL_BASES = {
     ("forelli-resonant", "t = inf"),
     ("forelli-resonant", "t = 1e400"),
     ("counterexample-resonant", "t = 1e400"),
+    ("counterexample-resonant", "t = 31"),
+    ("counterexample-resonant", "t = 1e300"),
     ("counterexample-spiral", "t = 1e400"),
     ("counterexample-spiral", "alpha = -1e400+1i"),
     ("forelli-spiral", "alpha = -1e400+1i"),

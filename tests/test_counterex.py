@@ -190,6 +190,13 @@ def test_suite_rejects_unknown_name():
         counterexample_suite("moebius")
 
 
+@pytest.mark.parametrize("t", [0, 31, Fraction(61, 2), 1e300, math.inf, math.nan])
+def test_resonant_suite_rejects_t_beyond_its_sampling_window(t):
+    # Re zeta of the curve samples runs over [0.02, 0.6 / t], empty beyond t = 30
+    with pytest.raises(ValueError, match=r"resonant t must be in \(0, 30\]"):
+        counterexample_suite("resonant", t=t)
+
+
 def test_suite_zero_jet_decay_reports_cover_orders():
     report = counterexample_suite("spiral", seed=5)
     for n in range(1, 9):

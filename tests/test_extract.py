@@ -155,13 +155,6 @@ def test_oversized_window_fails_before_sampling(params):
             run(never_called, params)
 
 
-def test_n_levels_truncates_the_loop():
-    src = HolomorphicExpansion([(Fraction(1), 1.0)])
-    grid = level_grid(DiagonalField((Fraction(1),)), 5)
-    rec = extract_coefficients(src, default_params(grid), n_levels=2)
-    assert rec.levels == (Fraction(0), Fraction(1))
-
-
 def test_non_finite_sample_raises_named_point():
     def oracle(z):
         return np.where(np.abs(np.imag(z)) > 50.0, np.nan, np.exp(-z))

@@ -12,11 +12,13 @@ from holoflow import (ANTIHOLOMORPHIC_OBSTRUCTION, HOLOMORPHIC,
                       HYPOTHESIS_VIOLATED, NOT_F_HOLOMORPHIC, BasePoint,
                       DiagonalField, ForelliConfig, JetOracle, SpectrumError,
                       TaylorSeries, antiholomorphic_vanishing, eval_taylor,
-                      f_holomorphy_check, forelli_pipeline, integral_curve,
+                      antiholomorphic_part, f_holomorphy_check,
+                      forelli_pipeline, integral_curve, normalize_time,
                       reconstruct)
 from holoflow import forelli
+from holoflow.flow import level_of
 
-from conftest import random_jet
+from conftest import random_jet, random_positive_field
 
 
 def jet_oracle(jet: TaylorSeries, bound: float | None = None) -> JetOracle:
@@ -146,18 +148,18 @@ def test_pipeline_with_a_nan_on_a_curve_is_hypothesis_violated():
 
 def test_vanishing_passes_for_holomorphic_jet(rng):
     jet = random_jet(rng, 2, 5, 6, mixed=False)
-    report = antiholomorphic_vanishing(jet, DiagonalField((1, 2)))
-    assert report.passed and report.exact_passed and report.randomized_passed
+    assert antiholomorphic_vanishing(jet, DiagonalField((1, 2))) == []
 
 
 def test_vanishing_fails_with_witness_value():
     jet = TaylorSeries.monomial(2, (0, 0), (1, 1))
-    report = antiholomorphic_vanishing(jet, DiagonalField((1, 1)), trials=8)
-    assert not report.passed
-    level, mu, nu, c, value = report.first_failure
-    assert (mu, nu) == (Fraction(0), Fraction(2))
-    # the bilinear sum at the witness equals conj(c1) conj(c2)
-    assert value == pytest.approx(complex(c[0]).conjugate() * complex(c[1]).conjugate())
+    assert antiholomorphic_vanishing(jet, DiagonalField((1, 1))) == [
+        (Fraction(2), ((0, 0), (1, 1)), 1)]
+    verdict = forelli_pipeline(JetOracle(lambda z: 0 * z[:, 0], jet, 1.0),
+                               DiagonalField((1, 1)))
+    assert verdict.tag == ANTIHOLOMORPHIC_OBSTRUCTION
+    assert verdict.level == 2 and verdict.witness == (((0, 0), (1, 1)), 1)
+    assert verdict.diagnostics["vanishing"] == {"passed": False, "terms": 1}
 
 
 def test_vanishing_requires_positive_ratios():
@@ -166,13 +168,22 @@ def test_vanishing_requires_positive_ratios():
         antiholomorphic_vanishing(jet, DiagonalField((1, -1)))
 
 
-def test_vanishing_exact_and_randomized_agree(rng):
-    for _ in range(25):
-        mixed = bool(rng.integers(0, 2))
-        jet = random_jet(rng, 2, 4, 5, mixed=mixed)
-        report = antiholomorphic_vanishing(jet, DiagonalField((1, 3)), trials=16,
-                                           seed=int(rng.integers(2 ** 31)))
-        assert report.exact_passed == report.randomized_passed
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_vanishing_exact_and_randomized_agree(seed, dim, mixed):
+    # the list is the anti-holomorphic part, sorted by the level on the normalized rates
+    rng = np.random.default_rng(seed)
+    jet = random_jet(rng, dim, 4, 5, mixed=mixed)
+    field = random_positive_field(rng, dim)
+    if rng.integers(0, 2):  # the same field with tau = -1 normalizes to it
+        field = DiagonalField(tuple(-r for r in field.rates), -1)
+    terms = antiholomorphic_vanishing(jet, field)
+    assert (terms == []) == (not antiholomorphic_part(jet))
+    assert {key: a for _level, key, a in terms} == antiholomorphic_part(jet).terms()
+    levels = [level for level, _key, _a in terms]
+    rates = normalize_time(field)[0].rates
+    assert levels == sorted(levels)
+    assert levels == [level_of(k, rates) + level_of(m, rates) for _level, (k, m), _a in terms]
 
 
 def test_reconstruct_returns_holomorphic_part():
@@ -297,15 +308,20 @@ def test_pipeline_resonant_oracle_on_its_own_field_is_hypothesis_violated():
 
 
 def test_vanishing_bilinear_sum_documented_value():
-    # for conj(z1) conj(z2) the (mu, nu) = (0, 2) sum at c = (1/2, 1/2) is 1/4
-    jet = TaylorSeries.monomial(2, (0, 0), (1, 1))
-    c = (0.5, 0.5)
-    total = sum(a * complex(c[0]) ** k[0] * complex(c[1]) ** k[1]
-                * complex(c[0]).conjugate() ** m[0] * complex(c[1]).conjugate() ** m[1]
-                for (k, m), a in jet.terms().items())
-    assert total == pytest.approx(0.25)
-    report = antiholomorphic_vanishing(jet, DiagonalField((1, 1)), trials=4)
-    assert not report.passed
+    # z1 conj(z2) + conj(z1) conj(z2)^2 along (1, 2): levels 1 + 2 = 3 and 1 + 4 = 5
+    jet = TaylorSeries(2, {((1, 0), (0, 1)): 0.5, ((0, 0), (1, 2)): 0.25j})
+    assert antiholomorphic_vanishing(jet, DiagonalField((1, 2))) == [
+        (Fraction(3), ((1, 0), (0, 1)), 0.5), (Fraction(5), ((0, 0), (1, 2)), 0.25j)]
+
+
+def test_obstruction_below_any_sampling_threshold_names_its_level():
+    # the oracle is z1 and the jet adds 1e-12 conj(z1) conj(z2): a coefficient
+    # that small is still anti-holomorphic data, at level 1 + 1 = 2
+    jet = TaylorSeries(2, {((1, 0), (0, 0)): 1.0, ((0, 0), (1, 1)): 1e-12})
+    verdict = forelli_pipeline(JetOracle(lambda z: z[:, 0], jet, 1.0), DiagonalField((1, 1)))
+    assert verdict.tag == ANTIHOLOMORPHIC_OBSTRUCTION
+    assert verdict.level == 2 and verdict.witness == (((0, 0), (1, 1)), 1e-12)
+    assert verdict.to_json_dict()["level"] == "2"
 
 
 def test_curve_check_without_curves_passes():
@@ -340,15 +356,15 @@ def test_comparison_fails_on_a_nan_value():
 
 
 def test_pipeline_witnesses_are_tuples_of_coordinates():
-    # the vanishing failure names (point, value); the comparison failure a point
+    # the vanishing failure names ((k, m), a); the comparison failure a point
     holo = TaylorSeries.monomial(2, (1, 0), (0, 0))
     spoiled = holo + TaylorSeries.monomial(2, (0, 0), (1, 1), 0.5)
     vanish = forelli_pipeline(JetOracle(lambda z: eval_taylor(holo, z), spoiled, 1.0),
                               DiagonalField((1, 1)))
     assert vanish.tag == ANTIHOLOMORPHIC_OBSTRUCTION
-    point, value = vanish.witness
-    assert type(point) is tuple and [type(c) for c in point] == [np.complex128] * 2
-    assert type(value) is complex
+    (k, m), a = vanish.witness
+    assert (k, m, a) == ((0, 0), (1, 1), 0.5) and type(a) is complex
+    assert vanish.to_json_dict()["witness"] == "(((0, 0), (1, 1)), (0.5+0j))"
 
     def off(z):
         return eval_taylor(holo, z) + 1e-6 * np.asarray(z)[..., 0] ** 3
