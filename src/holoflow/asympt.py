@@ -28,7 +28,7 @@ from .flow import DiagonalField, _coords, normalize_time
 from .reports import (FAIL, INCONCLUSIVE, PASS, DecayReport, clamped_exp,
                       fitted_decay_rate, monotone_below)
 from .sampling import evaluate, evaluate_prefix
-from .series import TaylorSeries, eval_taylor, level_parts
+from .series import TaylorSeries, level_sums
 
 #: merged pushforward coefficients below this modulus are treated as
 #: structural zeros (cancellation), not data
@@ -222,13 +222,9 @@ def pushforward(series: TaylorSeries, field: DiagonalField, c, lambda_max) -> As
     if len(coords) != series.dim or series.dim != nfield.dim:
         raise ValueError("series, field, and base point dimensions must agree")
 
-    kept = []
-    for (mu, nu), part in level_parts(series, alphas).items():
-        if mu + nu <= lam_max:
-            p = eval_taylor(part, coords)
-            if abs(p) >= MERGE_PRUNE_TOL:
-                kept.append((mu, nu, p))
-    return AsymptoticExpansion(kept)
+    return AsymptoticExpansion(
+        (mu, nu, p) for (mu, nu), p in level_sums(series, alphas, coords).items()
+        if mu + nu <= lam_max and abs(p) >= MERGE_PRUNE_TOL)
 
 
 def eval_expansion(e: AsymptoticExpansion, zeta: complex, n: int | None = None) -> complex:

@@ -6,8 +6,9 @@ function to be holomorphic near the origin:
 
 1. spectrum gate: the field must have positive eigenvalue ratios;
 2. curve check: the circle-rule dbar of the restriction to sampled
-   integral curves must vanish; the function is called once on the array
-   of every circle point;
+   integral curves must vanish; the curve exponentials are computed once per
+   zeta sample and broadcast over the curves, and the function is called
+   once on the array of every circle point;
 3. obstruction check: every anti-holomorphic jet coefficient must vanish.
    The monomials c^k conj(c)^m are independent, so the restriction to every
    curve has no e^(-nu conj(zeta)) term with nu > 0 exactly when no
@@ -33,7 +34,7 @@ from .flow import (DiagonalField, SpectrumClass, _coords, classify_spectrum,
                    integral_curve, level_of, normalize_time)
 from .sampling import evaluate, evaluate_prefix, halfplane_points, polydisk_points
 from .series import (TaylorSeries, antiholomorphic_part, eval_taylor,
-                     holomorphic_part, level_parts, taylor_remainder_check)
+                     holomorphic_part, level_sums, taylor_remainder_check)
 from .wirtinger import CIRCLE, dbar_circle
 
 HOLOMORPHIC = "holomorphic"
@@ -85,6 +86,11 @@ class ForelliConfig:
     #: the curve-check threshold, readable as part of the run's settings
     fd_tol: ClassVar[float] = FD_TOL
 
+    def __post_init__(self):
+        for name in ("n_curves", "n_zeta", "compare_points"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class ForelliVerdict:
@@ -125,23 +131,28 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_sample
 
     Each sample zeta is replaced by the circle zeta + FD_STEP * CIRCLE, and
     its residual is |dbar| / (1 + |circle mean|) by :func:`dbar_circle`.
-    zeta_samples has shape (Z,) (the same samples on every curve) or (C, Z);
-    curve broadcasts like :func:`flow.integral_curve` and is called once, on
-    every circle point.  Passes iff every residual is below tol; no curves
-    pass with residual 0.  All circle points must stay inside the unit
+    curves is a (C, N) array or a sequence of base points, zeta_samples (Z,)
+    (shared) or (C, Z).  curve broadcasts like :func:`flow.integral_curve` and
+    is called once, on base points (C, 1, 1, N) and circles (Z, 4) or
+    (C, Z, 4): shared samples' exponentials are computed once per zeta and
+    broadcast over the curves.  Passes iff every residual is below tol; no
+    curves pass with residual 0.  All circle points must stay inside the unit
     polydisk.  The oracle is called once on every circle point; its first
     failure or non-finite value (:func:`sampling.evaluate_prefix`) makes the
     check inconclusive at that sample, the first in curve-major order.
     """
     if not len(curves):
         return CurveCheckReport(True, 0.0)
-    base = np.array([_coords(c) for c in curves])
+    base = (np.asarray(curves, dtype=complex) if isinstance(curves, np.ndarray)
+            else np.array([_coords(c) for c in curves]))
     zetas = np.asarray(zeta_samples, dtype=complex)
+    circles = curve(base[:, None, None, :], zetas[..., None] + FD_STEP * CIRCLE)
     zetas = np.broadcast_to(zetas, (len(base), zetas.shape[-1]))
-    circles = curve(base[:, None, None, :], zetas[:, :, None] + FD_STEP * CIRCLE)
     width = len(CIRCLE)
     flat = circles.reshape(-1, circles.shape[-1])
-    outside = np.flatnonzero(np.any(np.abs(flat) >= 1.0, axis=1))
+    w = flat.ravel()  # |w|^2 near 1 picks the coordinates that the exact |w| >= 1 reads
+    near = np.flatnonzero(w.real ** 2 + w.imag ** 2 >= 1 - 1e-12)
+    outside = near[np.abs(w[near]) >= 1.0] // flat.shape[1]
     reach = outside[0] if len(outside) else len(flat)
 
     def sample(i):
@@ -236,8 +247,8 @@ def reconstruct(
     rng = np.random.default_rng(seed)
     points = polydisk_points(rng, psi.dim, CERT_POINTS, r_min=CERT_RADIUS, r_max=CERT_RADIUS)
     worst_level = 0.0
-    for part in level_parts(psi, nfield.rates).values():
-        sup = float(np.max(np.abs(eval_taylor(part, points))))
+    for values in level_sums(psi, nfield.rates, points).values():
+        sup = float(np.max(np.abs(values)))
         worst_level = max(worst_level, sup / jo.bound)
 
     worst_coeff = 0.0
@@ -267,9 +278,10 @@ def forelli_pipeline(jo: JetOracle, field: DiagonalField,
     # no circle point leaves the polydisk: every rate r_j is positive, |c_j| <= 0.7
     # and Re zeta >= 0.1 - FD_STEP > 0 on every circle, so |c_j| e^(-r_j Re zeta) < 0.7
     zetas = halfplane_points(rng, config.n_zeta, x_range=(0.1, 2.0), y_range=(-2.0, 2.0))
-    if not len(curves):
+    if not len(curves) or not len(zetas):
         return ForelliVerdict(HYPOTHESIS_VIOLATED,
-                              reason="no curves sampled (n_curves = 0)",
+                              reason="no curves sampled (n_curves = 0)" if not len(curves)
+                              else "no zeta samples on the curves (n_zeta = 0)",
                               diagnostics=diag)
 
     curve_report = f_holomorphy_check(jo, nfield, curves, zetas)
@@ -307,7 +319,7 @@ def forelli_pipeline(jo: JetOracle, field: DiagonalField,
     diffs = np.abs(evaluate(jo.oracle, points) - eval_taylor(psi, points))
     diffs[~np.isfinite(diffs)] = math.inf  # a NaN value is no agreement
     max_diff = float(diffs.max(initial=0.0))
-    worst_point = tuple(points[int(np.argmax(diffs))]) if max_diff > 0.0 else None
+    worst_point = tuple(points[int(np.argmax(diffs))].tolist()) if max_diff > 0.0 else None
     diag["comparison"] = {"max_diff": max_diff, "points": len(points),
                           "radius": COMPARE_RADIUS}
     threshold = config.compare_tol * jo.bound

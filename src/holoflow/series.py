@@ -130,25 +130,29 @@ class TaylorSeries:
     def scale(self, factor: complex) -> "TaylorSeries":
         return TaylorSeries(self._dim, {key: factor * a for key, a in self._terms.items()})
 
-    def partial_sum(self, z, order: int):
-        """Evaluate only the terms with |k|+|m| <= order; see :func:`eval_taylor`."""
+    def _sum(self, plan, z):
+        """Sum of a z^k conj(z)^m over the plan's terms, in order; z as for eval_taylor."""
         zs = np.asarray(z, dtype=complex)
         if zs.ndim not in (1, 2) or zs.shape[-1] != self._dim:
             raise ValueError(f"points have shape {zs.shape}, series has dimension {self._dim}")
         # coordinate columns: complex scalars for one point, arrays for a batch
         cols = zs.tolist() if zs.ndim == 1 else list(zs.T)
         total = 0j if zs.ndim == 1 else np.zeros(len(zs), dtype=complex)
-        for a, term_order, factors in self._plan:
-            if term_order <= order:
-                value = 1 + 0j
-                for j, kj, mj in factors:
-                    zj = cols[j]
-                    if kj:
-                        value = value * zj ** kj
-                    if mj:
-                        value = value * zj.conjugate() ** mj
-                total = total + a * value
+        for a, _order, factors in plan:
+            value = 1 + 0j
+            for j, kj, mj in factors:
+                zj = cols[j]
+                if kj:
+                    value = value * zj ** kj
+                if mj:
+                    value = value * zj.conjugate() ** mj
+            total = total + a * value
         return total
+
+    def partial_sum(self, z, order: int):
+        """Evaluate only the terms with |k|+|m| <= order; see :func:`eval_taylor`."""
+        plan = self._plan if order >= self._degree else [p for p in self._plan if p[1] <= order]
+        return self._sum(plan, z)
 
     def __repr__(self) -> str:
         return f"TaylorSeries(dim={self._dim}, terms={len(self._terms)}, degree={self.degree})"
@@ -163,16 +167,16 @@ def eval_taylor(series: TaylorSeries, z):
     return series.partial_sum(z, series.degree)
 
 
-def level_parts(series: TaylorSeries, rates) -> dict:
-    """Sub-series of the terms at each exponent pair ((alpha,k), (alpha,m)).
+def level_sums(series: TaylorSeries, rates, z) -> dict:
+    """{(mu, nu): eval_taylor at z of the terms with ((alpha,k), (alpha,m)) = (mu, nu)}.
 
-    Restricted to a curve of the field with rates alpha, the part keyed
-    (mu, nu) contributes  eval_taylor(part, c) e^(-mu zeta - nu conj(zeta)).
+    Along the curve of the field with rates alpha through c, the sum at c
+    multiplies  e^(-mu zeta - nu conj(zeta)).
     """
-    parts: dict = {}
-    for (k, m), a in series.terms().items():
-        parts.setdefault((level_of(k, rates), level_of(m, rates)), {})[(k, m)] = a
-    return {key: TaylorSeries(series.dim, terms) for key, terms in parts.items()}
+    plans: dict = {}
+    for (k, m), term in zip(series._terms, series._plan):
+        plans.setdefault((level_of(k, rates), level_of(m, rates)), []).append(term)
+    return {key: series._sum(plan, z) for key, plan in plans.items()}
 
 
 def antiholomorphic_part(series: TaylorSeries) -> TaylorSeries:

@@ -77,7 +77,7 @@ def test_curve_check_makes_one_curve_call_per_check(monkeypatch):
     verdict = forelli_pipeline(jet_oracle(jet), DiagonalField((1, 2)),
                                ForelliConfig(n_curves=24, n_zeta=48))
     assert verdict.tag == HOLOMORPHIC
-    assert calls == [((24, 1, 1, 2), (24, 48, 4))]
+    assert calls == [((24, 1, 1, 2), (48, 4))]  # shared zetas: broadcast over the curves
 
 
 def test_curve_check_passes_for_resonant_invariant():
@@ -332,6 +332,22 @@ def test_curve_check_without_curves_passes():
     assert verdict.tag == HYPOTHESIS_VIOLATED
 
 
+def test_pipeline_without_zeta_samples_is_hypothesis_violated():
+    # zero samples gave max_residual 0.0 and read holomorphic
+    jo = jet_oracle(TaylorSeries.monomial(2, (1, 0), (0, 0)))
+    verdict = forelli_pipeline(jo, DiagonalField((1, 2)), ForelliConfig(n_zeta=0))
+    assert verdict.tag == HYPOTHESIS_VIOLATED
+    assert verdict.reason == "no zeta samples on the curves (n_zeta = 0)"
+    assert "f_holomorphy" not in verdict.diagnostics
+
+
+@pytest.mark.parametrize("name", ["n_curves", "n_zeta", "compare_points"])
+def test_config_rejects_a_negative_count_by_name(name):
+    # each ended in numpy's "negative dimensions are not allowed" mid-pipeline
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
+        ForelliConfig(**{name: -1})
+
+
 def test_comparison_without_points_passes():
     jo = jet_oracle(TaylorSeries.monomial(2, (1, 0), (0, 0)))
     verdict = forelli_pipeline(jo, DiagonalField((1, 1)), ForelliConfig(compare_points=0))
@@ -372,7 +388,24 @@ def test_pipeline_witnesses_are_tuples_of_coordinates():
     compare = forelli_pipeline(JetOracle(off, holo, 1.0), DiagonalField((1, 1)))
     assert compare.tag == HYPOTHESIS_VIOLATED and "differs" in compare.reason
     assert type(compare.witness) is tuple
-    assert [type(c) for c in compare.witness] == [np.complex128] * 2
+    assert [type(c) for c in compare.witness] == [complex] * 2
+
+
+def test_witness_strings_hold_plain_numbers():
+    # the comparison witness was written as "(np.complex128(...), ...)"
+    z1 = TaylorSeries.monomial(2, (1, 0), (0, 0))
+    field = DiagonalField((1, 2))
+    cases = {
+        "comparison": JetOracle(lambda z: z[:, 0] + 1e-3 * z[:, 0] ** 5, z1, 1.0),
+        "curve": JetOracle(lambda z: np.conj(z[:, 0]), z1, 1.0),
+        "nan": JetOracle(lambda z: np.where(np.abs(z[:, 0]) > 0.3, np.nan, z[:, 0]), z1, 1.0),
+        "obstruction": JetOracle(lambda z: z[:, 0],
+                                 z1 + TaylorSeries.monomial(2, (0, 0), (1, 0)), 1.0),
+    }
+    for case, jo in cases.items():
+        witness = forelli_pipeline(jo, field).to_json_dict()["witness"]
+        assert "np." not in witness, case
+    assert "differs" in forelli_pipeline(cases["comparison"], field).reason
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,9 +11,11 @@ from holoflow import (MultiIndex, TaylorSeries, antiholomorphic_part,
                       eval_taylor, format_series, holomorphic_part,
                       parse_series, taylor_remainder_check,
                       wirtinger_F_derivative)
+from holoflow.flow import level_of
+from holoflow.series import level_sums
 from holoflow.wirtinger import CIRCLE, dbar_circle, dbar_fd
 
-from conftest import random_interior_point, random_jet
+from conftest import random_interior_point, random_jet, random_positive_field
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -59,6 +61,36 @@ def test_partial_sum_equals_the_term_by_term_sum_at_every_order(rng, dim):
             assert np.array_equal(s.partial_sum(points, order), term_by_term(s, points, order))
             for z in points:
                 assert s.partial_sum(tuple(z), order) == term_by_term(s, tuple(z), order)
+
+
+def level_groups(s, rates) -> dict:
+    """Reference: the sub-series of the terms at each ((alpha,k), (alpha,m))."""
+    groups: dict = {}
+    for (k, m), a in s.terms().items():
+        groups.setdefault((level_of(k, rates), level_of(m, rates)), {})[(k, m)] = a
+    return {key: TaylorSeries(s.dim, terms) for key, terms in groups.items()}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_level_sums_equal_eval_taylor_of_each_level_part(rng, dim):
+    merged = 0
+    for trial in range(6):
+        s = random_jet(rng, dim, 5, 16)
+        # small rates make levels collide; equal rates group the terms by |k| and |m|
+        rates = random_positive_field(rng, dim, max_num=2, max_den=2).rates if trial % 2 \
+            else (1,) * dim
+        parts = level_groups(s, rates)
+        points = np.array([random_interior_point(rng, dim) for _ in range(9)])
+        sums = level_sums(s, rates, points)
+        assert list(sums) == list(parts)
+        for key, part in parts.items():
+            assert np.array_equal(sums[key], eval_taylor(part, points))
+            merged += len(part) > 2  # three terms or more: the order of the sum shows
+        point = tuple(points[0])
+        assert level_sums(s, rates, point) == {key: eval_taylor(part, point)
+                                               for key, part in parts.items()}
+    assert merged or dim == 1  # in one variable each term has its own pair
+    assert level_sums(TaylorSeries.zero(dim), (1,) * dim, points) == {}
 
 
 def test_degree_is_zero_for_the_zero_jet_and_for_a_cancelled_sum(rng):
