@@ -65,21 +65,16 @@ def reference_curve_check(oracle, curve, curves, zeta_samples, *, tol=FD_TOL):
     return CurveCheckReport(passed, worst, witness=None if passed else witness)
 
 
-def both(oracle, curve, curves, zetas, **kwargs):
-    """The reports (or ValueError texts) of curve_check and of the reference."""
+def assert_same(oracle, curve, curves, zetas):
+    """curve_check's report (or ValueError text), asserted equal to the reference's."""
     out = []
     for check in (curve_check, reference_curve_check):
         try:
-            out.append(check(oracle, curve, curves, zetas, **kwargs))
+            out.append(check(oracle, curve, curves, zetas))
         except ValueError as exc:
             out.append(f"ValueError: {exc}")
-    return out
-
-
-def assert_same(oracle, curve, curves, zetas, **kwargs):
-    new, ref = both(oracle, curve, curves, zetas, **kwargs)
-    assert new == ref
-    return new
+    assert out[0] == out[1]
+    return out[0]
 
 
 def curve_sets(rng, dim, n):
