@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import math
 import sys
@@ -454,7 +455,10 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call to main, not at import; argparse reads sys.stderr
+    # and the terminal width when it prints, so one parser serves every call
     parser = argparse.ArgumentParser(prog="holoflow", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a scenario file")
@@ -466,7 +470,11 @@ def main(argv=None) -> int:
                        help="override the scenario seed")
     run_p.add_argument("--max-level", type=_positive_fraction, default=None, metavar="P/Q",
                        help="override the level cutoff")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return run_scenario(args.scenario, args.out, args.tolerance,
                             args.seed, args.max_level)

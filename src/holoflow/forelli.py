@@ -130,7 +130,8 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_sample
     """Sampled dbar residual of  zeta -> oracle(curve(c, zeta))  over the curves.
 
     Each sample zeta is replaced by the circle zeta + FD_STEP * CIRCLE, and
-    its residual is |dbar| / (1 + |circle mean|) by :func:`dbar_circle`.
+    its residual is |dbar| / (1 + |circle mean|) by :func:`dbar_circle`; a
+    non-finite residual or circle mean makes the check inconclusive there.
     curves is a (C, N) array or a sequence of base points, zeta_samples (Z,)
     (shared) or (C, Z).  curve broadcasts like :func:`flow.integral_curve` and
     is called once, on base points (C, 1, 1, N) and circles (Z, 4) or
@@ -163,7 +164,7 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_sample
     done = len(values) // width
     mean, dbar = dbar_circle(values[: done * width].reshape(done, width), FD_STEP)
     scaled = np.abs(dbar) / (1.0 + np.abs(mean))
-    bad = np.flatnonzero(~np.isfinite(scaled))
+    bad = np.flatnonzero(~(np.isfinite(scaled) & np.isfinite(mean)))  # an inf mean scores 0
     scored = scaled[: bad[0] if len(bad) else done]
     worst, witness = 0.0, None
     if len(scored) and scored.max() > 0.0:

@@ -16,6 +16,7 @@ e.g. ``1 0 | 0 1 | 1.0 | 0.0`` is the term z1 * conj(z2).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -209,14 +210,18 @@ def wirtinger_F_derivative(series: TaylorSeries, alpha: Sequence[complex]) -> Ta
     return TaylorSeries(series.dim, out)
 
 
-def _direction_set(dim: int, n_directions: int, seed: int) -> list[tuple[complex, ...]]:
-    # the all-ones direction first, then deterministic random phase vectors
+@functools.lru_cache(maxsize=32)
+def _direction_set(dim: int, n_directions: int, seed: int) -> np.ndarray:
+    # the all-ones direction first, then deterministic random phase vectors;
+    # a pure function of its arguments, so one read-only array is shared
     rng = np.random.default_rng(seed)
     dirs = [tuple(1 + 0j for _ in range(dim))]
     for _ in range(max(0, n_directions - 1)):
         phases = rng.uniform(0.0, 2.0 * math.pi, size=dim)
         dirs.append(tuple(complex(math.cos(p), math.sin(p)) for p in phases))
-    return dirs
+    out = np.array(dirs)
+    out.flags.writeable = False
+    return out
 
 
 def taylor_remainder_check(
@@ -245,7 +250,7 @@ def taylor_remainder_check(
     # n may exceed the stored degree: the check then asserts the function has
     # no terms between the stored degree and order n (caller's claim to test)
 
-    directions = np.array(_direction_set(series.dim, n_directions, seed))
+    directions = _direction_set(series.dim, n_directions, seed)
     points = (np.array(radii)[:, None, None] * directions).reshape(-1, series.dim)
     values, exc = evaluate_prefix(oracle, points)
     done = len(values) // len(directions)  # radii read in full

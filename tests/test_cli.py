@@ -209,6 +209,29 @@ def test_repeated_runs_identical_modulo_timestamp(tmp_path, name):
     assert t1 == t2
 
 
+def test_parser_is_built_once_and_survives_a_failed_parse(tmp_path, capsys, monkeypatch):
+    built = []
+
+    class CountingParser(cli.argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", CountingParser)
+    scenario = str(SCENARIOS / "bounds_demo.txt")
+    assert run_cli(["run", scenario, "--out", str(tmp_path / "run1")]) == 0
+    count = len(built)  # 0 if an earlier test built the cached parser
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", scenario, "--out", str(tmp_path / "bad"), "--max-level", "0"])
+    assert exc.value.code == 2
+    assert "--max-level" in capsys.readouterr().err
+    assert run_cli(["run", scenario, "--out", str(tmp_path / "run3")]) == 0
+    assert len(built) == count
+    r1, r3 = (json.loads((tmp_path / run / "report.json").read_text())
+              for run in ("run1", "run3"))
+    assert _strip_timestamp(r1) == _strip_timestamp(r3)
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "holoflow.cli", "run",

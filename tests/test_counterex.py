@@ -172,6 +172,12 @@ def test_suite_resonant_other_t():
     assert report.passed
 
 
+def test_resonant_suite_reports_equal_across_runs_of_one_process():
+    # the second run reads the cached remainder direction sets of the first
+    first = counterexample_suite("resonant").to_json_dict()
+    assert counterexample_suite("resonant").to_json_dict() == first
+
+
 def test_suite_spiral_reports_branch_data():
     report = counterexample_suite("spiral", seed=1)
     assert float(report.params["b"]) > 1

@@ -130,6 +130,22 @@ def test_curve_check_nan_value_is_inconclusive_at_its_point():
     assert report.witness == (CURVES[1].coords, ZETAS[2])
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_curve_check_infinite_circle_mean_is_inconclusive_not_a_pass():
+    # the circle mean overflows while dbar stays finite: |dbar| / (1 + inf) read 0
+    def oracle(scale):
+        return lambda z: scale * np.conj(z[:, 0]) + scale
+
+    base, zetas = [BasePoint((0.4, 0.3))], [0.5 + 0.2j, 1 + 1j]
+    args = (DiagonalField((1, 1)), base, zetas)
+    report = f_holomorphy_check(JetOracle(oracle(1e308), TaylorSeries.zero(2), 1.0), *args)
+    assert report.inconclusive and not report.passed
+    assert report.note == "non-finite residual"
+    assert report.witness == ((0.4, 0.3), 0.5 + 0.2j)
+    finite = f_holomorphy_check(JetOracle(oracle(1e300), TaylorSeries.zero(2), 1.0), *args)
+    assert not finite.passed and not finite.inconclusive and finite.max_residual > 0.1
+
+
 def test_pipeline_with_a_nan_on_a_curve_is_hypothesis_violated():
     jet = TaylorSeries.monomial(2, (2, 0), (0, 0))
     calls = []

@@ -12,7 +12,7 @@ from holoflow import (MultiIndex, TaylorSeries, antiholomorphic_part,
                       parse_series, taylor_remainder_check,
                       wirtinger_F_derivative)
 from holoflow.flow import level_of
-from holoflow.series import level_sums
+from holoflow.series import _direction_set, level_sums
 from holoflow.wirtinger import CIRCLE, dbar_circle, dbar_fd
 
 from conftest import random_interior_point, random_jet, random_positive_field
@@ -296,6 +296,23 @@ def test_remainder_order_beyond_degree_asserts_no_higher_terms():
     assert ok.passed
     bad = taylor_remainder_check(lambda z: complex(z[0]) + abs(z[0]) ** 3, s, 5, radii)
     assert not bad.passed
+
+
+@pytest.mark.parametrize("dim, n_directions, seed", [(2, 6, 0), (1, 1, 5), (3, 4, 17)])
+def test_remainder_direction_set_is_one_cached_read_only_draw(dim, n_directions, seed):
+    dirs = _direction_set(dim, n_directions, seed)
+    assert _direction_set(dim, n_directions, seed) is dirs
+    assert not dirs.flags.writeable
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 2.0
+    fresh = _direction_set.__wrapped__(dim, n_directions, seed)
+    assert fresh is not dirs and np.array_equal(fresh, dirs)
+    # written out: the all-ones direction, then unit phases drawn in order
+    rng = np.random.default_rng(seed)
+    drawn = [[complex(math.cos(p), math.sin(p)) for p in rng.uniform(0.0, 2.0 * math.pi, dim)]
+             for _ in range(n_directions - 1)]
+    assert dirs.shape == (n_directions, dim) and dirs.dtype == complex
+    assert np.array_equal(dirs, np.array([[1 + 0j] * dim] + drawn))
 
 
 def test_remainder_rejects_bad_radii():
