@@ -141,9 +141,10 @@ class HolomorphicExpansion:
         for lam, c in pairs:
             levels.append(_exponent(lam))
             coeffs.append(complex(c))
-        if any(lam < 0 for lam in levels):
+        if any(lam.numerator < 0 for lam in levels):  # integer tests: no Fraction compares
             raise ValueError("levels must be >= 0")
-        if any(levels[i] >= levels[i + 1] for i in range(len(levels) - 1)):
+        if any(a.numerator * b.denominator >= b.numerator * a.denominator
+               for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
         self._levels = tuple(levels)
         self._coeffs = tuple(coeffs)

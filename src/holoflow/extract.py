@@ -25,10 +25,15 @@ coefficient is a window mean of f(z) e^(lambda_j z), that is one DFT bin:
   below 1e-11 for lambda <= 10; x0 = 8 would bury every coefficient.
 
 Levels must come from an exact grid; there is no blind frequency search.
+Levels are Fractions at the API and the grid's integers steps = levels * q
+inside: bins steps * K (below MAX_NODES / 20 by the node check, so no int64
+overflow) and float levels steps / q.  The Cauchy check takes np.hypot of
+each coefficient: np.abs differs from abs(complex) by an ulp on many inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -90,24 +95,27 @@ def aligned_window(grid: LevelGrid, half_width: float) -> tuple[float, int, int]
     denominators.  For q so large that pi*q exceeds the request, one full
     common period is used.
     """
-    q = math.lcm(1, *(lam.denominator for lam in grid.levels))
+    q = grid.q
     K = max(1, round(half_width / (math.pi * q)))
     return math.pi * q * K, q, K
 
 
+@functools.lru_cache(maxsize=64)
 def _five_smooth(n: int) -> int:
     """The least 2^a 3^b 5^c >= n, for n <= 2**23."""
     odd = [3**b * 5**c for b in range(16) for c in range(11)]
     return min(p << (-(-n // p) - 1).bit_length() for p in odd)
 
 
-def _effective_nodes(params: ExtractionParams, q: int, K: int) -> int:
-    lam_max = float(params.grid.levels[-1]) if params.grid.levels else 0.0
-    periods = lam_max * q * K
+def _window(params: ExtractionParams) -> tuple[np.ndarray, int]:
+    """The y-nodes of the aligned window (a 5-smooth count) and its K."""
+    L, q, K = aligned_window(params.grid, params.half_width)
+    periods = (float(params.grid.levels[-1]) if params.grid.levels else 0.0) * q * K
     Q = max(params.nodes, int(math.ceil(NODES_PER_PERIOD * periods)) + 1)
     if Q > MAX_NODES:
         raise ExtractionError(f"window needs Q = {Q} line nodes; MAX_NODES = {MAX_NODES}")
-    return _five_smooth(Q)  # MAX_NODES is 5-smooth, so this stays within it
+    Q = _five_smooth(Q)  # MAX_NODES is 5-smooth, so this stays within it
+    return -L + (2.0 * L / Q) * np.arange(Q), K
 
 
 def _line_values(oracle, z: np.ndarray) -> np.ndarray:
@@ -121,9 +129,7 @@ def _line_values(oracle, z: np.ndarray) -> np.ndarray:
 
 def quadrature_nodes(params: ExtractionParams) -> np.ndarray:
     """Equispaced y-nodes of the aligned periodic window."""
-    L, q, K = aligned_window(params.grid, params.half_width)
-    Q = _effective_nodes(params, q, K)
-    return -L + (2.0 * L / Q) * np.arange(Q)
+    return _window(params)[0]
 
 
 def extract_coefficients(
@@ -139,13 +145,14 @@ def extract_coefficients(
     is a list, rows (level, coefficient, sup of the residual without the levels
     up to this one) are appended for CSV export.
     """
-    levels = params.grid.levels
-    _, q, K = aligned_window(params.grid, params.half_width)
-    z = params.x0 + 1j * quadrature_nodes(params)
+    levels, steps, q = params.grid.levels, params.grid.steps, params.grid.q
+    y, K = _window(params)
+    z = params.x0 + 1j * y
     vals = _line_values(oracle, z)
 
-    lam = np.array([float(v) for v in levels])
-    bins = np.array([v.numerator * (q // v.denominator) * K for v in levels], dtype=np.int64)
+    # steps and q are exact in double below 2^53, so the quotient is float(level)
+    lam = steps / q if q <= 2**53 else np.array([float(v) for v in levels])
+    bins = steps * K  # below MAX_NODES / 20: _window checked lam_max q K
     weight = np.exp(lam * params.x0) * np.where(bins % 2, -1.0, 1.0)
     bins %= len(z)
     norm0 = float(np.max(np.abs(vals)))
@@ -236,21 +243,23 @@ def verify_cauchy_bound(
     """Check every coefficient modulus against M (a sampled sup of |oracle|).
 
     M already carries the oracle's samples (see :func:`sampled_sup`); ``oracle``
-    is accepted for the callers that pass it and is never evaluated.
+    is accepted for the callers that pass it and is never evaluated.  A NaN
+    coefficient fails the check at its level; M must be finite and positive.
     """
-    if M <= 0:
-        raise ValueError("bound M must be positive")
-    ratios = []
+    if not 0 < M < math.inf:  # NaN fails too
+        raise ValueError("bound M must be positive and finite")
+    levels = [lam.numerator / lam.denominator for lam in e.levels]  # float(lam), faster
+    c = np.array(e.coeffs, dtype=complex)
+    ratios = np.hypot(c.real, c.imag) / M  # abs(c) to the bit (module docstring)
     worst, worst_level = 0.0, None
-    for lam, c in e.pairs():
-        ratio = abs(c) / M
-        ratios.append((float(lam), ratio))
-        if ratio > worst:
-            worst, worst_level = ratio, float(lam)
+    if len(ratios):
+        i = int(np.argmax(ratios))  # the first NaN, else the first largest
+        if ratios[i] != 0:
+            worst, worst_level = float(ratios[i]), levels[i]
     return CauchyBoundReport(
         passed=worst <= 1.0 + tol,
         max_ratio=worst,
         worst_level=worst_level,
         bound=M,
-        ratios=tuple(ratios),
+        ratios=tuple(zip(levels, ratios.tolist())),
     )

@@ -157,22 +157,35 @@ def level_of(index, rates) -> Fraction:
 
 @dataclass(frozen=True)
 class LevelGrid:
-    """All decay levels (alpha,k)+(alpha,m) up to a cutoff, exactly enumerated."""
+    """All decay levels (alpha,k)+(alpha,m) up to a cutoff, exactly enumerated.
+
+    ``q``, the lcm of the level denominators, and the read-only int64 ``steps``
+    = levels * q are derived once, and take no part in equality, hash or repr.
+    """
 
     rates: tuple
     lambda_max: Fraction
     levels: tuple
+    q: int = dataclass_field(init=False, repr=False, compare=False)
+    steps: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        levels = tuple(v if type(v) is Fraction else Fraction(v) for v in self.levels)
+        q = math.lcm(1, *(v.denominator for v in levels))
+        steps = np.array([v.numerator * (q // v.denominator) for v in levels], dtype=np.int64)
+        steps.flags.writeable = False
         object.__setattr__(self, "rates", tuple(Fraction(r) for r in self.rates))
         object.__setattr__(self, "lambda_max", Fraction(self.lambda_max))
-        object.__setattr__(self, "levels", tuple(Fraction(v) for v in self.levels))
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
         return len(self.levels)
 
     def __contains__(self, value) -> bool:
-        return Fraction(value) in set(self.levels)
+        step = Fraction(value) * self.q
+        return step.denominator == 1 and step.numerator in self.steps
 
 
 def level_grid(field: DiagonalField, lambda_max) -> LevelGrid:

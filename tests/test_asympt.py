@@ -45,6 +45,26 @@ def test_construction_rejects_floats():
         AsymptoticExpansion([(0.5, 0, 1.0)])
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 1.0), ("-1/3", 1.0)], "levels must be >= 0"),
+    ([(Fraction(-2), 1.0)], "levels must be >= 0"),
+    ([("1/2", 1.0), (Fraction(1, 2), 2.0)], "levels must be strictly increasing"),
+    ([(Fraction(2, 6), 1.0), ("1/3", 2.0), (1, 0.5)], "levels must be strictly increasing"),
+    ([(1, 1.0), ("7/8", 1.0)], "levels must be strictly increasing"),
+    ([("1/7", 1.0), (Fraction(1, 11), 1.0), (2, 1.0)], "levels must be strictly increasing"),
+])
+def test_holomorphic_expansion_rejects_negative_and_unordered_levels(pairs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HolomorphicExpansion(pairs)
+
+
+def test_holomorphic_expansion_accepts_mixed_exact_levels_and_rejects_floats():
+    e = HolomorphicExpansion([(0, 1.0), ("1/13", 2.0), (Fraction(1, 7), 3.0), (1, 4.0)])
+    assert e.levels == (Fraction(0), Fraction(1, 13), Fraction(1, 7), Fraction(1))
+    with pytest.raises(TypeError, match="exponents must be exact"):
+        HolomorphicExpansion([(0, 1.0), (0.5, 1.0)])
+
+
 def test_equals_ignores_input_order(rng):
     for _ in range(30):
         terms = _random_expansion_terms(rng)

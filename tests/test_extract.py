@@ -7,12 +7,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holoflow import (DiagonalField, ExtractionError, ExtractionParams,
                       HolomorphicExpansion, extract_coefficients, level_grid,
                       residual, sampled_sup, shift_difference,
                       verify_cauchy_bound)
-from holoflow.extract import MAX_NODES, SUP_X, aligned_window, quadrature_nodes
+from holoflow.extract import (MAX_NODES, NODES_PER_PERIOD, SUP_X, CauchyBoundReport,
+                              _five_smooth, aligned_window, quadrature_nodes)
 from holoflow.reports import fitted_decay_rate
 from holoflow.sampling import evaluate, evaluate_prefix
 from holoflow.wirtinger import CIRCLE, dbar_circle
@@ -46,6 +49,98 @@ def random_source(rng, grid, n_terms=6) -> HolomorphicExpansion:
 
 def never_called(z):
     raise AssertionError("the oracle must not be sampled")
+
+
+# -- the Fraction-based derivation that extraction on the grid lattice replaces
+
+def reference_five_smooth(n: int) -> int:
+    odd = [3**b * 5**c for b in range(16) for c in range(11)]
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd)
+
+
+def reference_window(params):
+    """(L, q, K, Q), the bins and the float levels, derived from the Fraction levels."""
+    levels = params.grid.levels
+    q = math.lcm(1, *(lam.denominator for lam in levels))
+    K = max(1, round(params.half_width / (math.pi * q)))
+    periods = (float(levels[-1]) if levels else 0.0) * q * K
+    Q = max(params.nodes, int(math.ceil(NODES_PER_PERIOD * periods)) + 1)
+    bins = [lam.numerator * (q // lam.denominator) * K for lam in levels]
+    return (math.pi * q * K, q, K, reference_five_smooth(Q)), bins, [float(v) for v in levels]
+
+
+def reference_extract(oracle, params):
+    """The pairs and trace rows of extract_coefficients, and sampled_sup."""
+    (L, q, K, Q), bins, lam = reference_window(params)
+    y = -L + (2.0 * L / Q) * np.arange(Q)
+    z = params.x0 + 1j * y
+    vals = evaluate(oracle, z)
+    lam, bins = np.array(lam), np.array(bins, dtype=np.int64)
+    weight = np.exp(lam * params.x0) * np.where(bins % 2, -1.0, 1.0)
+    bins %= Q
+    first = weight * np.fft.ifft(vals)[bins]
+    first[np.abs(first) < params.tol] = 0
+    for i in np.flatnonzero(first):
+        vals -= first[i] * np.exp(-lam[i] * z)
+    coeffs = first + weight * np.fft.ifft(vals)[bins]
+    coeffs[np.abs(coeffs) < params.tol] = 0
+    spectrum = np.zeros_like(vals)
+    spectrum[bins] = (coeffs - first) / weight
+    vals -= np.fft.fft(spectrum)
+    norm = float(np.max(np.abs(vals)))
+    rows = []
+    for i in reversed(range(len(lam))):
+        rows.append((float(lam[i]), complex(coeffs[i]), norm))
+        if coeffs[i] != 0:
+            vals += coeffs[i] * np.exp(-lam[i] * z)
+            norm = float(np.max(np.abs(vals)))
+    sup = float(np.max(np.abs(evaluate(oracle, SUP_X + 1j * y))))
+    return tuple(zip(params.grid.levels, coeffs.tolist())), rows[::-1], sup
+
+
+def reference_cauchy(pairs, M, tol=1e-6) -> CauchyBoundReport:
+    ratios, worst, worst_level = [], 0.0, None
+    for lam, c in pairs:
+        ratio = abs(c) / M
+        ratios.append((float(lam), ratio))
+        if ratio > worst:
+            worst, worst_level = ratio, float(lam)
+    return CauchyBoundReport(worst <= 1.0 + tol, worst, worst_level, M, tuple(ratios))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.fractions(Fraction(1, 13), 3, max_denominator=13), min_size=1, max_size=3),
+       st.fractions(Fraction(1, 12), 2, max_denominator=12),
+       st.floats(1.0, 400.0), st.integers(0, 2**32 - 1))
+@example([Fraction(1, 7), Fraction(1, 11), Fraction(1, 13)], Fraction(3, 2), 64.0, 0)
+@example([Fraction(1, 6)], Fraction(10), 64.0, 1)
+@example([Fraction(1, 3**34)], Fraction(100, 3**34), 64.0, 2)  # q beyond 2^53
+def test_lattice_extraction_equals_the_fraction_derivation(rates, lam_max, half_width, seed):
+    grid = level_grid(DiagonalField(tuple(rates)), lam_max)
+    params = ExtractionParams(grid=grid, half_width=half_width)
+    (L, q, K, Q), bins, lam = reference_window(params)
+    assert aligned_window(grid, half_width) == (L, q, K) and grid.q == q
+    assert len(quadrature_nodes(params)) == Q == _five_smooth(Q)
+    assert (grid.steps * K).tolist() == bins
+    if q <= 2**53:
+        assert (grid.steps / q).tolist() == lam
+
+    src = random_source(np.random.default_rng(seed), grid, n_terms=min(6, len(grid)))
+    trace = []
+    rec = extract_coefficients(src, params, trace=trace)
+    pairs, rows, sup = reference_extract(src, params)
+    assert rec.pairs() == pairs and trace == rows
+    assert sampled_sup(src, params) == sup
+    assert verify_cauchy_bound(rec, src, sup) == reference_cauchy(pairs, sup)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**23))
+@example(1)
+@example(MAX_NODES)
+@example(MAX_NODES + 1)
+def test_five_smooth_equals_the_candidate_definition(n):
+    assert _five_smooth(n) == reference_five_smooth(n)
 
 
 def test_params_validation():
@@ -244,6 +339,21 @@ def test_cauchy_bound_flags_oversized_coefficient():
     assert not report.passed
     assert report.max_ratio == pytest.approx(3.0)
     assert report.worst_level == 2.0
+
+
+def test_cauchy_bound_nan_coefficient_fails_at_its_level():
+    e = HolomorphicExpansion([(1, complex(math.nan)), (2, 0.5)])
+    report = verify_cauchy_bound(e, never_called, 1.0)
+    assert not report.passed
+    assert math.isnan(report.max_ratio)
+    assert report.worst_level == 1.0
+
+
+@pytest.mark.parametrize("M", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_cauchy_bound_rejects_a_bound_that_is_not_finite_and_positive(M):
+    e = HolomorphicExpansion([(1, 0.5)])
+    with pytest.raises(ValueError, match="bound M must be positive and finite"):
+        verify_cauchy_bound(e, never_called, M)
 
 
 def test_cauchy_bound_single_exponential_attains_one():

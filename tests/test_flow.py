@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from holoflow import (BasePoint, DiagonalField, SpectrumClass, SpectrumError,
                       classify_spectrum, integral_curve, level_grid,
                       normalize_time)
+from holoflow.flow import LevelGrid
 from holoflow.forelli import FD_STEP
 from holoflow.sampling import halfplane_points, polydisk_points
 from holoflow.wirtinger import CIRCLE
@@ -223,6 +224,56 @@ def brute_force_levels(rates, lam_max) -> tuple:
 def test_level_grid_matches_brute_force(rates, lam_max):
     assert level_grid(DiagonalField(tuple(rates)), lam_max).levels == \
         brute_force_levels(rates, lam_max)
+
+
+def test_level_grid_carries_its_lattice():
+    levels = (Fraction(0), Fraction(2, 3), Fraction(1), Fraction(4, 3))
+    g = LevelGrid(rates=(Fraction(2, 3), 1), lambda_max="4/3", levels=levels)
+    assert all(a is b for a, b in zip(g.levels, levels))  # Fractions are kept, not re-wrapped
+    assert g.q == 3 and g.steps.tolist() == [0, 2, 3, 4] and g.steps.dtype == np.int64
+    assert not g.steps.flags.writeable
+    assert g == LevelGrid((Fraction(2, 3), Fraction(1)), Fraction(4, 3), ("0", "2/3", 1, "4/3"))
+    assert hash(g) == hash((g.rates, g.lambda_max, g.levels))
+    assert "steps" not in repr(g) and "q=" not in repr(g)
+    assert LevelGrid((1,), 1, ()).q == 1 and LevelGrid((1,), 1, ()).steps.tolist() == []
+
+
+def _lookup_value(value, form):
+    """The Fraction ``value`` as an int, a 'p/q' string, a float or itself."""
+    if form == "int" and value.denominator == 1:
+        return int(value)
+    if form == "str":
+        return f"{value.numerator}/{value.denominator}"
+    if form == "float" and value.denominator & (value.denominator - 1) == 0:
+        return float(value)  # dyadic, so exact: 0.5, 0.25, 3.0
+    return value
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.fractions(Fraction(1, 13), 3, max_denominator=13), min_size=1, max_size=3),
+       st.fractions(Fraction(1, 12), 4, max_denominator=12),
+       st.lists(st.tuples(st.fractions(-2, 6, max_denominator=30),
+                          st.sampled_from(["fraction", "int", "str", "float"])),
+                min_size=1, max_size=20))
+@example([Fraction(1, 2)], Fraction(3), [(Fraction(1, 2), "float"), (Fraction(7, 2), "str"),
+                                          (Fraction(-1, 2), "float"), (Fraction(1, 3), "str"),
+                                          (Fraction(3), "int"), (Fraction(4), "int")])
+def test_grid_membership_equals_the_set_answer(rates, lam_max, values):
+    g = level_grid(DiagonalField(tuple(rates)), lam_max)
+    members = set(g.levels)
+    on_grid = [(lvl, "fraction") for lvl in g.levels[:5] + g.levels[-5:]]
+    for value, form in values + on_grid:
+        value = _lookup_value(value, form)
+        assert (value in g) == (Fraction(value) in members), value
+
+
+def test_grid_membership_rejects_what_fraction_rejects():
+    g = level_grid(DiagonalField((Fraction(1, 2),)), 3)
+    assert 0.5 in g and "3/2" in g and 3 in g and "1/3" not in g and 0.1 not in g
+    for bad, error in (("x", ValueError), (math.nan, ValueError), (math.inf, OverflowError),
+                       (1 + 0j, TypeError)):
+        with pytest.raises(error):
+            bad in g  # noqa: B015
 
 
 def test_level_grid_refuses_an_oversized_lattice():
