@@ -21,13 +21,12 @@ status 0 iff every required check passed, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _STR
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ from .extract import ExtractionParams, extract_coefficients, sampled_sup, \
 from .flow import (BasePoint, DiagonalField, SpectrumError, integral_curve, level_grid,
                    level_of, normalize_time)
 from .forelli import CERT_POINTS, CERT_RADIUS, TAGS, ForelliConfig, JetOracle, forelli_pipeline
-from .reports import write_decay_csv
+from .reports import write_csv, write_decay_csv
 from .sampling import evaluate, halfplane_points, polydisk_points
 from .series import MultiIndex, TaylorSeries, eval_taylor, parse_term_line
 
@@ -227,11 +226,9 @@ def _run_pushforward(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     max_err = float(np.max(errors))
     passed = max_err <= tol
 
-    with open(out / "expansion.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mu", "nu", "level", "re", "im"])
-        for mu, nu, p in expansion.all_terms():
-            writer.writerow([str(mu), str(nu), str(mu + nu), repr(p.real), repr(p.imag)])
+    write_csv(out / "expansion.csv", ("mu", "nu", "level", "re", "im"),
+              [(str(mu), str(nu), str(mu + nu), repr(p.real), repr(p.imag))
+               for mu, nu, p in expansion.all_terms()])
     report = {
         "expansion": [[str(mu), str(nu), _json_complex(p)]
                       for mu, nu, p in expansion.all_terms()],
@@ -278,11 +275,8 @@ def _run_extraction(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     cauchy = verify_cauchy_bound(recovered, source, bound)
     passed = max_err <= compare_tol and cauchy.passed
 
-    with open(out / "extraction_trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "coeff_re", "coeff_im", "residual_norm"])
-        for lam, c, norm in trace:
-            writer.writerow([repr(lam), repr(c.real), repr(c.imag), repr(norm)])
+    write_csv(out / "extraction_trace.csv", ("level", "coeff_re", "coeff_im", "residual_norm"),
+              [(repr(lam), repr(c.real), repr(c.imag), repr(norm)) for lam, c, norm in trace])
     report = {
         "recovered": [[str(lam), _json_complex(c)] for lam, c in recovered.pairs()],
         "max_error": max_err,
@@ -401,16 +395,36 @@ _RUNNERS = {
 }
 
 
-def _finite_json(value):
-    """value with each non-finite float as the string "inf", "-inf" or "nan",
-    which float() reads back; report.json stays strict JSON."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(float(value))
+def _report_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False) in one pass,
+    with each non-finite float as the string "inf", "-inf" or "nan", which float()
+    reads back, so report.json stays strict JSON.  Dict keys must be strings;
+    what json cannot encode raises TypeError."""
+    if isinstance(value, str):
+        return _STR(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else _STR(str(float(value)))
+    if not isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = newline + "  "
+    sep = "," + inner
     if isinstance(value, dict):
-        return {key: _finite_json(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_json(item) for item in value]
-    return value
+        return "{" + inner + sep.join(f"{_STR(key)}: {_report_text(item, inner)}"
+                                      for key, item in sorted(value.items())) + newline + "}"
+    encode = _STR if isinstance(value[0], str) else float.__repr__
+    try:  # a flat list of strings or of floats is one join
+        body = sep.join(map(encode, value))
+    except TypeError:  # a mixed list, or a list of containers
+        body = None
+    if body is None or encode is float.__repr__ and "n" in body:  # a finite repr has no "n"
+        body = sep.join(_report_text(item, inner) for item in value)
+    return "[" + inner + body + newline + "]"
 
 
 def run_scenario(path, out_dir, tolerance=None, seed=None, max_level=None) -> int:
@@ -438,8 +452,7 @@ def run_scenario(path, out_dir, tolerance=None, seed=None, max_level=None) -> in
         "report": report,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    text = json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False)
-    (out / "report.json").write_text(text + "\n")
+    (out / "report.json").write_text(_report_text(payload) + "\n")
     print(f"{kind}: {'pass' if passed else 'FAIL'} -> {out / 'report.json'}")
     return 0 if passed else 1
 

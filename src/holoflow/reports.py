@@ -39,6 +39,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -66,9 +67,6 @@ class DecayReport:
     @property
     def passed(self) -> bool:
         return self.verdict == PASS
-
-    def rows(self) -> list[tuple]:
-        return [(a, v, self.verdict) for a, v in zip(self.abscissas, self.values)]
 
     def to_json_dict(self) -> dict:
         out = {
@@ -122,13 +120,19 @@ def clamped_exp(log_value: float) -> float:
     return math.exp(log_value)
 
 
-def write_decay_csv(path, report: DecayReport, label: str = "") -> None:
-    """Dump one report as CSV rows (abscissa, weighted residual, verdict)."""
+def write_csv(path, header, rows) -> None:
+    """Write the header row, then every row in one writerows call."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["label", "abscissa", "weighted_residual", "verdict"])
-        for a, v, verdict in report.rows():
-            writer.writerow([label, repr(float(a)), repr(float(v)), verdict])
-        if report.epsilon_form is not None:
-            for a, v, verdict in report.epsilon_form.rows():
-                writer.writerow([label + ":epsilon_form", repr(float(a)), repr(float(v)), verdict])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_decay_csv(path, report: DecayReport, label: str = "") -> None:
+    """Rows (label, abscissa, weighted residual, verdict), then the epsilon form's."""
+    rows: list = []
+    for name, rep in ((label, report), (label + ":epsilon_form", report.epsilon_form)):
+        if rep is not None:
+            rows += zip(repeat(name), map(repr, map(float, rep.abscissas)),
+                        map(repr, map(float, rep.values)), repeat(rep.verdict))
+    write_csv(path, ("label", "abscissa", "weighted_residual", "verdict"), rows)

@@ -1,5 +1,6 @@
 """Scenario parsing, report emission, exit codes, and determinism."""
 
+import csv
 import json
 import math
 import subprocess
@@ -7,10 +8,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holoflow import cli
 from holoflow.cli import main, parse_complex
+from holoflow.reports import DecayReport, write_decay_csv
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -207,6 +212,78 @@ def test_repeated_runs_identical_modulo_timestamp(tmp_path, name):
     t2 = [l for l in (out2 / "report.json").read_text().splitlines()
           if '"timestamp"' not in l]
     assert t1 == t2
+
+
+def finite_json(value):
+    """Reference for cli._report_text: value with each non-finite float as the
+    string "inf", "-inf" or "nan", the walk that ran before json.dumps."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {key: finite_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [finite_json(item) for item in value]
+    return value
+
+
+def stdlib_report_text(value) -> str:
+    return json.dumps(finite_json(value), indent=2, sort_keys=True, allow_nan=False)
+
+
+FLOATS = st.floats() | st.sampled_from([-0.0, math.inf, -math.inf, math.nan]) \
+    | st.floats().map(np.float64)
+SCALARS = st.none() | st.booleans() | st.integers(-2**200, 2**200) | FLOATS | st.text()
+FLAT = st.lists(FLOATS, max_size=6) | st.lists(st.text(), max_size=4) \
+    | st.lists(st.tuples(st.text(max_size=3), st.lists(st.floats(), min_size=2, max_size=2)),
+               max_size=4)
+REPORT_VALUES = st.recursive(
+    SCALARS | FLAT,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(REPORT_VALUES)
+@example({"values": [0.5, math.inf, -math.inf, math.nan, -0.0, np.float64(1e300)],
+          "pairs": [["1/2", [0.25, -0.0]]], "empty": {}, "none": [], "tuple": (),
+          "\u00e9\u2603": ["\u00e9", "\U0001f600", "\n\"\\"], "big": -2**100, "ok": True})
+def test_report_text_equals_json_dumps_of_the_finite_form(value):
+    assert cli._report_text(value) == stdlib_report_text(value)
+
+
+@pytest.mark.parametrize("value", [{"a": object()}, [1.0, {2.0}], ["a", b"b"], 1j,
+                                   {"n": np.int64(3)}, [np.bool_(True)]])
+def test_report_text_refuses_what_json_cannot_encode(value):
+    with pytest.raises(TypeError):
+        stdlib_report_text(value)
+    with pytest.raises(TypeError):
+        cli._report_text(value)
+
+
+def per_row_decay_csv(path, report: DecayReport, label: str) -> None:
+    """Reference for reports.write_decay_csv: one writerow per sample."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label", "abscissa", "weighted_residual", "verdict"])
+        for a, v in zip(report.abscissas, report.values):
+            writer.writerow([label, repr(float(a)), repr(float(v)), report.verdict])
+        if report.epsilon_form is not None:
+            eps = report.epsilon_form
+            for a, v in zip(eps.abscissas, eps.values):
+                writer.writerow([label + ":epsilon_form", repr(float(a)), repr(float(v)),
+                                 eps.verdict])
+
+
+@pytest.mark.parametrize("epsilon", [False, True])
+def test_decay_csv_equals_the_per_row_writer(tmp_path, epsilon):
+    eps = DecayReport(0.0, (1, np.float64(2.5), 7.0), (math.nan, 1e-300, np.float64(-0.0)),
+                      1e-6, "inconclusive", "monotone_below_tol")
+    report = DecayReport(2.0, (0.1, np.float64(3.0), 1e308), (math.inf, 5e-324, -math.inf),
+                         1e-6, "fail", "bound_margin", epsilon_form=eps if epsilon else None)
+    write_decay_csv(tmp_path / "batched.csv", report, label="tail")
+    per_row_decay_csv(tmp_path / "per_row.csv", report, label="tail")
+    assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
 
 
 def test_parser_is_built_once_and_survives_a_failed_parse(tmp_path, capsys, monkeypatch):

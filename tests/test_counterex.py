@@ -7,7 +7,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from holoflow import counterex
 from holoflow import (BranchSearchError, ResonantExample, SpiralExample,
                       branch_power, choose_branch_exponent,
                       counterexample_suite, phi_resonant, phi_spiral,
@@ -209,6 +212,56 @@ def test_suite_zero_jet_decay_reports_cover_orders():
         rep = report.decay_reports[f"zero_jet_order_{n}"]
         assert rep.passed
         assert rep.values[-1] <= 1e-8
+
+
+def bisect_80(log_ratio, n, target, v_lo, v_hi):
+    """Reference for counterex._bisect: all 80 halvings, however many move the bracket."""
+    for _ in range(80):
+        mid = 0.5 * (v_lo + v_hi)
+        if log_ratio(mid, n) > target:
+            v_lo = mid
+        else:
+            v_hi = mid
+    return v_hi
+
+
+@pytest.mark.parametrize("which, kwargs", [("resonant", {"t": Fraction(3, 2)}),
+                                           ("spiral", {"alpha": -0.5 + 2j, "t": 0.5}),
+                                           ("spiral", {})])
+def test_zero_jet_radii_equal_those_of_the_80_step_bisection(monkeypatch, which, kwargs):
+    real, calls = counterex._zero_jet_radii, []
+    monkeypatch.setattr(counterex, "_zero_jet_radii",
+                        lambda log_ratio, n, tol: calls.append((log_ratio, n, tol))
+                        or real(log_ratio, n, tol))
+    counterexample_suite(which, **kwargs)
+    assert [n for _, n, _ in calls] == list(range(1, 9))
+    counted = {"early": 0, "80": 0}
+
+    def radii(key):
+        def counting(log_ratio):
+            def counted_log_ratio(v, n):
+                counted[key] += 1
+                return log_ratio(v, n)
+            return counted_log_ratio
+        return [real(counting(log_ratio), n, tol) for log_ratio, n, tol in calls]
+
+    early = radii("early")
+    monkeypatch.setattr(counterex, "_bisect", bisect_80)
+    assert radii("80") == early
+    assert counted["early"] < counted["80"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(1e-3, 1e3), st.floats(-1e3, 1e3),
+       st.floats(0.0, 640.0), st.floats(0.0, 640.0), st.booleans())
+def test_bisect_equals_the_80_step_loop_on_monotone_functions(power, scale, target, a, b, steps):
+    def log_ratio(v, n):  # decreasing in v; floor makes plateaus
+        value = -scale * v ** power + n
+        return math.floor(value) if steps else value
+
+    v_lo, v_hi = min(a, b), max(a, b)
+    assert counterex._bisect(log_ratio, 3, target, v_lo, v_hi) \
+        == bisect_80(log_ratio, 3, target, v_lo, v_hi)
 
 
 def test_infinite_order_vanishing_on_fixed_slice_resonant():

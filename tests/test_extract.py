@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from holoflow import extract
 from holoflow import (DiagonalField, ExtractionError, ExtractionParams,
                       HolomorphicExpansion, extract_coefficients, level_grid,
                       residual, sampled_sup, shift_difference,
@@ -69,8 +70,8 @@ def reference_window(params):
     return (math.pi * q * K, q, K, reference_five_smooth(Q)), bins, [float(v) for v in levels]
 
 
-def reference_extract(oracle, params):
-    """The pairs and trace rows of extract_coefficients, and sampled_sup."""
+def reference_first_pass(oracle, params):
+    """y, z, the line samples, float levels, bins, weights and unsnapped first-pass bins."""
     (L, q, K, Q), bins, lam = reference_window(params)
     y = -L + (2.0 * L / Q) * np.arange(Q)
     z = params.x0 + 1j * y
@@ -78,7 +79,13 @@ def reference_extract(oracle, params):
     lam, bins = np.array(lam), np.array(bins, dtype=np.int64)
     weight = np.exp(lam * params.x0) * np.where(bins % 2, -1.0, 1.0)
     bins %= Q
-    first = weight * np.fft.ifft(vals)[bins]
+    return y, z, vals, lam, bins, weight, weight * np.fft.ifft(vals)[bins]
+
+
+def reference_extract(oracle, params):
+    """The pairs and trace rows of extract_coefficients, and sampled_sup; the
+    trace walk recomputes every term it adds back."""
+    y, z, vals, lam, bins, weight, first = reference_first_pass(oracle, params)
     first[np.abs(first) < params.tol] = 0
     for i in np.flatnonzero(first):
         vals -= first[i] * np.exp(-lam[i] * z)
@@ -212,6 +219,28 @@ def test_trace_rows_match_levels():
     assert [row[0] for row in trace] == [0.0, 1.0, 2.0, 3.0]
     # residual norm collapses once the only term is removed
     assert trace[0][2] > 0.1 and trace[1][2] < 1e-12
+
+
+@pytest.mark.parametrize("kept", [extract.MAX_KEPT_VALUES, 4096])
+def test_trace_keeps_the_coefficients_and_rows_of_the_recomputing_walk(rng, monkeypatch, kept):
+    monkeypatch.setattr(extract, "MAX_KEPT_VALUES", kept)  # 4096: one Q = 4096 term at most
+    grid = level_grid(DiagonalField((Fraction(1, 2),)), 3)  # the 7 levels of extraction_demo
+    # a 1e-6 term whose first-pass bin snaps to zero while the second pass keeps
+    # it: the walk adds it back from a fresh np.exp, as no first-pass term exists
+    src = HolomorphicExpansion([(Fraction(0), 100.0), (Fraction(1, 2), 0.3),
+                                (Fraction(3, 2), 1.006e-6), (Fraction(3), -0.7j)])
+    first = abs(reference_first_pass(src, default_params(grid))[-1][3])
+    snapping = [ExtractionParams(grid=grid, tol=tol)
+                for tol in first * (1 + np.linspace(-1e-9, 1e-9, 41))]
+    snapped = next(params for params in snapping if params.tol > first
+                   and dict(reference_extract(src, params)[0])[Fraction(3, 2)] != 0)
+    for oracle, params in [(random_source(rng, grid, n_terms=4), default_params(grid)),
+                           (src, default_params(grid)), (src, snapped)]:
+        rows = []
+        recovered = extract_coefficients(oracle, params, trace=rows)
+        pairs, reference_rows, _ = reference_extract(oracle, params)
+        assert recovered.pairs() == extract_coefficients(oracle, params).pairs() == pairs
+        assert rows == reference_rows
 
 
 @pytest.mark.parametrize("rates, lam_max, n_sources",
