@@ -229,21 +229,6 @@ def verify_time_identity(ex: SpiralExample, zetas, tol: float = 1e-12) -> Identi
     return IdentityReport(worst < tol, worst, witness)
 
 
-def _bisect(log_ratio, n: int, target: float, v_lo: float, v_hi: float) -> float:
-    """The upper end of [v_lo, v_hi] after up to 80 halvings toward where the
-    decreasing log_ratio(., n) crosses target."""
-    for _ in range(80):
-        mid = 0.5 * (v_lo + v_hi)
-        done = mid == v_lo or mid == v_hi  # a fixed point: later steps change nothing
-        if log_ratio(mid, n) > target:
-            v_lo = mid
-        else:
-            v_hi = mid
-        if done:
-            break
-    return v_hi
-
-
 def _zero_jet_radii(log_ratio, n: int, tol: float, v_cap: float = 640.0,
                     points: int = 5) -> list[float]:
     """Radii exp(-v) on which  residual / r^n  visibly drops below tol.
@@ -253,6 +238,18 @@ def _zero_jet_radii(log_ratio, n: int, tol: float, v_cap: float = 640.0,
     finds where it crosses +5 (grid start) and log(tol) - 5 (grid end).
     """
     target_end = math.log(tol) - 5.0
+
+    def bisect(target: float, v_lo: float, v_hi: float) -> float:
+        for _ in range(80):
+            mid = 0.5 * (v_lo + v_hi)
+            done = mid == v_lo or mid == v_hi  # a fixed point: later steps change nothing
+            if log_ratio(mid, n) > target:
+                v_lo = mid
+            else:
+                v_hi = mid
+            if done:
+                break
+        return v_hi
 
     # walk out to find the decreasing regime and a bracket for the end target
     step = 0.25
@@ -269,11 +266,11 @@ def _zero_jet_radii(log_ratio, n: int, tol: float, v_cap: float = 640.0,
     if log_ratio(v_end_hi, n) > target_end:
         raise ValueError(
             f"order-{n} remainder cannot be certified within double range")
-    v_end = _bisect(log_ratio, n, target_end, v_hump, v_end_hi)
+    v_end = bisect(target_end, v_hump, v_end_hi)
     if log_ratio(v_hump, n) <= 5.0:
         v_start = v_hump
     else:
-        v_start = _bisect(log_ratio, n, 5.0, v_hump, v_end)
+        v_start = bisect(5.0, v_hump, v_end)
     v_end = max(v_end, 1.2 * v_start + 0.5)  # keep the radius grid non-degenerate
     vs = np.linspace(v_start, v_end, points)
     return [math.exp(-v) for v in vs]

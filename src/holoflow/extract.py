@@ -51,8 +51,6 @@ NODES_PER_PERIOD = 20
 MAX_NODES = 2**22
 #: abscissa of the line sampled_sup reads, next to the boundary Re z = 0
 SUP_X = 1e-9
-#: most first-pass values e^(-lambda z) a traced extraction keeps for its walk (16 MB)
-MAX_KEPT_VALUES = 2**20
 
 
 class ExtractionError(RuntimeError):
@@ -145,8 +143,7 @@ def extract_coefficients(
     each coefficient is a DFT bin refined by one deflation step (module
     docstring), and reported as zero below params.tol in modulus.  If ``trace``
     is a list, rows (level, coefficient, sup of the residual without the levels
-    up to this one) are appended for CSV export; the walk reuses e^(-lambda z) of
-    the first-pass terms, up to MAX_KEPT_VALUES values, and recomputes the rest.
+    up to this one) are appended for CSV export.
     """
     levels, steps, q = params.grid.levels, params.grid.steps, params.grid.q
     y, K = _window(params)
@@ -161,11 +158,8 @@ def extract_coefficients(
     norm0 = float(np.max(np.abs(vals)))
     first = weight * np.fft.ifft(vals)[bins]
     first[np.abs(first) < params.tol] = 0
-    terms = {}  # e^(-lambda z) of the first-pass terms; without a trace, popped at once
-    for i in np.flatnonzero(first).tolist():
-        terms[i] = np.exp(-lam[i] * z)
-        keep = trace is not None and len(terms) * len(z) <= MAX_KEPT_VALUES
-        vals -= first[i] * (terms[i] if keep else terms.pop(i))
+    for i in np.flatnonzero(first):
+        vals -= first[i] * np.exp(-lam[i] * z)
     coeffs = first + weight * np.fft.ifft(vals)[bins]
     coeffs[np.abs(coeffs) < params.tol] = 0
     spectrum = np.zeros_like(vals)
@@ -187,7 +181,7 @@ def extract_coefficients(
         for i in reversed(range(len(levels))):
             rows.append((float(lam[i]), complex(coeffs[i]), norm))
             if coeffs[i] != 0:
-                vals += coeffs[i] * (terms.pop(i) if i in terms else np.exp(-lam[i] * z))
+                vals += coeffs[i] * np.exp(-lam[i] * z)
                 norm = float(np.max(np.abs(vals)))
         trace.extend(reversed(rows))
     return HolomorphicExpansion(zip(levels, coeffs.tolist()))

@@ -214,15 +214,44 @@ def test_suite_zero_jet_decay_reports_cover_orders():
         assert rep.values[-1] <= 1e-8
 
 
-def bisect_80(log_ratio, n, target, v_lo, v_hi):
-    """Reference for counterex._bisect: all 80 halvings, however many move the bracket."""
-    for _ in range(80):
-        mid = 0.5 * (v_lo + v_hi)
-        if log_ratio(mid, n) > target:
-            v_lo = mid
-        else:
-            v_hi = mid
-    return v_hi
+def reference_zero_jet_radii(log_ratio, n, tol, v_cap=640.0, points=5):
+    """counterex._zero_jet_radii with all 80 halvings in each bisection, however
+    many of them move the bracket."""
+    target_end = math.log(tol) - 5.0
+
+    def bisect(target, v_lo, v_hi):
+        for _ in range(80):
+            mid = 0.5 * (v_lo + v_hi)
+            if log_ratio(mid, n) > target:
+                v_lo = mid
+            else:
+                v_hi = mid
+        return v_hi
+
+    step = 0.25
+    v = step
+    best = log_ratio(v, n)
+    while v < v_cap and log_ratio(v + step, n) >= best:
+        v += step
+        best = log_ratio(v, n)
+        step *= 1.3
+    v_hump = v
+    v_end_hi = v_hump
+    while v_end_hi < v_cap and log_ratio(v_end_hi, n) > target_end:
+        v_end_hi = min(v_cap, v_end_hi * 1.5 + 0.5)
+    if log_ratio(v_end_hi, n) > target_end:
+        raise ValueError(f"order-{n} remainder cannot be certified within double range")
+    v_end = bisect(target_end, v_hump, v_end_hi)
+    v_start = v_hump if log_ratio(v_hump, n) <= 5.0 else bisect(5.0, v_hump, v_end)
+    v_end = max(v_end, 1.2 * v_start + 0.5)
+    return [math.exp(-v) for v in np.linspace(v_start, v_end, points)]
+
+
+def counting(log_ratio, counter):
+    def counted_log_ratio(v, n):
+        counter.append(v)
+        return log_ratio(v, n)
+    return counted_log_ratio
 
 
 @pytest.mark.parametrize("which, kwargs", [("resonant", {"t": Fraction(3, 2)}),
@@ -235,33 +264,29 @@ def test_zero_jet_radii_equal_those_of_the_80_step_bisection(monkeypatch, which,
                         or real(log_ratio, n, tol))
     counterexample_suite(which, **kwargs)
     assert [n for _, n, _ in calls] == list(range(1, 9))
-    counted = {"early": 0, "80": 0}
-
-    def radii(key):
-        def counting(log_ratio):
-            def counted_log_ratio(v, n):
-                counted[key] += 1
-                return log_ratio(v, n)
-            return counted_log_ratio
-        return [real(counting(log_ratio), n, tol) for log_ratio, n, tol in calls]
-
-    early = radii("early")
-    monkeypatch.setattr(counterex, "_bisect", bisect_80)
-    assert radii("80") == early
-    assert counted["early"] < counted["80"]
+    early, full = [], []
+    for log_ratio, n, tol in calls:
+        assert real(counting(log_ratio, early), n, tol) \
+            == reference_zero_jet_radii(counting(log_ratio, full), n, tol)
+    assert len(early) < len(full)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(1e-3, 1e3), st.floats(-1e3, 1e3),
-       st.floats(0.0, 640.0), st.floats(0.0, 640.0), st.booleans())
-def test_bisect_equals_the_80_step_loop_on_monotone_functions(power, scale, target, a, b, steps):
-    def log_ratio(v, n):  # decreasing in v; floor makes plateaus
-        value = -scale * v ** power + n
+@given(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(1e-3, 1e3), st.floats(0.0, 50.0),
+       st.floats(-20.0, 60.0), st.sampled_from([1e-12, 1e-8, 1e-3]), st.booleans())
+def test_zero_jet_radii_equal_the_80_step_ones_on_monotone_functions(power, scale, rise,
+                                                                    offset, tol, steps):
+    def log_ratio(v, n):  # a hump, then decreasing in v; floor makes plateaus
+        value = offset + rise * math.log1p(v) - scale * v ** power + n
         return math.floor(value) if steps else value
 
-    v_lo, v_hi = min(a, b), max(a, b)
-    assert counterex._bisect(log_ratio, 3, target, v_lo, v_hi) \
-        == bisect_80(log_ratio, 3, target, v_lo, v_hi)
+    try:
+        expected = reference_zero_jet_radii(log_ratio, 3, tol)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            counterex._zero_jet_radii(log_ratio, 3, tol)
+    else:
+        assert counterex._zero_jet_radii(log_ratio, 3, tol) == expected
 
 
 def test_infinite_order_vanishing_on_fixed_slice_resonant():

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holoflow import extract
 from holoflow import (DiagonalField, ExtractionError, ExtractionParams,
                       HolomorphicExpansion, extract_coefficients, level_grid,
                       residual, sampled_sup, shift_difference,
@@ -83,8 +82,7 @@ def reference_first_pass(oracle, params):
 
 
 def reference_extract(oracle, params):
-    """The pairs and trace rows of extract_coefficients, and sampled_sup; the
-    trace walk recomputes every term it adds back."""
+    """The pairs and trace rows of extract_coefficients, and sampled_sup."""
     y, z, vals, lam, bins, weight, first = reference_first_pass(oracle, params)
     first[np.abs(first) < params.tol] = 0
     for i in np.flatnonzero(first):
@@ -221,12 +219,9 @@ def test_trace_rows_match_levels():
     assert trace[0][2] > 0.1 and trace[1][2] < 1e-12
 
 
-@pytest.mark.parametrize("kept", [extract.MAX_KEPT_VALUES, 4096])
-def test_trace_keeps_the_coefficients_and_rows_of_the_recomputing_walk(rng, monkeypatch, kept):
-    monkeypatch.setattr(extract, "MAX_KEPT_VALUES", kept)  # 4096: one Q = 4096 term at most
+def test_traced_extraction_keeps_the_coefficients_and_the_reference_rows(rng):
     grid = level_grid(DiagonalField((Fraction(1, 2),)), 3)  # the 7 levels of extraction_demo
-    # a 1e-6 term whose first-pass bin snaps to zero while the second pass keeps
-    # it: the walk adds it back from a fresh np.exp, as no first-pass term exists
+    # a 1e-6 term whose first-pass bin snaps to zero while the second pass keeps it
     src = HolomorphicExpansion([(Fraction(0), 100.0), (Fraction(1, 2), 0.3),
                                 (Fraction(3, 2), 1.006e-6), (Fraction(3), -0.7j)])
     first = abs(reference_first_pass(src, default_params(grid))[-1][3])
