@@ -242,32 +242,33 @@ def _zero_jet_radii(log_ratio, n: int, tol: float, v_cap: float = 640.0,
     def bisect(target: float, v_lo: float, v_hi: float) -> float:
         for _ in range(80):
             mid = 0.5 * (v_lo + v_hi)
-            done = mid == v_lo or mid == v_hi  # a fixed point: later steps change nothing
+            if mid == v_lo or mid == v_hi:  # a fixed point: no step changes the bracket now
+                break
             if log_ratio(mid, n) > target:
                 v_lo = mid
             else:
                 v_hi = mid
-            if done:
-                break
         return v_hi
 
-    # walk out to find the decreasing regime and a bracket for the end target
+    # walk out to find the decreasing regime and a bracket for the end target;
+    # best and end_value are log_ratio at v and v_end_hi, each point read once
     step = 0.25
     v = step
     best = log_ratio(v, n)
-    while v < v_cap and log_ratio(v + step, n) >= best:
+    while v < v_cap and (ahead := log_ratio(v + step, n)) >= best:
         v += step
-        best = log_ratio(v, n)
+        best = ahead
         step *= 1.3
     v_hump = v
-    v_end_hi = v_hump
-    while v_end_hi < v_cap and log_ratio(v_end_hi, n) > target_end:
+    v_end_hi, end_value = v_hump, best
+    while v_end_hi < v_cap and end_value > target_end:
         v_end_hi = min(v_cap, v_end_hi * 1.5 + 0.5)
-    if log_ratio(v_end_hi, n) > target_end:
+        end_value = log_ratio(v_end_hi, n)
+    if end_value > target_end:
         raise ValueError(
             f"order-{n} remainder cannot be certified within double range")
     v_end = bisect(target_end, v_hump, v_end_hi)
-    if log_ratio(v_hump, n) <= 5.0:
+    if best <= 5.0:
         v_start = v_hump
     else:
         v_start = bisect(5.0, v_hump, v_end)

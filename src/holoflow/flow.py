@@ -150,6 +150,13 @@ def integral_curve(field: DiagonalField, c, zeta):
     return tuple(points.tolist()) if points.ndim == 1 else points
 
 
+def _lattice(rates) -> tuple[int, tuple[int, ...]]:
+    """(q, s): q the lcm of the rate denominators and the integers s_j = r_j q."""
+    rates = tuple(_as_fraction(r) for r in rates)
+    q = math.lcm(*(r.denominator for r in rates))
+    return q, tuple(r.numerator * (q // r.denominator) for r in rates)
+
+
 def level_of(index, rates) -> Fraction:
     """The exact level (alpha, index) = sum_j index_j * rate_j."""
     return sum((kj * rj for kj, rj in zip(index, rates)), Fraction(0))
@@ -204,14 +211,13 @@ def level_grid(field: DiagonalField, lambda_max) -> LevelGrid:
         raise SpectrumError("level grid requires a positive-ratio spectrum "
                             "(mixed spectra have no well-ordered levels)")
     rates = tuple(abs(r) for r in field.rates)
-    q = math.lcm(*(r.denominator for r in rates))
+    q, steps = _lattice(rates)
     top = math.floor(lam_max * q)
     if top > MAX_LATTICE:
         raise ValueError(f"level grid spans {top} multiples of 1/{q}; MAX_LATTICE = {MAX_LATTICE}")
     reach = np.zeros(top + 1, dtype=bool)
     reach[0] = True
-    for r in rates:
-        shift = int(r * q)
+    for shift in steps:
         while shift <= top:
             reach[shift:] |= reach[:-shift]
             shift *= 2

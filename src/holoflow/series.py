@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .flow import level_of
+from .flow import _lattice
 from .reports import (FAIL, INCONCLUSIVE, PASS, DecayReport, clamped_exp,
                       fitted_decay_rate, monotone_below)
 from .sampling import evaluate_prefix
@@ -139,14 +141,17 @@ class TaylorSeries:
         # coordinate columns: complex scalars for one point, arrays for a batch
         cols = zs.tolist() if zs.ndim == 1 else list(zs.T)
         total = 0j if zs.ndim == 1 else np.zeros(len(zs), dtype=complex)
+        # exponent 1 skips numpy's per-element npy_cpow; 2 is numpy's fast square, and a
+        # product chain for 3 or more would round differently (the multiply fuses)
         for a, _order, factors in plan:
             value = 1 + 0j
             for j, kj, mj in factors:
                 zj = cols[j]
                 if kj:
-                    value = value * zj ** kj
+                    value = value * (zj if kj == 1 else zj ** kj)
                 if mj:
-                    value = value * zj.conjugate() ** mj
+                    zc = zj.conjugate()
+                    value = value * (zc if mj == 1 else zc ** mj)
             total = total + a * value
         return total
 
@@ -172,12 +177,15 @@ def level_sums(series: TaylorSeries, rates, z) -> dict:
     """{(mu, nu): eval_taylor at z of the terms with ((alpha,k), (alpha,m)) = (mu, nu)}.
 
     Along the curve of the field with rates alpha through c, the sum at c
-    multiplies  e^(-mu zeta - nu conj(zeta)).
+    multiplies  e^(-mu zeta - nu conj(zeta)).  Terms are grouped by the integers
+    (mu q, nu q), q the lcm of the rate denominators; rates must be exact.
     """
+    q, steps = _lattice(rates)
     plans: dict = {}
     for (k, m), term in zip(series._terms, series._plan):
-        plans.setdefault((level_of(k, rates), level_of(m, rates)), []).append(term)
-    return {key: series._sum(plan, z) for key, plan in plans.items()}
+        plans.setdefault((sum(map(mul, k, steps)), sum(map(mul, m, steps))), []).append(term)
+    return {(Fraction(mu, q), Fraction(nu, q)): series._sum(plan, z)
+            for (mu, nu), plan in plans.items()}
 
 
 def antiholomorphic_part(series: TaylorSeries) -> TaylorSeries:

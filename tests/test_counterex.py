@@ -256,7 +256,8 @@ def counting(log_ratio, counter):
 
 @pytest.mark.parametrize("which, kwargs", [("resonant", {"t": Fraction(3, 2)}),
                                            ("spiral", {"alpha": -0.5 + 2j, "t": 0.5}),
-                                           ("spiral", {})])
+                                           ("spiral", {}),
+                                           ("resonant", {"t": 1})])
 def test_zero_jet_radii_equal_those_of_the_80_step_bisection(monkeypatch, which, kwargs):
     real, calls = counterex._zero_jet_radii, []
     monkeypatch.setattr(counterex, "_zero_jet_radii",
@@ -264,11 +265,14 @@ def test_zero_jet_radii_equal_those_of_the_80_step_bisection(monkeypatch, which,
                         or real(log_ratio, n, tol))
     counterexample_suite(which, **kwargs)
     assert [n for _, n, _ in calls] == list(range(1, 9))
-    early, full = [], []
+    early, full = 0, 0
     for log_ratio, n, tol in calls:
-        assert real(counting(log_ratio, early), n, tol) \
-            == reference_zero_jet_radii(counting(log_ratio, full), n, tol)
-    assert len(early) < len(full)
+        order_early, order_full = [], []
+        assert real(counting(log_ratio, order_early), n, tol) \
+            == reference_zero_jet_radii(counting(log_ratio, order_full), n, tol)
+        assert len(set(order_early)) == len(order_early)  # no point is read twice
+        early, full = early + len(order_early), full + len(order_full)
+    assert early < full
 
 
 @settings(max_examples=300, deadline=None)

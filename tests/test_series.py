@@ -1,6 +1,7 @@
 """Jet arithmetic, Wirtinger derivative, and remainder checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,13 +55,20 @@ def term_by_term(s, z, order):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_partial_sum_equals_the_term_by_term_sum_at_every_order(rng, dim):
-    for _ in range(4):
-        s = random_jet(rng, dim, 5, 8)
-        points = np.array([random_interior_point(rng, dim) for _ in range(7)])
-        for order in range(s.degree + 2):
-            assert np.array_equal(s.partial_sum(points, order), term_by_term(s, points, order))
-            for z in points:
-                assert s.partial_sum(tuple(z), order) == term_by_term(s, tuple(z), order)
+    # exponents 3 and 4 in both k and m: powers that numpy computes with npy_cpow
+    rest = (0,) * (dim - 1)
+    high = TaylorSeries(dim, {((3,) + rest, rest + (4,)): 0.5 - 0.25j,
+                              (rest + (4,), (3,) + rest): -0.75j,
+                              ((1,) + rest, (1,) + rest): 0.25})
+    for trial in range(4):
+        s = random_jet(rng, dim, 5, 8) + (high if trial % 2 else TaylorSeries.zero(dim))
+        for n in (0, 1, dim, 7):
+            points = np.array([random_interior_point(rng, dim) for _ in range(n)]).reshape(n, dim)
+            for order in range(s.degree + 2):
+                assert np.array_equal(s.partial_sum(points, order),
+                                      term_by_term(s, points, order))
+                for z in points:
+                    assert s.partial_sum(tuple(z), order) == term_by_term(s, tuple(z), order)
 
 
 def level_groups(s, rates) -> dict:
@@ -91,6 +99,25 @@ def test_level_sums_equal_eval_taylor_of_each_level_part(rng, dim):
                                                for key, part in parts.items()}
     assert merged or dim == 1  # in one variable each term has its own pair
     assert level_sums(TaylorSeries.zero(dim), (1,) * dim, points) == {}
+
+
+@pytest.mark.parametrize("rates", [(Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), 3),
+                                   ("1/2", "2/3", "5/7", "3"),
+                                   (1, "-2/3", 5, Fraction(3, 7))])
+def test_level_sums_keys_are_the_exact_levels_in_term_order(rng, rates):
+    exact = tuple(Fraction(r) for r in rates)
+    # at rates 1/2, 2/3, 5/7, 3 the indices (6, 0, 0, 0) and (0, 0, 0, 1) share level 3
+    pinned = TaylorSeries(4, {((6, 0, 0, 0), (0, 0, 0, 0)): 1, ((0, 0, 0, 1), (0, 0, 0, 0)): 2,
+                              ((0, 0, 0, 0), (6, 0, 0, 0)): 3, ((0, 0, 0, 0), (0, 0, 0, 1)): 4})
+    point = random_interior_point(rng, 4)
+    for trial in range(6):
+        s = random_jet(rng, 4, 6, 12) + (pinned if trial % 2 else TaylorSeries.zero(4))
+        keys = list(level_sums(s, rates, point))
+        assert keys == list(dict.fromkeys((level_of(k, exact), level_of(m, exact))
+                                          for k, m in s.terms()))
+        assert all(type(mu) is Fraction and type(nu) is Fraction for mu, nu in keys)
+    with pytest.raises(TypeError, match="exact"):
+        level_sums(s, exact[:3] + (3.0,), point)
 
 
 def test_degree_is_zero_for_the_zero_jet_and_for_a_cancelled_sum(rng):
