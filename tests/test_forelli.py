@@ -44,6 +44,18 @@ def test_jet_oracle_rejects_a_bound_that_is_not_finite_and_nonnegative(bound):
         JetOracle(oracle, jet, bound)
 
 
+@pytest.mark.parametrize("compare_tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_forelli_config_rejects_a_compare_tol_that_is_not_finite_and_positive(compare_tol):
+    # a NaN or infinite compare_tol made the threshold compare_tol * bound NaN or inf,
+    # so exp(z1 + z2) against its degree-1 jet read holomorphic
+    jet = TaylorSeries(2, {((0, 0), (0, 0)): 1, ((1, 0), (0, 0)): 1, ((0, 1), (0, 0)): 1})
+    oracle = lambda z: np.exp(z[:, 0] + z[:, 1])
+    verdict = forelli_pipeline(JetOracle(oracle, jet, math.e ** 2), DiagonalField((1, 2)))
+    assert verdict.tag == HYPOTHESIS_VIOLATED
+    with pytest.raises(ValueError, match="compare_tol must be finite and > 0"):
+        ForelliConfig(compare_tol=compare_tol)
+
+
 def test_curve_check_passes_for_holomorphic_function():
     jo = jet_oracle(TaylorSeries.monomial(2, (2, 0), (0, 0)))
     report = f_holomorphy_check(jo, DiagonalField((1, 2)), CURVES, ZETAS)

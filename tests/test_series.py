@@ -71,6 +71,46 @@ def test_partial_sum_equals_the_term_by_term_sum_at_every_order(rng, dim):
                     assert s.partial_sum(tuple(z), order) == term_by_term(s, tuple(z), order)
 
 
+# signed zeros and subnormals included; bounded so that no product overflows
+_COORD = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False, allow_subnormal=True)
+_POINT = st.builds(complex, _COORD, _COORD)
+
+
+@st.composite
+def jet_and_points(draw):
+    dim = draw(st.integers(1, 3))
+    index = st.lists(st.integers(0, 4), min_size=dim, max_size=dim)
+    terms = draw(st.lists(st.tuples(index, index, _POINT.filter(lambda a: a != 0)),
+                          min_size=1, max_size=6))
+    points = draw(st.lists(st.lists(_POINT, min_size=dim, max_size=dim), max_size=8))
+    return TaylorSeries(dim, [((k, m), a) for k, m, a in terms]), points
+
+
+@settings(max_examples=200, deadline=None)
+@given(jet_and_points())
+def test_first_factor_start_equals_the_one_started_product(case):
+    # term_by_term starts every term at 1 + 0j; on finite values == is equality of
+    # bits with -0.0 read as +0.0
+    s, points = case
+    batch = np.array(points, dtype=complex).reshape(len(points), s.dim)
+    assert np.array_equal(eval_taylor(s, batch), term_by_term(s, batch, s.degree))
+    for z in points:
+        assert eval_taylor(s, tuple(z)) == term_by_term(s, tuple(z), s.degree)
+
+
+def test_a_non_finite_coordinate_meets_one_multiply_fewer():
+    # z1 at inf + 0j: only the coefficient's multiply (1 + 0j)(inf + 0j) = inf + nan j is
+    # left; the 1 + 0j start added a second one, which made the real part NaN too
+    z1 = TaylorSeries.monomial(1, (1,), (0,))
+    inf = complex(math.inf, 0.0)
+    with np.errstate(invalid="ignore"):
+        values = [eval_taylor(z1, (inf,)), eval_taylor(z1, np.array([[inf]]))[0]]
+    for value in values:
+        assert value.real == math.inf and math.isnan(value.imag)
+    constant = TaylorSeries(1, {((0,), (0,)): inf})
+    assert eval_taylor(constant, (0.5,)) == inf  # its coefficient, not that times 1 + 0j
+
+
 def level_groups(s, rates) -> dict:
     """Reference: the sub-series of the terms at each ((alpha,k), (alpha,m))."""
     groups: dict = {}
