@@ -4,8 +4,7 @@ coefficient bounds, and holomorphy along diagonal linear flows."""
 from .asympt import (AntiHolomorphicTermError, AsymptoticExpansion,
                      HolomorphicExpansion, equals, eval_expansion,
                      max_principle_bound, pushforward, residual,
-                     restrict_holomorphic, tail_bound_check,
-                     uniform_convergence_check)
+                     restrict_holomorphic, tail_bound_check)
 from .counterex import (BranchSearchError, ResonantExample, SpiralExample,
                         branch_power, choose_branch_exponent,
                         counterexample_suite, phi_resonant, phi_spiral,
@@ -22,8 +21,7 @@ from .forelli import (ANTIHOLOMORPHIC_OBSTRUCTION, HOLOMORPHIC,
                       f_holomorphy_check, forelli_pipeline, reconstruct)
 from .reports import DecayReport, write_decay_csv
 from .series import (MultiIndex, TaylorSeries, antiholomorphic_part,
-                     eval_taylor, format_series, holomorphic_part,
-                     parse_series, taylor_remainder_check,
+                     eval_taylor, holomorphic_part, taylor_remainder_check,
                      wirtinger_F_derivative)
 
 __version__ = "0.1.0"
@@ -38,13 +36,12 @@ __all__ = [
     "antiholomorphic_vanishing", "branch_power", "choose_branch_exponent",
     "classify_spectrum", "counterexample_suite", "equals", "eval_expansion",
     "eval_taylor", "extract_coefficients", "f_holomorphy_check",
-    "forelli_pipeline", "format_series", "holomorphic_part", "integral_curve",
-    "level_grid", "max_principle_bound", "normalize_time", "parse_series",
-    "phi_resonant", "phi_spiral", "pushforward", "reconstruct", "residual",
-    "restrict_holomorphic", "sampled_sup", "sector_angles", "shift_difference",
-    "spiral_curve", "tail_bound_check", "taylor_remainder_check",
-    "uniform_convergence_check", "verify_cauchy_bound", "verify_time_identity",
-    "wirtinger_F_derivative", "write_decay_csv",
+    "forelli_pipeline", "holomorphic_part", "integral_curve", "level_grid",
+    "max_principle_bound", "normalize_time", "phi_resonant", "phi_spiral",
+    "pushforward", "reconstruct", "residual", "restrict_holomorphic",
+    "sampled_sup", "sector_angles", "shift_difference", "spiral_curve",
+    "tail_bound_check", "taylor_remainder_check", "verify_cauchy_bound",
+    "verify_time_identity", "wirtinger_F_derivative", "write_decay_csv",
     "HOLOMORPHIC", "HYPOTHESIS_VIOLATED", "NOT_F_HOLOMORPHIC",
     "ANTIHOLOMORPHIC_OBSTRUCTION",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 from .flow import DiagonalField, _coords, normalize_time
 from .reports import (FAIL, INCONCLUSIVE, PASS, DecayReport, clamped_exp,
                       fitted_decay_rate, monotone_below)
-from .sampling import evaluate, evaluate_prefix
+from .sampling import evaluate_prefix
 from .series import TaylorSeries, level_sums
 
 #: merged pushforward coefficients below this modulus are treated as
@@ -35,7 +35,8 @@ from .series import TaylorSeries, level_sums
 MERGE_PRUNE_TOL = 1e-14
 
 DEFAULT_ABSCISSAS = (1.0, 2.0, 4.0, 8.0, 12.0)
-DEFAULT_Y_SAMPLES = (0.0, 0.7, -1.3, 2.9, -4.2, 6.1)
+#: the heights Im z at which tail_bound_check samples each abscissa
+Y_SAMPLES = (0.0, 0.7, -1.3, 2.9, -4.2, 6.1)
 
 
 def _exponent(value) -> Fraction:
@@ -84,9 +85,6 @@ class AsymptoticExpansion:
     def all_terms(self) -> tuple[tuple[Fraction, Fraction, complex], ...]:
         return tuple(sorted(((mu, nu, p) for (mu, nu), p in self._terms.items()),
                             key=lambda t: (t[0] + t[1], t[0], t[1])))
-
-    def term_map(self) -> dict[tuple[Fraction, Fraction], complex]:
-        return dict(self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -239,36 +237,29 @@ def tail_bound_check(
     n: int,
     *,
     abscissas: Sequence[float] = DEFAULT_ABSCISSAS,
-    y_samples: Sequence[float] = DEFAULT_Y_SAMPLES,
     tol: float = 1e-8,
-    epsilon: float = 1e-3,
-    next_rate=None,
 ) -> DecayReport:
     """Check that the level-n tail decays faster than e^(-lambda_n Re z).
 
-    The primary report weights the residual by e^(lambda_n x) and applies
-    the monotone rule.  If a following level exists (or ``next_rate`` is
-    given), an epsilon-form companion report weights the same residuals by
-    e^((lambda_{n+1} - epsilon) x).
+    The residual, sampled at each abscissa x on the heights Y_SAMPLES, is
+    weighted by e^(lambda_n x) and judged by the monotone rule.
     """
     xs = [float(x) for x in abscissas]
     if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
         raise ValueError("abscissas must be strictly increasing")
-    if not len(y_samples):
-        raise ValueError("need at least one y sample")
     if e.levels and not 0 <= n < len(e.levels):
         raise ValueError(f"level index {n} out of range")
     lam_n = float(e.levels[n]) if e.levels else 0.0
 
-    grid = np.array([complex(x, y) for x in xs for y in y_samples],
-                    dtype=complex).reshape(len(xs), len(y_samples))
+    grid = np.array([complex(x, y) for x in xs for y in Y_SAMPLES],
+                    dtype=complex).reshape(len(xs), len(Y_SAMPLES))
     samples, exc = evaluate_prefix(oracle, grid.ravel())
-    rows = grid[: len(samples) // len(y_samples)]
+    rows = grid[: len(samples) // len(Y_SAMPLES)]
     partial = e.partial(rows, n) if e.levels else 0j
     resid = np.abs(samples[: rows.size].reshape(rows.shape) - partial)
     sups = resid.max(axis=1)
-    log_sups = [math.log(sup) if sup else -math.inf for sup in sups.tolist()]
-    values = [clamped_exp(log_sup + lam_n * x) for log_sup, x in zip(log_sups, xs)]
+    values = [clamped_exp((math.log(sup) if sup else -math.inf) + lam_n * x)
+              for sup, x in zip(sups.tolist(), xs)]
     if len(samples) < grid.size:
         note = (f"oracle failed: {exc}" if exc is not None
                 else f"non-finite oracle value at {complex(grid.flat[len(samples)])}")
@@ -280,30 +271,9 @@ def tail_bound_check(
         j = int(np.argmax(resid[-1]))
         witness = complex(grid[-1, j]) if sups[-1] > 0 else complex(xs[-1])
     verdict = PASS if monotone_below(values, tol) else FAIL
-    slope = fitted_decay_rate(xs, values)
-
-    eps_report = None
-    rate2 = None
-    if next_rate is not None:
-        rate2 = float(Fraction(next_rate)) - epsilon
-    elif e.levels and n + 1 < len(e.levels):
-        rate2 = float(e.levels[n + 1]) - epsilon
-    if rate2 is not None:
-        # the epsilon-weighted residual decays only like e^(-epsilon x), so
-        # "below tolerance" is unreachable on a short ladder; certify the
-        # decreasing trend instead
-        wvals = [clamped_exp(log_sup + rate2 * x) for log_sup, x in zip(log_sups, xs)]
-        nonincreasing = all(wvals[i] >= wvals[i + 1] for i in range(len(wvals) - 1))
-        decayed = all(v <= tol for v in wvals) or (nonincreasing and wvals[-1] < wvals[0])
-        eps_report = DecayReport(rate2, tuple(xs), tuple(wvals), tol,
-                                 PASS if decayed else FAIL, "monotone_decay",
-                                 slope=fitted_decay_rate(xs, wvals),
-                                 note=f"epsilon = {epsilon}")
-
     return DecayReport(lam_n, tuple(xs), tuple(values), tol, verdict,
-                       "monotone_below_tol", slope=slope,
-                       witness=witness if verdict == FAIL else None,
-                       epsilon_form=eps_report)
+                       "monotone_below_tol", slope=fitted_decay_rate(xs, values),
+                       witness=witness if verdict == FAIL else None)
 
 
 def restrict_holomorphic(e: AsymptoticExpansion) -> HolomorphicExpansion:
@@ -364,37 +334,3 @@ def residual(oracle: Callable[[complex], complex], e: HolomorphicExpansion, n: i
     if n < 0 or n >= len(e):
         raise ValueError(f"term index {n} out of range ({len(e)} terms)")
     return lambda z: oracle(z) - e.partial(z, n)
-
-
-def uniform_convergence_check(
-    e: HolomorphicExpansion,
-    d: float,
-    oracle: Callable[[complex], complex],
-    samples: Sequence[complex],
-    *,
-    tol: float = 1e-8,
-) -> DecayReport:
-    """Check sup |oracle - partial_n| over the samples shrinks below tol with n.
-
-    The summability hypothesis (sum of e^(-lambda_j d) finite) can only be
-    audited at the stored truncation; the report notes the computed tail sum
-    and the level density instead of assuming it.
-    """
-    if d <= 0:
-        raise ValueError("d must be positive")
-    if not samples:
-        raise ValueError("need at least one sample point")
-    if any(complex(z).real < d - 1e-12 for z in samples):
-        raise ValueError("all samples must satisfy Re z >= d")
-    values = evaluate(oracle, samples)
-    sups = [float(np.max(np.abs(values - e.partial(samples, n)))) for n in range(len(e))]
-    if not sups:
-        sups = [float(np.max(np.abs(values)))]
-    tail_sum = sum(math.exp(-float(lam) * d) for lam in e.levels)
-    span = float(e.levels[-1]) if e.levels else 0.0
-    density = len(e.levels) / span if span > 0 else 0.0
-    verdict = PASS if (sups[-1] <= tol and sups[-1] <= sups[0]) else FAIL
-    return DecayReport(d, tuple(float(n) for n in range(len(sups))), tuple(sups),
-                       tol, verdict, "uniform_tail",
-                       note=f"sum e^(-lambda_j d) = {tail_sum:.6e} over stored terms; "
-                            f"{density:.2f} levels per unit")

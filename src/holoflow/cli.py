@@ -56,6 +56,8 @@ KEYS = {
 }
 #: the keys whose lines accumulate
 REPEATABLE = ("term", "exp_term")
+#: the flag that overrides each key
+FLAGS = {"tolerance": "--tolerance", "seed": "--seed", "lambda_max": "--max-level"}
 
 
 class ScenarioError(Exception):
@@ -112,8 +114,9 @@ class Scenario:
             self.entries.setdefault(key, []).append((lineno, value))
 
     def error(self, key: str, message: str):
+        """Reject key at its line; a value given by a flag has no line."""
         line = self.entries[key][0][0] if key in self.entries else None
-        raise ScenarioError(self.path, line, message)
+        raise ScenarioError(self.path, None if key in self.overrides else line, message)
 
     def value(self, key: str, parse=str, default=REQUIRED, many: bool = False):
         """The override of key, else its file value parsed by parse (a list of
@@ -136,7 +139,8 @@ class Scenario:
     def check(self, key: str, ok: bool, rule: str) -> None:
         """Reject the value of key, at its line, unless ok; rule is what it must be."""
         if not ok:
-            self.error(key, f"{key} must be {rule}, got {self.value(key, default=None)!r}")
+            self.error(key, f"{FLAGS[key] if key in self.overrides else key} must be {rule}, "
+                            f"got {self.value(key, default=None)!r}")
 
     def get_all(self, key: str) -> list[tuple[int, str]]:
         return self.entries.get(key, [])
@@ -167,20 +171,23 @@ def _parse_expansion(sc: Scenario) -> HolomorphicExpansion:
     lines = sc.get_all("exp_term")
     if not lines:
         raise ScenarioError(sc.path, None, "at least one 'exp_term' line is required")
-    pairs = []
+    pairs, first = [], {}  # first: the line of each level
     for lineno, text in lines:
         parts = [p.strip() for p in text.split("|")]
         if len(parts) != 3:
             raise ScenarioError(sc.path, lineno, "expected 'lambda | re | im'")
         try:
-            pairs.append((_fraction(parts[0]), complex(float(parts[1]), float(parts[2]))))
+            lam, c = _fraction(parts[0]), complex(float(parts[1]), float(parts[2]))
         except (ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(sc.path, lineno, str(exc))
-    pairs.sort(key=lambda p: p[0])
-    try:
-        return HolomorphicExpansion(pairs)
-    except ValueError as exc:
-        raise ScenarioError(sc.path, lines[0][0], str(exc))
+        if lam < 0:
+            raise ScenarioError(sc.path, lineno, "levels must be >= 0")
+        if lam in first:
+            raise ScenarioError(sc.path, lineno,
+                                f"level {lam} given twice (first at line {first[lam]})")
+        first[lam] = lineno
+        pairs.append((lam, c))
+    return HolomorphicExpansion(sorted(pairs, key=lambda p: p[0]))
 
 
 def _field(sc: Scenario) -> DiagonalField:
@@ -300,15 +307,17 @@ def _spiral_alpha(sc: Scenario) -> complex:
     return alpha
 
 
-def _named_oracle(sc: Scenario, name: str):
+def _named_oracle(sc: Scenario, name: str, dim: int):
+    if name not in ("resonant", "spiral", "remark"):
+        sc.error("oracle", f"unknown oracle {name!r} (catalog: jet, resonant, spiral, remark)")
+    if dim != 2:
+        sc.error("oracle", f"oracle {name} is a function on C^2, the field has dimension {dim}")
     if name == "resonant":
         return cx.ResonantExample(_exponent_t(sc, sc.value("t", float, 1.0)))
     if name == "spiral":
         return cx.SpiralExample.create(_spiral_alpha(sc),
                                        _exponent_t(sc, sc.value("t", float, 1.0)))
-    if name == "remark":
-        return cx.phi_remark
-    sc.error("oracle", f"unknown oracle {name!r} (catalog: jet, resonant, spiral, remark)")
+    return cx.phi_remark
 
 
 def _run_forelli(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
@@ -320,7 +329,7 @@ def _run_forelli(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     if oracle_name == "jet":
         oracle = lambda z: eval_taylor(jet, z)
     else:
-        oracle = _named_oracle(sc, oracle_name)
+        oracle = _named_oracle(sc, oracle_name, field.dim)
     bound = sc.value("bound", float, None)
     sc.check("bound", bound is None or 0 <= bound < np.inf, "finite and >= 0")
     expect = sc.value("expect", default="holomorphic")
@@ -370,6 +379,8 @@ def _run_bounds(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     if bound is None:
         ys = np.linspace(-40.0, 40.0, 4001)
         bound = float(np.max(np.abs(evaluate(source, x_lo + 1j * ys))))
+        if bound == 0:
+            sc.error("exp_term", f"the sampled bound on Re z = {x_lo} is 0; give 'bound'")
     rng = np.random.default_rng(seed)
     samples = halfplane_points(rng, 400, x_range=(x_lo, x_hi), y_range=(-20.0, 20.0))
     mp_report = max_principle_bound(source, bound, lam, samples, x_lo=x_lo, tol=tol)

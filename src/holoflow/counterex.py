@@ -87,20 +87,16 @@ def sector_angles(alpha: complex) -> tuple[float, float]:
     return lo, hi
 
 
-def choose_branch_exponent(alpha: complex, t: float, *, b_step: float = 1e-3,
-                           b_max: float = 4.0, k_max: int = 3) -> tuple[float, int]:
+def choose_branch_exponent(alpha: complex) -> tuple[float, int]:
     """Search (b, k) with b (arg-range + 2 pi k) inside a cosine-negative band.
 
-    Scans k = 0..k_max and b on a 1e-3 grid in (1, b_max]; returns for the
-    smallest admissible k the b maximizing the containment margin.  The
-    parameter t does not move the cone (it only rescales one generator's
-    coefficient); it is validated for interface symmetry.
+    Scans k = 0..3 and b on a 1e-3 grid in (1, 4]; returns for the smallest
+    admissible k the b maximizing the containment margin.  The field's t does
+    not move the cone (it only rescales one generator's coefficient).
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
     lo0, hi0 = sector_angles(alpha)
-    bs = 1.0 + np.arange(1, int(round((b_max - 1.0) / b_step)) + 1) * b_step
-    for k in range(k_max + 1):
+    bs = 1.0 + np.arange(1, 3001) * 1e-3
+    for k in range(4):
         lo, hi = bs * (lo0 + TWO_PI * k), bs * (hi0 + TWO_PI * k)
         below_pi = np.logical_and.accumulate(hi - lo < math.pi)  # the scan stops at pi
         j = np.round(((lo + hi) / 2.0 - math.pi) / TWO_PI)
@@ -110,7 +106,7 @@ def choose_branch_exponent(alpha: complex, t: float, *, b_step: float = 1e-3,
         if margin.max(initial=0.0) > 0:
             return float(bs[np.argmax(margin)]), k  # the first b of largest margin
     raise BranchSearchError(
-        f"no (b, k) with b <= {b_max}, k <= {k_max} for sector [{lo0:.6f}, {hi0:.6f}]")
+        f"no (b, k) with b <= 4.0, k <= 3 for sector [{lo0:.6f}, {hi0:.6f}]")
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ class SpiralExample:
 
     @classmethod
     def create(cls, alpha: complex, t: float = 1.0) -> "SpiralExample":
-        b, k = choose_branch_exponent(alpha, t)
+        b, k = choose_branch_exponent(alpha)
         ex = cls(alpha=complex(alpha), t=float(t), b=b, branch_offset=k)
         ident = verify_time_identity(ex, [complex(1, 0), complex(0.3, -2.1), complex(-1.7, 0.9)])
         if not ident.passed:
@@ -229,9 +225,8 @@ def verify_time_identity(ex: SpiralExample, zetas, tol: float = 1e-12) -> Identi
     return IdentityReport(worst < tol, worst, witness)
 
 
-def _zero_jet_radii(log_ratio, n: int, tol: float, v_cap: float = 640.0,
-                    points: int = 5) -> list[float]:
-    """Radii exp(-v) on which  residual / r^n  visibly drops below tol.
+def _zero_jet_radii(log_ratio, n: int, tol: float) -> list[float]:
+    """Five radii exp(-v), v <= 640, on which  residual / r^n  visibly drops below tol.
 
     log_ratio(v, n) is the log of the ratio along the diagonal direction at
     radius e^(-v); beyond its hump it is strictly decreasing, so bisection
@@ -255,14 +250,14 @@ def _zero_jet_radii(log_ratio, n: int, tol: float, v_cap: float = 640.0,
     step = 0.25
     v = step
     best = log_ratio(v, n)
-    while v < v_cap and (ahead := log_ratio(v + step, n)) >= best:
+    while v < 640.0 and (ahead := log_ratio(v + step, n)) >= best:
         v += step
         best = ahead
         step *= 1.3
     v_hump = v
     v_end_hi, end_value = v_hump, best
-    while v_end_hi < v_cap and end_value > target_end:
-        v_end_hi = min(v_cap, v_end_hi * 1.5 + 0.5)
+    while v_end_hi < 640.0 and end_value > target_end:
+        v_end_hi = min(640.0, v_end_hi * 1.5 + 0.5)
         end_value = log_ratio(v_end_hi, n)
     if end_value > target_end:
         raise ValueError(
@@ -273,7 +268,7 @@ def _zero_jet_radii(log_ratio, n: int, tol: float, v_cap: float = 640.0,
     else:
         v_start = bisect(5.0, v_hump, v_end)
     v_end = max(v_end, 1.2 * v_start + 0.5)  # keep the radius grid non-degenerate
-    vs = np.linspace(v_start, v_end, points)
+    vs = np.linspace(v_start, v_end, 5)
     return [math.exp(-v) for v in vs]
 
 
@@ -308,16 +303,16 @@ def _witness_check(oracle) -> dict:
     return {"passed": residual > 1e-3, "residual": residual, "point": "(0.5, 0.5)"}
 
 
-def _zero_jet_check(oracle, log_ratio, max_order: int, decay: dict) -> dict:
-    """Remainders of the zero jet at orders 1..max_order, on the radii of
+def _zero_jet_check(oracle, log_ratio, decay: dict) -> dict:
+    """Remainders of the zero jet at orders 1..8, on the radii of
     :func:`_zero_jet_radii`; each order's report goes into decay."""
     zero_jet = TaylorSeries.zero(2)
     passed = True
-    for n in range(1, max_order + 1):
+    for n in range(1, 9):
         rep = taylor_remainder_check(oracle, zero_jet, n, _zero_jet_radii(log_ratio, n, 1e-8))
         decay[f"zero_jet_order_{n}"] = rep
         passed = passed and rep.passed
-    return {"passed": passed, "orders": max_order}
+    return {"passed": passed, "orders": 8}
 
 
 def _field_curve_check(oracle, field: DiagonalField, rng: np.random.Generator,
@@ -330,7 +325,7 @@ def _field_curve_check(oracle, field: DiagonalField, rng: np.random.Generator,
 
 
 def counterexample_suite(which: str, *, t=1, alpha: complex = -1 + 1j,
-                         seed: int = 0, max_order: int = 8) -> SuiteReport:
+                         seed: int = 0) -> SuiteReport:
     """Run every verifiable property of the named example and bundle reports.
 
     which: 'resonant' (field (1, -t), t exact rational in
@@ -342,15 +337,15 @@ def counterexample_suite(which: str, *, t=1, alpha: complex = -1 + 1j,
     if which == "resonant":
         if not 0 < t <= RESONANT_T_MAX:
             raise ValueError(f"resonant t must be in (0, {RESONANT_T_MAX}], got {t}")
-        return _resonant_suite(Fraction(t), rng, max_order)
+        return _resonant_suite(Fraction(t), rng)
     if which == "spiral":
-        return _spiral_suite(complex(alpha), float(t), rng, max_order)
+        return _spiral_suite(complex(alpha), float(t), rng)
     if which == "remark":
         return _remark_suite(rng)
     raise ValueError(f"unknown counterexample {which!r}")
 
 
-def _resonant_suite(t: Fraction, rng: np.random.Generator, max_order: int) -> SuiteReport:
+def _resonant_suite(t: Fraction, rng: np.random.Generator) -> SuiteReport:
     ex = ResonantExample(float(t))
     field = DiagonalField((Fraction(1), -t))
     x_hi = 0.6 / max(1.0, ex.t)
@@ -362,7 +357,7 @@ def _resonant_suite(t: Fraction, rng: np.random.Generator, max_order: int) -> Su
         return n * v - (math.exp(e) if e < 700.0 else math.inf)
 
     decay: dict = {}
-    checks["zero_jet_remainder"] = _zero_jet_check(ex, log_ratio, max_order, decay)
+    checks["zero_jet_remainder"] = _zero_jet_check(ex, log_ratio, decay)
 
     def invariant(z):  # |z1|^t |z2|, a first integral of the field
         return np.abs(z[:, 0]) ** ex.t * np.abs(z[:, 1])
@@ -375,8 +370,7 @@ def _resonant_suite(t: Fraction, rng: np.random.Generator, max_order: int) -> Su
     return SuiteReport("resonant", {"t": t}, checks, decay)
 
 
-def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator,
-                  max_order: int) -> SuiteReport:
+def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator) -> SuiteReport:
     ex = SpiralExample.create(alpha, t)
     reach = 0.6 / (abs(ex.alpha) * max(1.0, t))
     curves = polydisk_points(rng, 2, 10, r_min=0.15, r_max=0.4)
@@ -399,7 +393,7 @@ def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator,
     c_dir = -math.cos(ex.b * ang) * abs(g_dir) ** ex.b
     decay: dict = {}
     checks["zero_jet_remainder"] = _zero_jet_check(
-        ex, lambda v, n: -c_dir * v ** ex.b + n * v, max_order, decay)
+        ex, lambda v, n: -c_dir * v ** ex.b + n * v, decay)
     return SuiteReport("spiral", {"alpha": alpha, "t": t, "b": ex.b,
                                   "branch_offset": ex.branch_offset}, checks, decay)
 

@@ -1,4 +1,4 @@
-"""Report types shared by the decay, bound, and convergence checks.
+"""Report types shared by the decay and bound checks.
 
 Every claim of the shape "this quantity tends to zero as the abscissa
 grows" or "this bound holds on the sampled set" is reduced to a
@@ -16,14 +16,11 @@ Verdict rules
 ``remainder_trend``
     Pass if all values are already below tolerance, or if they satisfy the
     monotone rule, or if the fit of :func:`fitted_decay_rate` at x = log r
-    shows a positive slope (value ~ r^s with s above a cutoff) while the
+    shows a positive slope (value ~ r^s with s >= 0.25) while the
     sequence actually decreased.  Used for o(|z|^n) remainder checks where
     the abscissa is a radius shrinking to 0.
 ``bound_margin``
     Pass iff the worst sampled ratio value/bound stays below 1 + tol.
-``uniform_tail``
-    Pass iff the sup-error at the deepest truncation is below tolerance
-    and did not exceed the initial error.
 
 The tail, remainder, max-principle and curve checks read the oracle up to
 its first failure or non-finite value (:func:`sampling.evaluate_prefix`); a
@@ -62,7 +59,6 @@ class DecayReport:
     slope: float | None = None
     witness: object = None
     note: str = ""
-    epsilon_form: "DecayReport | None" = None
 
     @property
     def passed(self) -> bool:
@@ -81,8 +77,6 @@ class DecayReport:
         }
         if self.witness is not None:
             out["witness"] = repr(self.witness)
-        if self.epsilon_form is not None:
-            out["epsilon_form"] = self.epsilon_form.to_json_dict()
         return out
 
 
@@ -129,10 +123,7 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_decay_csv(path, report: DecayReport, label: str = "") -> None:
-    """Rows (label, abscissa, weighted residual, verdict), then the epsilon form's."""
-    rows: list = []
-    for name, rep in ((label, report), (label + ":epsilon_form", report.epsilon_form)):
-        if rep is not None:
-            rows += zip(repeat(name), map(repr, map(float, rep.abscissas)),
-                        map(repr, map(float, rep.values)), repeat(rep.verdict))
-    write_csv(path, ("label", "abscissa", "weighted_residual", "verdict"), rows)
+    """Rows (label, abscissa, weighted residual, verdict), one per abscissa."""
+    write_csv(path, ("label", "abscissa", "weighted_residual", "verdict"),
+              zip(repeat(label), map(repr, map(float, report.abscissas)),
+                  map(repr, map(float, report.values)), repeat(report.verdict)))

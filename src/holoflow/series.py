@@ -243,8 +243,6 @@ def taylor_remainder_check(
     *,
     tol: float = 1e-8,
     n_directions: int = 6,
-    seed: int = 0,
-    slope_min: float = 0.25,
 ) -> DecayReport:
     """Check |oracle(z) - partial sum through degree n| = o(|z|^n) on a radius grid.
 
@@ -261,7 +259,7 @@ def taylor_remainder_check(
     # n may exceed the stored degree: the check then asserts the function has
     # no terms between the stored degree and order n (caller's claim to test)
 
-    directions = _direction_set(series.dim, n_directions, seed)
+    directions = _direction_set(series.dim, n_directions, 0)
     points = (np.array(radii)[:, None, None] * directions).reshape(-1, series.dim)
     values, exc = evaluate_prefix(oracle, points)
     done = len(values) // len(directions)  # radii read in full
@@ -285,22 +283,12 @@ def taylor_remainder_check(
         verdict = PASS
     elif monotone_below(ratios, tol):
         verdict = PASS
-    elif slope is not None and slope >= slope_min and ratios[-1] < ratios[0]:
+    elif slope is not None and slope >= 0.25 and ratios[-1] < ratios[0]:
         verdict = PASS
     else:
         verdict = FAIL
     return DecayReport(float(n), tuple(radii), tuple(ratios), tol, verdict,
                        "remainder_trend", slope=slope)
-
-
-def format_series(series: TaylorSeries) -> str:
-    """Serialize to the documented one-term-per-line text format."""
-    lines = []
-    for (k, m), a in sorted(series.terms().items()):
-        kpart = " ".join(str(e) for e in k)
-        mpart = " ".join(str(e) for e in m)
-        lines.append(f"{kpart} | {mpart} | {a.real!r} | {a.imag!r}")
-    return "\n".join(lines)
 
 
 def parse_term_line(line: str) -> tuple[tuple[int, ...], tuple[int, ...], complex]:
@@ -311,18 +299,3 @@ def parse_term_line(line: str) -> tuple[tuple[int, ...], tuple[int, ...], comple
     k = tuple(int(tok) for tok in parts[0].split())
     m = tuple(int(tok) for tok in parts[1].split())
     return k, m, complex(float(parts[2]), float(parts[3]))
-
-
-def parse_series(text: str, dim: int | None = None) -> TaylorSeries:
-    """Inverse of :func:`format_series`.  Blank lines and ``#`` comments skipped."""
-    terms = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        k, m, a = parse_term_line(line)
-        terms.append(((k, m), a))
-    if not terms and dim is None:
-        raise ValueError("cannot infer dimension of an empty series; pass dim")
-    inferred = dim if dim is not None else len(terms[0][0][0])
-    return TaylorSeries(inferred, terms)

@@ -52,16 +52,16 @@ def test_sector_angles_reference_case():
 
 
 def test_choose_branch_reference_case():
-    b, k = choose_branch_exponent(-1 + 1j, 1.0)
+    b, k = choose_branch_exponent(-1 + 1j)
     assert k == 1
     assert b == pytest.approx(1.5, abs=2e-3)
 
 
 def test_choose_branch_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        choose_branch_exponent(1 + 1j, 1.0)
+        choose_branch_exponent(1 + 1j)
     with pytest.raises(ValueError):
-        choose_branch_exponent(-1 + 0j, 1.0)
+        choose_branch_exponent(-1 + 0j)
 
 
 def test_branch_power_negative_on_sector(rng):
@@ -322,7 +322,7 @@ def test_branch_search_fails_for_nearly_degenerate_sector():
     # Im alpha tiny relative to Re alpha: the cone width approaches pi and no
     # exponent above 1 keeps its image inside a half-turn
     with pytest.raises(BranchSearchError):
-        choose_branch_exponent(-1 + 0.001j, 1.0)
+        choose_branch_exponent(-1 + 0.001j)
 
 
 @pytest.mark.parametrize("make, phi", [
@@ -371,10 +371,10 @@ def test_branch_search_matches_the_scalar_scan():
                 expected = _scalar_branch_scan(alpha)
             except BranchSearchError:
                 with pytest.raises(BranchSearchError):
-                    choose_branch_exponent(alpha, 1.0)
+                    choose_branch_exponent(alpha)
                 outcomes.add("error")
                 continue
-            assert choose_branch_exponent(alpha, 1.0) == expected, alpha
+            assert choose_branch_exponent(alpha) == expected, alpha
             outcomes.add(expected[1])
     assert "error" in outcomes and len(outcomes) >= 3  # errors and several shifts k
 

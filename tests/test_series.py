@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoflow import (MultiIndex, TaylorSeries, antiholomorphic_part,
-                      eval_taylor, format_series, holomorphic_part,
-                      parse_series, taylor_remainder_check,
+                      eval_taylor, holomorphic_part, taylor_remainder_check,
                       wirtinger_F_derivative)
 from holoflow.flow import level_of
 from holoflow.series import _direction_set, level_sums
@@ -383,14 +382,3 @@ def test_remainder_direction_set_is_one_cached_read_only_draw(dim, n_directions,
 def test_remainder_rejects_bad_radii():
     with pytest.raises(ValueError):
         taylor_remainder_check(lambda z: 0j, TaylorSeries.zero(1), 1, (0.1, 0.2))
-
-
-def test_text_format_round_trip(rng):
-    for _ in range(10):
-        s = random_jet(rng, 3, 5, 7)
-        assert parse_series(format_series(s), dim=3) == s
-
-
-def test_parse_series_rejects_malformed():
-    with pytest.raises(ValueError):
-        parse_series("1 0 | 0 0 | 1.0")
