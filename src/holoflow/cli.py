@@ -180,6 +180,9 @@ def _parse_expansion(sc: Scenario) -> HolomorphicExpansion:
             lam, c = _fraction(parts[0]), complex(float(parts[1]), float(parts[2]))
         except (ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(sc.path, lineno, str(exc))
+        if not np.isfinite(c):
+            raise ScenarioError(sc.path, lineno, f"the coefficient must be finite, "
+                                                 f"got {parts[1]} | {parts[2]}")
         if lam < 0:
             raise ScenarioError(sc.path, lineno, "levels must be >= 0")
         if lam in first:
@@ -201,6 +204,10 @@ def _field(sc: Scenario) -> DiagonalField:
 
 def _json_complex(c: complex) -> list[float]:
     return [c.real, c.imag]
+
+
+class _Numbers(tuple):
+    """Float reprs formatted already, which _report_text writes as they are."""
 
 
 def _run_pushforward(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
@@ -386,15 +393,13 @@ def _run_bounds(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     mp_report = max_principle_bound(source, bound, lam, samples, x_lo=x_lo, tol=tol)
     tail_report = tail_bound_check(source, source.to_expansion(),
                                    n=len(source.to_expansion().levels) - 1)
-    write_decay_csv(out / "max_principle.csv", mp_report, label="max_principle")
-    write_decay_csv(out / "tail.csv", tail_report, label="tail")
-    passed = mp_report.passed and tail_report.passed
-    report = {
-        "max_principle": mp_report.to_json_dict(),
-        "tail": tail_report.to_json_dict(),
-        "bound": bound,
-    }
-    return report, passed
+    report = {"bound": bound}
+    for name, rep in (("max_principle", mp_report), ("tail", tail_report)):
+        # the report takes the number texts of the table, each formatted once
+        abscissas, values = write_decay_csv(out / f"{name}.csv", rep, label=name)
+        report[name] = {**rep.to_json_dict(), "abscissas": _Numbers(abscissas),
+                        "values": _Numbers(values)}
+    return report, mp_report.passed and tail_report.passed
 
 
 _RUNNERS = {
@@ -409,8 +414,9 @@ _RUNNERS = {
 def _report_text(value, newline: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True, allow_nan=False) in one pass,
     with each non-finite float as the string "inf", "-inf" or "nan", which float()
-    reads back, so report.json stays strict JSON.  Dict keys must be strings;
-    what json cannot encode raises TypeError."""
+    reads back, so report.json stays strict JSON.  A _Numbers tuple is a list
+    of those float texts, formatted already.  Dict keys must be strings; what
+    json cannot encode raises TypeError."""
     if isinstance(value, str):
         return _STR(value)
     if value is None or isinstance(value, bool):
@@ -425,6 +431,11 @@ def _report_text(value, newline: str = "\n") -> str:
         return "{}" if isinstance(value, dict) else "[]"
     inner = newline + "  "
     sep = "," + inner
+    if isinstance(value, _Numbers):  # a non-finite repr ("inf", "-inf", "nan") has an "n"
+        body = sep.join(value)
+        if "n" in body:
+            body = sep.join(_STR(text) if "n" in text else text for text in value)
+        return "[" + inner + body + newline + "]"
     if isinstance(value, dict):
         return "{" + inner + sep.join(f"{_STR(key)}: {_report_text(item, inner)}"
                                       for key, item in sorted(value.items())) + newline + "}"

@@ -271,11 +271,31 @@ def per_row_decay_csv(path, report: DecayReport, label: str) -> None:
 
 
 def test_decay_csv_equals_the_per_row_writer(tmp_path):
-    report = DecayReport(2.0, (0.1, np.float64(3.0), 1e308), (math.inf, 5e-324, -math.inf),
-                         1e-6, "fail", "bound_margin")
-    write_decay_csv(tmp_path / "batched.csv", report, label="tail")
-    per_row_decay_csv(tmp_path / "per_row.csv", report, label="tail")
-    assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
+    report = DecayReport(2.0, (0.1, np.float64(3.0), 1e308, 4.0),
+                         (math.inf, 5e-324, -math.inf), 1e-6, "fail", "bound_margin")
+    for label in ["tail", "a,b", 'say "x"', "two\nlines", "car\rriage", ""]:
+        texts = write_decay_csv(tmp_path / "batched.csv", report, label=label)
+        per_row_decay_csv(tmp_path / "per_row.csv", report, label=label)
+        assert (tmp_path / "batched.csv").read_bytes() \
+            == (tmp_path / "per_row.csv").read_bytes(), label
+        # every abscissa's text, also the one a short read left without a row
+        assert texts == (["0.1", "3.0", "1e+308", "4.0"], ["inf", "5e-324", "-inf"])
+
+
+def test_bounds_report_of_saturated_ratios_is_canonical_strict_json(tmp_path):
+    # at claimed_rate 10^6 every max-principle ratio saturates: 400 "inf" texts
+    text = (SCENARIOS / "bounds_demo.txt").read_text()
+    scenario = tmp_path / "steep.txt"
+    scenario.write_text(text.replace("claimed_rate = 1/1", "claimed_rate = 1000000"))
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    report_text = (tmp_path / "out" / "report.json").read_text()
+
+    def refuse(constant):
+        raise AssertionError(f"non-JSON constant {constant}")
+
+    payload = json.loads(report_text, parse_constant=refuse)
+    assert report_text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert payload["report"]["max_principle"]["values"] == ["inf"] * 400
 
 
 def test_parser_is_built_once_and_survives_a_failed_parse(tmp_path, capsys, monkeypatch):
@@ -607,6 +627,20 @@ def test_a_bad_exp_term_level_exits_two_at_its_own_line(tmp_path, capsys, body, 
     scenario.write_text(body)
     assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["bounds", "extraction"])
+@pytest.mark.parametrize("coefficient", ["inf | 0", "1 | nan", "-1e400 | 0.0"])
+def test_a_non_finite_exp_term_coefficient_exits_two_at_its_line(tmp_path, capsys, kind,
+                                                                 coefficient):
+    keys = {"bounds": "claimed_rate = 1/1\n", "extraction": "grid_rates = 1/1\nlambda_max = 2\n"}
+    scenario = tmp_path / "coeff.txt"
+    scenario.write_text(f"kind = {kind}\nexp_term = 0 | 0.5 | 0.0\n"
+                        f"exp_term = 1 | {coefficient}\n" + keys[kind])
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert (f"coeff.txt:3: the coefficient must be finite, got {coefficient}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_a_bounds_scenario_of_zero_coefficients_needs_a_bound(tmp_path, capsys):
