@@ -34,9 +34,11 @@ from .series import TaylorSeries, level_sums
 #: structural zeros (cancellation), not data
 MERGE_PRUNE_TOL = 1e-14
 
-DEFAULT_ABSCISSAS = (1.0, 2.0, 4.0, 8.0, 12.0)
-#: the heights Im z at which tail_bound_check samples each abscissa
+#: tail_bound_check's protocol: the abscissas Re z, increasing, the heights Im z
+#: sampled at each, and the level the weighted tail must fall below
+TAIL_ABSCISSAS = (1.0, 2.0, 4.0, 8.0, 12.0)
 Y_SAMPLES = (0.0, 0.7, -1.3, 2.9, -4.2, 6.1)
+TAIL_TOL = 1e-8
 
 
 def _exponent(value) -> Fraction:
@@ -235,44 +237,37 @@ def tail_bound_check(
     oracle: Callable[[complex], complex],
     e: AsymptoticExpansion,
     n: int,
-    *,
-    abscissas: Sequence[float] = DEFAULT_ABSCISSAS,
-    tol: float = 1e-8,
 ) -> DecayReport:
     """Check that the level-n tail decays faster than e^(-lambda_n Re z).
 
-    The residual, sampled at each abscissa x on the heights Y_SAMPLES, is
-    weighted by e^(lambda_n x) and judged by the monotone rule.
+    The residual, sampled at each abscissa x of TAIL_ABSCISSAS on the heights
+    Y_SAMPLES, is weighted by e^(lambda_n x) and judged by the monotone rule
+    at TAIL_TOL.
     """
-    xs = [float(x) for x in abscissas]
-    if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
-        raise ValueError("abscissas must be strictly increasing")
     if e.levels and not 0 <= n < len(e.levels):
         raise ValueError(f"level index {n} out of range")
     lam_n = float(e.levels[n]) if e.levels else 0.0
 
-    grid = np.array([complex(x, y) for x in xs for y in Y_SAMPLES],
-                    dtype=complex).reshape(len(xs), len(Y_SAMPLES))
+    grid = np.array([complex(x, y) for x in TAIL_ABSCISSAS for y in Y_SAMPLES],
+                    dtype=complex).reshape(len(TAIL_ABSCISSAS), len(Y_SAMPLES))
     samples, exc = evaluate_prefix(oracle, grid.ravel())
     rows = grid[: len(samples) // len(Y_SAMPLES)]
     partial = e.partial(rows, n) if e.levels else 0j
     resid = np.abs(samples[: rows.size].reshape(rows.shape) - partial)
     sups = resid.max(axis=1)
     values = [clamped_exp((math.log(sup) if sup else -math.inf) + lam_n * x)
-              for sup, x in zip(sups.tolist(), xs)]
+              for sup, x in zip(sups.tolist(), TAIL_ABSCISSAS)]
     if len(samples) < grid.size:
         note = (f"oracle failed: {exc}" if exc is not None
                 else f"non-finite oracle value at {complex(grid.flat[len(samples)])}")
-        return DecayReport(lam_n, tuple(xs), tuple(values), tol, INCONCLUSIVE,
+        return DecayReport(lam_n, TAIL_ABSCISSAS, tuple(values), TAIL_TOL, INCONCLUSIVE,
                            "monotone_below_tol", note=note)
 
-    witness = None
-    if len(resid):
-        j = int(np.argmax(resid[-1]))
-        witness = complex(grid[-1, j]) if sups[-1] > 0 else complex(xs[-1])
-    verdict = PASS if monotone_below(values, tol) else FAIL
-    return DecayReport(lam_n, tuple(xs), tuple(values), tol, verdict,
-                       "monotone_below_tol", slope=fitted_decay_rate(xs, values),
+    # the largest residual at the last abscissa; its first height, Im z = 0, if all are 0
+    witness = complex(grid[-1, np.argmax(resid[-1])])
+    verdict = PASS if monotone_below(values, TAIL_TOL) else FAIL
+    return DecayReport(lam_n, TAIL_ABSCISSAS, tuple(values), TAIL_TOL, verdict,
+                       "monotone_below_tol", slope=fitted_decay_rate(TAIL_ABSCISSAS, values),
                        witness=witness if verdict == FAIL else None)
 
 

@@ -36,8 +36,8 @@ from .asympt import HolomorphicExpansion, eval_expansion, max_principle_bound, \
     pushforward, tail_bound_check
 from .extract import ExtractionParams, extract_coefficients, sampled_sup, \
     verify_cauchy_bound
-from .flow import (BasePoint, DiagonalField, SpectrumError, integral_curve, level_grid,
-                   level_of, normalize_time)
+from .flow import (_TAU_TOL, BasePoint, DiagonalField, SpectrumError, integral_curve,
+                   level_grid, level_of, normalize_time)
 from .forelli import CERT_POINTS, CERT_RADIUS, TAGS, ForelliConfig, JetOracle, forelli_pipeline
 from .reports import write_csv, write_decay_csv
 from .sampling import evaluate, halfplane_points, polydisk_points
@@ -158,6 +158,9 @@ def _parse_jet(sc: Scenario) -> TaylorSeries:
             k, m = MultiIndex(k), MultiIndex(m)
         except ValueError as exc:
             raise ScenarioError(sc.path, lineno, str(exc))
+        if not np.isfinite(a):
+            raise ScenarioError(sc.path, lineno, f"the coefficient must be finite, "
+                                                 f"got {text.split('|', 2)[2].strip()}")
         if dim is None:
             dim = len(k)
         if len(k) != dim or len(m) != dim:
@@ -196,6 +199,7 @@ def _parse_expansion(sc: Scenario) -> HolomorphicExpansion:
 def _field(sc: Scenario) -> DiagonalField:
     rates = sc.value("rates", _fraction, many=True)
     tau = sc.value("tau", parse_complex, 1 + 0j)
+    sc.check("tau", abs(abs(tau) - 1.0) <= _TAU_TOL, f"of modulus 1 within {_TAU_TOL}")
     try:
         return DiagonalField(tuple(rates), tau)
     except ValueError as exc:

@@ -18,7 +18,12 @@ coefficient is a window mean of f(z) e^(lambda_j z), that is one DFT bin:
   sweep did (synthesizing them by FFT lost up to four decades on the large
   grids), a second transform of the residual corrects every coefficient,
   and the corrections, at rounding level, are subtracted by one FFT of
-  their bins; what is left feeds the consistency check.
+  their bins; what is left feeds the consistency check.  The deflation
+  reproduces the terms of a HolomorphicExpansion oracle bit for bit only on
+  windows below 16 384 nodes: from there on numpy's temporary elision
+  computes the oracle's  c * np.exp(...)  in place, in the other operand
+  order (8 198 of the 30 375 nodes of scenarios/extraction_large.txt differ
+  in the last bits), and the second pass absorbs that difference.
 * x0 must stay small: the weight e^(lambda x0) multiplies the float
   rounding noise of the samples, so recovering level lambda costs
   eps * e^(lambda x0) in absolute error.  The default x0 = 1 keeps that

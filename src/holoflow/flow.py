@@ -60,7 +60,7 @@ class DiagonalField:
         if any(r == 0 for r in rates):
             raise ValueError("all rates must be nonzero")
         tau = complex(self.time_unit)
-        if abs(abs(tau) - 1.0) > _TAU_TOL:
+        if not abs(abs(tau) - 1.0) <= _TAU_TOL:  # NaN fails this test too
             raise ValueError(f"time unit must have modulus 1, got |tau| = {abs(tau)}")
         try:
             eigenvalues = tuple(complex(r) * tau for r in rates)

@@ -53,32 +53,27 @@ def _values(oracle, points) -> tuple[np.ndarray, Exception | None]:
     One batched call is made.  Only if it raises or returns the wrong shape
     is a RuntimeWarning emitted and the oracle called point by point, with
     a ``complex`` for a half-plane point and a tuple of ``complex`` for a
-    polydisk point.  An (N, N) batch is ambiguous, since an oracle written
-    for one tuple returns N values for it too (one per coordinate), so its
-    batched values are also compared with one call per point.  If a
-    point-by-point call raises at point i, the values of points 0..i-1 are
-    returned with that exception; otherwise all values are returned with
-    None.  The returned array is the caller's to modify.
+    polydisk point.  An (N, N) batch is sent with its first point repeated,
+    as N + 1 rows: a batched oracle returns N + 1 values, and the first N
+    are kept, while an oracle written for one tuple returns N, one per
+    coordinate, so it is called point by point.  If a point-by-point
+    call raises at point i, the values of points 0..i-1 are returned with
+    that exception; otherwise all values are returned with None.  The
+    returned array is the caller's to modify.
     """
     points = np.asarray(points, dtype=complex)
     n = len(points)
+    square = points.ndim == 2 and n == points.shape[1]
+    sent = np.concatenate([points, points[:1]]) if square else points
     try:
-        values = np.array(oracle(points), dtype=complex)
+        values = np.array(oracle(sent), dtype=complex)
         reason = f"values of shape {values.shape}"
     except Exception as exc:  # any failure of the batched call means: retry per point
         values, reason = None, type(exc).__name__
-    if values is not None and values.shape == (n,):
-        if points.ndim == 1 or n != points.shape[1]:
-            return values, None
-        try:
-            single = np.array([complex(oracle(point)) for point in _one_by_one(points)])
-        except Exception:  # an oracle that takes batches only
-            return values, None
-        if np.allclose(single, values, rtol=1e-12, atol=0.0, equal_nan=True):
-            return values, None
-        reason = "values unlike its single-point values"
-    warnings.warn(f"oracle rejected a batch ({reason}); evaluating point by point",
-                  RuntimeWarning)
+    if values is not None and values.shape == (len(sent),):
+        return values[:n], None
+    warnings.warn(f"oracle rejected a batch ({reason}); evaluating point by point, "
+                  "as a single-point oracle", RuntimeWarning)
     found: list[complex] = []
     for point in _one_by_one(points):
         try:

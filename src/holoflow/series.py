@@ -31,6 +31,10 @@ from .sampling import evaluate_prefix
 
 Point = Sequence[complex]
 
+#: directions taylor_remainder_check samples at each radius, and the seed of their phases
+N_DIRECTIONS = 6
+DIRECTION_SEED = 0
+
 
 class MultiIndex(tuple):
     """Immutable tuple of non-negative integer exponents."""
@@ -222,12 +226,12 @@ def wirtinger_F_derivative(series: TaylorSeries, alpha: Sequence[complex]) -> Ta
 
 
 @functools.lru_cache(maxsize=32)
-def _direction_set(dim: int, n_directions: int, seed: int) -> np.ndarray:
-    # the all-ones direction first, then deterministic random phase vectors;
-    # a pure function of its arguments, so one read-only array is shared
-    rng = np.random.default_rng(seed)
+def _direction_set(dim: int) -> np.ndarray:
+    # the all-ones direction first, then random phase vectors drawn with seed
+    # DIRECTION_SEED; a pure function of dim, so one read-only array is shared
+    rng = np.random.default_rng(DIRECTION_SEED)
     dirs = [tuple(1 + 0j for _ in range(dim))]
-    for _ in range(max(0, n_directions - 1)):
+    for _ in range(N_DIRECTIONS - 1):
         phases = rng.uniform(0.0, 2.0 * math.pi, size=dim)
         dirs.append(tuple(complex(math.cos(p), math.sin(p)) for p in phases))
     out = np.array(dirs)
@@ -242,7 +246,6 @@ def taylor_remainder_check(
     radii: Sequence[float],
     *,
     tol: float = 1e-8,
-    n_directions: int = 6,
 ) -> DecayReport:
     """Check |oracle(z) - partial sum through degree n| = o(|z|^n) on a radius grid.
 
@@ -259,7 +262,7 @@ def taylor_remainder_check(
     # n may exceed the stored degree: the check then asserts the function has
     # no terms between the stored degree and order n (caller's claim to test)
 
-    directions = _direction_set(series.dim, n_directions, 0)
+    directions = _direction_set(series.dim)
     points = (np.array(radii)[:, None, None] * directions).reshape(-1, series.dim)
     values, exc = evaluate_prefix(oracle, points)
     done = len(values) // len(directions)  # radii read in full

@@ -448,12 +448,15 @@ def test_exp_term_level_beyond_double_range_exits_two_at_its_line(tmp_path, caps
     assert "level.txt:2: '1e400' is beyond double range" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_sampled_bound_is_a_job_error(tmp_path, capsys):
-    # a NaN coefficient makes the sampled default bound NaN; JetOracle refuses it
-    scenario = tmp_path / "nan_bound.txt"
-    scenario.write_text("kind = forelli\nrates = 1/1 2/1\nterm = 1 0 | 0 0 | nan | 0.0\n")
+    # 1e308 (1 + z1) overflows on the torus, so the sampled default bound is
+    # infinite; JetOracle refuses it
+    scenario = tmp_path / "inf_bound.txt"
+    scenario.write_text("kind = forelli\nrates = 1/1 2/1\nterm = 0 0 | 0 0 | 1e308 | 0.0\n"
+                        "term = 1 0 | 0 0 | 1e308 | 0.0\n")
     assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 1
-    assert "error: bound must be finite and >= 0, got nan" in capsys.readouterr().err
+    assert "error: bound must be finite and >= 0, got inf" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -640,6 +643,36 @@ def test_a_non_finite_exp_term_coefficient_exits_two_at_its_line(tmp_path, capsy
     assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
     assert (f"coeff.txt:3: the coefficient must be finite, got {coefficient}"
             in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+#: what a jet scenario needs besides kind, rates and its term lines
+_JET_KEYS = {"forelli": "", "pushforward": "base_point = 0.5 0.5\n"}
+
+
+@pytest.mark.parametrize("kind", _JET_KEYS)
+@pytest.mark.parametrize("coefficient", ["nan | 0.0", "1 | inf", "1e400 | 0.0"])
+def test_a_non_finite_term_coefficient_exits_two_at_its_line(tmp_path, capsys, kind,
+                                                             coefficient):
+    scenario = tmp_path / "coeff.txt"
+    scenario.write_text(f"kind = {kind}\nrates = 1/1 2/1\nterm = 1 0 | 0 0 | 1.0 | 0.0\n"
+                        f"term = 1 0 | 0 1 | {coefficient}\n" + _JET_KEYS[kind])
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert (f"coeff.txt:4: the coefficient must be finite, got {coefficient}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("kind", _JET_KEYS)
+@pytest.mark.parametrize("tau", ["nan", "2", "1+1i", "nan+1i"])
+def test_a_time_unit_not_of_modulus_one_exits_two_at_the_tau_line(tmp_path, capsys, kind,
+                                                                  tau):
+    # a NaN tau once passed the modulus test, and normalize_time dropped it
+    scenario = tmp_path / "tau.txt"
+    scenario.write_text(f"kind = {kind}\nrates = 1/1 2/1\ntau = {tau}\n"
+                        f"term = 1 0 | 0 0 | 1.0 | 0.0\n" + _JET_KEYS[kind])
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert "tau.txt:3: tau must be of modulus 1" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
 
 

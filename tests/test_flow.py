@@ -31,6 +31,10 @@ def test_field_validation():
         DiagonalField((Fraction(0), Fraction(1)))
     with pytest.raises(ValueError):
         DiagonalField((Fraction(1),), time_unit=2.0)
+    # |tau| - 1 > tol is false for NaN, so a NaN time unit once passed
+    for tau in (math.nan, complex(math.nan, 1.0), complex(1.0, math.inf)):
+        with pytest.raises(ValueError, match="modulus 1"):
+            DiagonalField((Fraction(1),), time_unit=tau)
     with pytest.raises(TypeError):
         DiagonalField((0.5,))  # floats are not exact rates
     with pytest.raises(ValueError, match="double range"):

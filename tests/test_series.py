@@ -12,7 +12,7 @@ from holoflow import (MultiIndex, TaylorSeries, antiholomorphic_part,
                       eval_taylor, holomorphic_part, taylor_remainder_check,
                       wirtinger_F_derivative)
 from holoflow.flow import level_of
-from holoflow.series import _direction_set, level_sums
+from holoflow.series import DIRECTION_SEED, N_DIRECTIONS, _direction_set, level_sums
 from holoflow.wirtinger import CIRCLE, dbar_circle, dbar_fd
 
 from conftest import random_interior_point, random_jet, random_positive_field
@@ -346,7 +346,7 @@ def test_remainder_nan_sample_is_inconclusive_at_its_point():
     s = TaylorSeries.monomial(1, (1,), (0,))
     radii = (0.1, 0.05, 0.02)
     oracle = lambda z: np.where(z[:, 0] == 0.05, np.nan, z[:, 0])
-    report = taylor_remainder_check(oracle, s, 1, radii, n_directions=1)
+    report = taylor_remainder_check(oracle, s, 1, radii)
     assert report.verdict == "inconclusive"
     assert report.note == f"non-finite oracle value at {((0.05 + 0j),)}"
     assert report.witness == ((0.05 + 0j),)
@@ -364,18 +364,18 @@ def test_remainder_order_beyond_degree_asserts_no_higher_terms():
     assert not bad.passed
 
 
-@pytest.mark.parametrize("dim, n_directions, seed", [(2, 6, 0), (1, 1, 5), (3, 4, 17)])
-def test_remainder_direction_set_is_one_cached_read_only_draw(dim, n_directions, seed):
-    dirs = _direction_set(dim, n_directions, seed)
-    assert _direction_set(dim, n_directions, seed) is dirs
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_remainder_direction_set_is_one_cached_read_only_draw(dim):
+    dirs = _direction_set(dim)
+    assert _direction_set(dim) is dirs
     assert not dirs.flags.writeable
-    fresh = _direction_set.__wrapped__(dim, n_directions, seed)
+    fresh = _direction_set.__wrapped__(dim)
     assert fresh is not dirs and np.array_equal(fresh, dirs)
     # written out: the all-ones direction, then unit phases drawn in order
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DIRECTION_SEED)
     drawn = [[complex(math.cos(p), math.sin(p)) for p in rng.uniform(0.0, 2.0 * math.pi, dim)]
-             for _ in range(n_directions - 1)]
-    assert dirs.shape == (n_directions, dim) and dirs.dtype == complex
+             for _ in range(N_DIRECTIONS - 1)]
+    assert dirs.shape == (N_DIRECTIONS, dim) and dirs.dtype == complex
     assert np.array_equal(dirs, np.array([[1 + 0j] * dim] + drawn))
 
 
