@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .flow import DiagonalField, _coords, normalize_time
+from .flow import DiagonalField, _as_fraction, _coords, normalize_time
 from .reports import (FAIL, INCONCLUSIVE, PASS, DecayReport, clamped_exp,
                       fitted_decay_rate, monotone_below)
 from .sampling import evaluate_prefix
@@ -39,14 +39,6 @@ MERGE_PRUNE_TOL = 1e-14
 TAIL_ABSCISSAS = (1.0, 2.0, 4.0, 8.0, 12.0)
 Y_SAMPLES = (0.0, 0.7, -1.3, 2.9, -4.2, 6.1)
 TAIL_TOL = 1e-8
-
-
-def _exponent(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        raise TypeError("exponents must be exact (int, Fraction, or 'p/q' string)")
-    return Fraction(value)
 
 
 class AntiHolomorphicTermError(ValueError):
@@ -68,7 +60,7 @@ class AsymptoticExpansion:
     def __init__(self, terms: Iterable = ()):
         data: dict[tuple[Fraction, Fraction], complex] = {}
         for mu, nu, p in terms:
-            mu, nu = _exponent(mu), _exponent(nu)
+            mu, nu = _as_fraction(mu), _as_fraction(nu)
             if mu < 0 or nu < 0:
                 raise ValueError(f"exponents must be >= 0, got (mu, nu) = ({mu}, {nu})")
             p = complex(p) + data.get((mu, nu), 0j)
@@ -139,7 +131,7 @@ class HolomorphicExpansion:
     def __init__(self, pairs: Iterable = ()):
         levels, coeffs = [], []
         for lam, c in pairs:
-            levels.append(_exponent(lam))
+            levels.append(_as_fraction(lam))
             coeffs.append(complex(c))
         if any(lam.numerator < 0 for lam in levels):  # integer tests: no Fraction compares
             raise ValueError("levels must be >= 0")
@@ -216,7 +208,7 @@ def pushforward(series: TaylorSeries, field: DiagonalField, c, lambda_max) -> As
     The field is normalized internally (positive rates, tau = 1), so the
     expansion variable is the canonical curve time.
     """
-    lam_max = _exponent(lambda_max)
+    lam_max = _as_fraction(lambda_max)
     nfield, _ = normalize_time(field)  # raises SpectrumError without positive ratios
     alphas = nfield.rates
     coords = _coords(c)

@@ -36,8 +36,10 @@ class SpectrumError(ValueError):
 
 
 def _as_fraction(value) -> Fraction:
+    if isinstance(value, Fraction):  # every grid level comes through here: no copy
+        return value
     if isinstance(value, float):
-        raise TypeError("rates must be exact (int, Fraction, or 'p/q' string), not float")
+        raise TypeError("must be exact (int, Fraction, or 'p/q' string), not float")
     return Fraction(value)
 
 

@@ -2,30 +2,34 @@
 
 The pipeline takes a function on the polydisk together with its asserted
 Taylor jet and a diagonal field, and decides whether the data force the
-function to be holomorphic near the origin:
+function to be holomorphic near the origin.  It folds five stages, in this
+order, each named by its diagnostics key:
 
-1. spectrum gate: the field must have positive eigenvalue ratios;
-2. curve check: the circle-rule dbar of the restriction to sampled
+1. spectrum: the field must have positive eigenvalue ratios;
+2. f_holomorphy: the circle-rule dbar of the restriction to sampled
    integral curves must vanish; the curve exponentials are computed once per
    zeta sample and broadcast over the curves, and the function is called
    once on the array of every circle point;
-3. obstruction check: every anti-holomorphic jet coefficient must vanish.
+3. vanishing: every anti-holomorphic jet coefficient must vanish.
    The monomials c^k conj(c)^m are independent, so the restriction to every
    curve has no e^(-nu conj(zeta)) term with nu > 0 exactly when no
    coefficient with m != 0 is left; this is decided on the coefficient map;
-4. reconstruction: the m = 0 part of the jet is the candidate, its level
-   polynomials and coefficients are audited against the sampled sup bound,
-   and the candidate is compared with the function on a batch of interior
-   points.
+4. reconstruction: the m = 0 part of the jet is the candidate, and its level
+   polynomials and coefficients are audited against the sampled sup bound;
+5. comparison: the candidate is compared with the function on a batch of
+   interior points, and agreement is the holomorphic verdict.
 
-Every failure maps to a tagged verdict carrying the witness; nothing is
-silent.  Verdicts are deterministic given the config seed.
+The fold has one exit: the first stage that gives a verdict ends the run,
+and the verdict carries the diagnostics of every stage run so far.  Every
+failure maps to a tagged verdict carrying the witness; nothing is silent.
+Verdicts are deterministic given the config seed.  ForelliConfig takes
+n_curves >= 1 and n_zeta >= 1, so the curve check always has samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -87,9 +91,9 @@ class ForelliConfig:
     fd_tol: ClassVar[float] = FD_TOL
 
     def __post_init__(self):
-        for name in ("n_curves", "n_zeta", "compare_points"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, least in (("n_curves", 1), ("n_zeta", 1), ("compare_points", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0 < self.compare_tol < math.inf:  # a NaN threshold passes every comparison
             raise ValueError(f"compare_tol must be finite and > 0, got {self.compare_tol}")
 
@@ -263,17 +267,17 @@ def reconstruct(
     return psi, ReconstructionReport(passed, worst_level, worst_coeff)
 
 
-def forelli_pipeline(jo: JetOracle, field: DiagonalField,
-                     config: ForelliConfig = ForelliConfig()) -> ForelliVerdict:
-    """Run the four stages and fold the outcome into a tagged verdict."""
-    diag: dict = {}
+def _stages(jo: JetOracle, field: DiagonalField, config: ForelliConfig):
+    """Each stage in turn as (diagnostics key, entry, verdict or None); the last
+    always gives a verdict.  The curves, the zetas and the comparison points
+    are drawn in that order from one generator seeded with config.seed.
+    """
     spectrum = classify_spectrum(field)
-    diag["spectrum"] = spectrum.value
+    verdict = None
     if spectrum is not SpectrumClass.POSITIVE_RATIOS:
-        return ForelliVerdict(HYPOTHESIS_VIOLATED,
-                              reason=f"spectrum class is {spectrum.value}; "
-                                     "positive eigenvalue ratios required",
-                              diagnostics=diag)
+        verdict = ForelliVerdict(HYPOTHESIS_VIOLATED, reason=f"spectrum class is {spectrum.value}; "
+                                                            "positive eigenvalue ratios required")
+    yield "spectrum", spectrum.value, verdict
 
     nfield, _ = normalize_time(field)
     rng = np.random.default_rng(config.seed)
@@ -281,41 +285,32 @@ def forelli_pipeline(jo: JetOracle, field: DiagonalField,
     # no circle point leaves the polydisk: every rate r_j is positive, |c_j| <= 0.7
     # and Re zeta >= 0.1 - FD_STEP > 0 on every circle, so |c_j| e^(-r_j Re zeta) < 0.7
     zetas = halfplane_points(rng, config.n_zeta, x_range=(0.1, 2.0), y_range=(-2.0, 2.0))
-    if not len(curves) or not len(zetas):
-        return ForelliVerdict(HYPOTHESIS_VIOLATED,
-                              reason="no curves sampled (n_curves = 0)" if not len(curves)
-                              else "no zeta samples on the curves (n_zeta = 0)",
-                              diagnostics=diag)
+    report = f_holomorphy_check(jo, nfield, curves, zetas)
+    verdict = None
+    if report.inconclusive:  # an inconclusive report also has passed False
+        verdict = ForelliVerdict(HYPOTHESIS_VIOLATED, witness=report.witness,
+                                 reason=f"curve check inconclusive: {report.note}")
+    elif not report.passed:
+        verdict = ForelliVerdict(NOT_F_HOLOMORPHIC, witness=report.witness,
+                                 reason="restriction to a sampled curve is not holomorphic")
+    yield "f_holomorphy", {"passed": report.passed, "max_residual": report.max_residual,
+                           "curves": len(curves)}, verdict
 
-    curve_report = f_holomorphy_check(jo, nfield, curves, zetas)
-    diag["f_holomorphy"] = {"passed": curve_report.passed,
-                            "max_residual": curve_report.max_residual,
-                            "curves": len(curves)}
-    if curve_report.inconclusive:
-        return ForelliVerdict(HYPOTHESIS_VIOLATED,
-                              reason=f"curve check inconclusive: {curve_report.note}",
-                              witness=curve_report.witness, diagnostics=diag)
-    if not curve_report.passed:
-        return ForelliVerdict(NOT_F_HOLOMORPHIC,
-                              reason="restriction to a sampled curve is not holomorphic",
-                              witness=curve_report.witness, diagnostics=diag)
-
-    terms = antiholomorphic_vanishing(jo.jet, nfield)
-    diag["vanishing"] = {"passed": not terms, "terms": len(terms)}
+    terms = antiholomorphic_vanishing(jo.jet, nfield)  # (level, (k, m), a), lowest level first
+    verdict = None
     if terms:
         level, key, a = terms[0]
-        return ForelliVerdict(ANTIHOLOMORPHIC_OBSTRUCTION,
-                              reason="anti-holomorphic jet data does not vanish",
-                              level=level, witness=(key, a), diagnostics=diag)
+        verdict = ForelliVerdict(ANTIHOLOMORPHIC_OBSTRUCTION, level=level, witness=(key, a),
+                                 reason="anti-holomorphic jet data does not vanish")
+    yield "vanishing", {"passed": not terms, "terms": len(terms)}, verdict
 
     psi, recon = reconstruct(jo, nfield, seed=config.seed)
-    diag["reconstruction"] = {"passed": recon.passed,
-                              "worst_level_ratio": recon.worst_level_ratio,
-                              "worst_coeff_ratio": recon.worst_coeff_ratio}
+    verdict = None
     if not recon.passed:
-        return ForelliVerdict(HYPOTHESIS_VIOLATED,
-                              reason="jet is inconsistent with the claimed sup bound",
-                              diagnostics=diag)
+        verdict = ForelliVerdict(HYPOTHESIS_VIOLATED,
+                                 reason="jet is inconsistent with the claimed sup bound")
+    yield "reconstruction", {"passed": recon.passed, "worst_level_ratio": recon.worst_level_ratio,
+                             "worst_coeff_ratio": recon.worst_coeff_ratio}, verdict
 
     points = polydisk_points(rng, psi.dim, config.compare_points,
                              r_min=0.0, r_max=COMPARE_RADIUS)
@@ -323,12 +318,24 @@ def forelli_pipeline(jo: JetOracle, field: DiagonalField,
     diffs[~np.isfinite(diffs)] = math.inf  # a NaN value is no agreement
     max_diff = float(diffs.max(initial=0.0))
     worst_point = tuple(points[int(np.argmax(diffs))].tolist()) if max_diff > 0.0 else None
-    diag["comparison"] = {"max_diff": max_diff, "points": len(points),
-                          "radius": COMPARE_RADIUS}
     threshold = config.compare_tol * jo.bound
+    verdict = ForelliVerdict(HOLOMORPHIC, psi=psi)
     if max_diff > threshold and max_diff != 0.0:
-        return ForelliVerdict(HYPOTHESIS_VIOLATED,
-                              reason=f"reconstructed sum differs from the function "
-                                     f"by {max_diff:.3e} (allowed {threshold:.3e})",
-                              witness=worst_point, diagnostics=diag)
-    return ForelliVerdict(HOLOMORPHIC, psi=psi, diagnostics=diag)
+        verdict = ForelliVerdict(HYPOTHESIS_VIOLATED, witness=worst_point,
+                                 reason=f"reconstructed sum differs from the function "
+                                        f"by {max_diff:.3e} (allowed {threshold:.3e})")
+    yield "comparison", {"max_diff": max_diff, "points": len(points),
+                         "radius": COMPARE_RADIUS}, verdict
+
+
+def forelli_pipeline(jo: JetOracle, field: DiagonalField,
+                     config: ForelliConfig = ForelliConfig()) -> ForelliVerdict:
+    """Fold :func:`_stages` into a verdict: each stage's entry goes into the
+    diagnostics under its key, and the first verdict ends the run, carrying
+    the diagnostics of every stage run so far.
+    """
+    diag: dict = {}
+    for key, entry, verdict in _stages(jo, field, config):
+        diag[key] = entry
+        if verdict is not None:
+            return replace(verdict, diagnostics=diag)

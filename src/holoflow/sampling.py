@@ -59,28 +59,31 @@ def _values(oracle, points) -> tuple[np.ndarray, Exception | None]:
     coordinate, so it is called point by point.  If a point-by-point
     call raises at point i, the values of points 0..i-1 are returned with
     that exception; otherwise all values are returned with None.  The
-    returned array is the caller's to modify.
+    returned array is the caller's to modify.  The whole read runs under one
+    ``np.errstate(all="ignore")``, so a numpy overflow inside the oracle is a
+    non-finite value, not an exception, under any warnings filter.
     """
     points = np.asarray(points, dtype=complex)
     n = len(points)
     square = points.ndim == 2 and n == points.shape[1]
     sent = np.concatenate([points, points[:1]]) if square else points
-    try:
-        values = np.array(oracle(sent), dtype=complex)
-        reason = f"values of shape {values.shape}"
-    except Exception as exc:  # any failure of the batched call means: retry per point
-        values, reason = None, type(exc).__name__
-    if values is not None and values.shape == (len(sent),):
-        return values[:n], None
-    warnings.warn(f"oracle rejected a batch ({reason}); evaluating point by point, "
-                  "as a single-point oracle", RuntimeWarning)
-    found: list[complex] = []
-    for point in _one_by_one(points):
+    with np.errstate(all="ignore"):
         try:
-            found.append(complex(oracle(point)))
-        except Exception as exc:  # handed to the caller, which reports the point
-            return np.array(found, dtype=complex), exc
-    return np.array(found, dtype=complex), None
+            values = np.array(oracle(sent), dtype=complex)
+            reason = f"values of shape {values.shape}"
+        except Exception as exc:  # any failure of the batched call means: retry per point
+            values, reason = None, type(exc).__name__
+        if values is not None and values.shape == (len(sent),):
+            return values[:n], None
+        warnings.warn(f"oracle rejected a batch ({reason}); evaluating point by point, "
+                      "as a single-point oracle", RuntimeWarning)
+        found: list[complex] = []
+        for point in _one_by_one(points):
+            try:
+                found.append(complex(oracle(point)))
+            except Exception as exc:  # handed to the caller, which reports the point
+                return np.array(found, dtype=complex), exc
+        return np.array(found, dtype=complex), None
 
 
 def evaluate_prefix(oracle, points) -> tuple[np.ndarray, Exception | None]:

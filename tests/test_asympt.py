@@ -60,7 +60,8 @@ def test_holomorphic_expansion_rejects_negative_and_unordered_levels(pairs, mess
 def test_holomorphic_expansion_accepts_mixed_exact_levels_and_rejects_floats():
     e = HolomorphicExpansion([(0, 1.0), ("1/13", 2.0), (Fraction(1, 7), 3.0), (1, 4.0)])
     assert e.levels == (Fraction(0), Fraction(1, 13), Fraction(1, 7), Fraction(1))
-    with pytest.raises(TypeError, match="exponents must be exact"):
+    with pytest.raises(TypeError, match=r"^must be exact \(int, Fraction, or 'p/q' string\), "
+                                        "not float$"):
         HolomorphicExpansion([(0, 1.0), (0.5, 1.0)])
 
 

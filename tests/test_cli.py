@@ -460,6 +460,20 @@ def test_non_finite_sampled_bound_is_a_job_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_non_finite_sampled_bound_is_a_job_error_under_error_warnings(tmp_path):
+    # numpy's overflow warning, raised as an error by the filter, was read as
+    # a refused batch, and the point-by-point warning ended in a traceback
+    scenario = tmp_path / "inf_bound.txt"
+    scenario.write_text("kind = forelli\nrates = 1/1 2/1\nterm = 0 0 | 0 0 | 1e308 | 0.0\n"
+                        "term = 1 0 | 0 0 | 1e308 | 0.0\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "holoflow.cli", "run",
+         str(scenario), "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: bound must be finite and >= 0, got inf")
+    assert "Traceback" not in proc.stderr
+
+
 def test_nonpositive_lambda_max_is_line_anchored(tmp_path, capsys):
     scenario = tmp_path / "lam.txt"
     scenario.write_text(

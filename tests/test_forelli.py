@@ -16,6 +16,7 @@ from holoflow import (ANTIHOLOMORPHIC_OBSTRUCTION, HOLOMORPHIC,
                       forelli_pipeline, integral_curve, normalize_time,
                       reconstruct)
 from holoflow import forelli
+from holoflow.counterex import ResonantExample
 from holoflow.flow import level_of
 
 from conftest import random_jet, random_positive_field
@@ -245,6 +246,42 @@ def test_pipeline_positive_quadratic():
     assert verdict.diagnostics["comparison"]["max_diff"] < 1e-10
 
 
+STAGES = ("spectrum", "f_holomorphy", "vanishing", "reconstruction", "comparison")
+Z1 = TaylorSeries.monomial(2, (1, 0), (0, 0))
+
+
+def test_a_holomorphic_run_folds_every_stage_in_order():
+    verdict = forelli_pipeline(jet_oracle(Z1), DiagonalField((1, 2)))
+    assert verdict.tag == HOLOMORPHIC
+    assert tuple(verdict.diagnostics) == STAGES
+
+
+#: the degree-4 jet of exp(z1 + z2); the remainder is about 1e-2 at radius 0.5
+EXP_JET = TaylorSeries(2, {((i, j), (0, 0)): 1 / (math.factorial(i) * math.factorial(j))
+                           for i in range(5) for j in range(5 - i)})
+#: the jet of the oracle z1 plus 1e-3 conj(z1) z2
+MIXED_JET = Z1 + TaylorSeries.monomial(2, (0, 1), (1, 0), 1e-3)
+#: inputs that each end at their own stage: (oracle, rates, stage, tag)
+EXITS = {
+    "mixed-field": (jet_oracle(Z1), (1, -1), "spectrum", HYPOTHESIS_VIOLATED),
+    "resonant": (JetOracle(ResonantExample(1.0), TaylorSeries.zero(2), 1.0), (1, 2),
+                 "f_holomorphy", NOT_F_HOLOMORPHIC),
+    "mixed-jet": (JetOracle(lambda z: z[:, 0], MIXED_JET, 1.0), (1, 2),
+                  "vanishing", ANTIHOLOMORPHIC_OBSTRUCTION),
+    "small-bound": (jet_oracle(Z1, 0.1), (1, 2), "reconstruction", HYPOTHESIS_VIOLATED),
+    "truncated-exp": (JetOracle(lambda z: np.exp(z[:, 0] + z[:, 1]), EXP_JET, math.e ** 2),
+                      (1, 2), "comparison", HYPOTHESIS_VIOLATED),
+}
+
+
+@pytest.mark.parametrize("case", EXITS)
+def test_each_stage_ends_the_run_with_the_diagnostics_so_far(case):
+    jo, rates, stage, tag = EXITS[case]
+    verdict = forelli_pipeline(jo, DiagonalField(rates))
+    assert verdict.tag == tag
+    assert tuple(verdict.diagnostics) == STAGES[: STAGES.index(stage) + 1]
+
+
 def test_pipeline_hypothesis_violated_on_mixed_field():
     jet = TaylorSeries.monomial(2, (0, 0), (1, 1))
     jo = JetOracle(lambda z: (complex(z[0]) * complex(z[1])).conjugate(), jet, 1.0)
@@ -356,23 +393,21 @@ def test_curve_check_without_curves_passes():
     jo = jet_oracle(TaylorSeries.monomial(2, (1, 0), (0, 0)))
     report = f_holomorphy_check(jo, DiagonalField((1, 1)), [], ZETAS)
     assert report.passed and report.max_residual == 0.0
-    verdict = forelli_pipeline(jo, DiagonalField((1, 1)), ForelliConfig(n_curves=0))
-    assert verdict.tag == HYPOTHESIS_VIOLATED
 
 
-def test_pipeline_without_zeta_samples_is_hypothesis_violated():
-    # zero samples gave max_residual 0.0 and read holomorphic
-    jo = jet_oracle(TaylorSeries.monomial(2, (1, 0), (0, 0)))
-    verdict = forelli_pipeline(jo, DiagonalField((1, 2)), ForelliConfig(n_zeta=0))
-    assert verdict.tag == HYPOTHESIS_VIOLATED
-    assert verdict.reason == "no zeta samples on the curves (n_zeta = 0)"
-    assert "f_holomorphy" not in verdict.diagnostics
+def test_config_rejects_a_zero_sample_count_by_name():
+    # zero samples gave max_residual 0.0 and read holomorphic; then the run
+    # ended mid-pipeline, with no f_holomorphy entry
+    for name in ("n_curves", "n_zeta"):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            ForelliConfig(**{name: 0})
 
 
 @pytest.mark.parametrize("name", ["n_curves", "n_zeta", "compare_points"])
 def test_config_rejects_a_negative_count_by_name(name):
     # each ended in numpy's "negative dimensions are not allowed" mid-pipeline
-    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
+    least = 0 if name == "compare_points" else 1
+    with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got -1$"):
         ForelliConfig(**{name: -1})
 
 

@@ -1,11 +1,12 @@
-"""Seeded samples against the point-by-point loops they are drawn like."""
+"""Seeded samples against the point-by-point loops they are drawn like, and the oracle read."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from holoflow.sampling import halfplane_points, polydisk_points
+from holoflow.sampling import evaluate, halfplane_points, polydisk_points
 
 
 def loop_points(rng, dim, n, r_min=0.05, r_max=0.95):
@@ -53,3 +54,19 @@ def test_halfplane_draws_equal_the_per_point_pairs():
     assert points.dtype == np.complex128 and points.shape == (50,)
     assert np.array_equal(points, np.array([complex(x, y) for x, y in zip(xs, ys)]))
     assert rng.random() == loop_rng.random()
+
+
+def test_an_overflow_in_a_batched_oracle_is_a_value_under_an_error_filter():
+    # numpy's overflow warning, raised as an error, was read as a refused
+    # batch, and the oracle was called again point by point
+    calls = []
+
+    def oracle(z):
+        calls.append(len(z))
+        return 1e308 * (1 + 2 * np.abs(z[:, 0]))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = evaluate(oracle, np.full((3, 2), 0.5 + 0j))
+    assert calls == [3]
+    assert np.array_equal(values, np.full(3, complex(math.inf, 0)))
