@@ -36,7 +36,7 @@ from .flow import DiagonalField, integral_curve
 from .forelli import (FD_STEP, HYPOTHESIS_VIOLATED, ForelliConfig, JetOracle, curve_check,
                       forelli_pipeline)
 from .sampling import evaluate, polydisk_points
-from .series import TaylorSeries, antiholomorphic_part, taylor_remainder_check
+from .series import TaylorSeries, antiholomorphic_part, remainder_ladder
 from .wirtinger import CIRCLE, dbar_circle
 
 TWO_PI = 2.0 * math.pi
@@ -304,15 +304,13 @@ def _witness_check(oracle) -> dict:
 
 
 def _zero_jet_check(oracle, log_ratio, decay: dict) -> dict:
-    """Remainders of the zero jet at orders 1..8, on the radii of
-    :func:`_zero_jet_radii`; each order's report goes into decay."""
-    zero_jet = TaylorSeries.zero(2)
-    passed = True
-    for n in range(1, 9):
-        rep = taylor_remainder_check(oracle, zero_jet, n, _zero_jet_radii(log_ratio, n, 1e-8))
-        decay[f"zero_jet_order_{n}"] = rep
-        passed = passed and rep.passed
-    return {"passed": passed, "orders": 8}
+    """Remainders of the zero jet at orders 1..8, each on the radii of
+    :func:`_zero_jet_radii`, from one :func:`remainder_ladder` read; each
+    order's report goes into decay."""
+    ladder = [(n, _zero_jet_radii(log_ratio, n, 1e-8)) for n in range(1, 9)]
+    reports = remainder_ladder(oracle, TaylorSeries.zero(2), ladder)
+    decay.update((f"zero_jet_order_{n}", rep) for (n, _radii), rep in zip(ladder, reports))
+    return {"passed": all(rep.passed for rep in reports), "orders": 8}
 
 
 def _field_curve_check(oracle, field: DiagonalField, rng: np.random.Generator,

@@ -38,7 +38,7 @@ from .flow import (DiagonalField, SpectrumClass, _coords, classify_spectrum,
                    integral_curve, level_of, normalize_time)
 from .sampling import evaluate, evaluate_prefix, halfplane_points, polydisk_points
 from .series import (TaylorSeries, antiholomorphic_part, eval_taylor,
-                     holomorphic_part, level_sums, taylor_remainder_check)
+                     holomorphic_part, level_sums, remainder_ladder)
 from .wirtinger import CIRCLE, dbar_circle
 
 HOLOMORPHIC = "holomorphic"
@@ -75,9 +75,9 @@ class JetOracle:
             raise ValueError(f"bound must be finite and >= 0, got {self.bound}")
 
     def validate_jet(self, radii=(0.3, 0.2, 0.12, 0.08, 0.05), tol: float = 1e-6):
-        """Remainder reports for every order up to the jet degree."""
-        return [taylor_remainder_check(self.oracle, self.jet, n, radii, tol=tol)
-                for n in range(self.jet.degree + 1)]
+        """Remainder reports for every order up to the jet degree, from one ladder read."""
+        return remainder_ladder(self.oracle, self.jet,
+                                [(n, radii) for n in range(self.jet.degree + 1)], tol=tol)
 
 
 @dataclass(frozen=True)

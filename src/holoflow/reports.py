@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
-import numpy as np
-
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
@@ -93,6 +91,7 @@ def fitted_decay_rate(abscissas: Sequence[float], values: Sequence[float]) -> fl
 
     Non-positive and non-finite values are ignored; None if fewer than two
     remain or their abscissas span < 1e-12.  At x = log r it is -s for r^s.
+    Closed-form least squares from centred sums (``np.polyfit``'s to rounding).
     """
     pairs = [(float(x), math.log(v)) for x, v in zip(abscissas, values)
              if v > 0 and math.isfinite(v)]
@@ -101,7 +100,9 @@ def fitted_decay_rate(abscissas: Sequence[float], values: Sequence[float]) -> fl
     xs, ys = zip(*pairs)
     if max(xs) - min(xs) < 1e-12:
         return None
-    return float(-np.polyfit(xs, ys, 1)[0])
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]
+    return -sum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / sum(dx * dx for dx in dxs)
 
 
 def clamped_exp(log_value: float) -> float:

@@ -31,7 +31,7 @@ from .sampling import evaluate_prefix
 
 Point = Sequence[complex]
 
-#: directions taylor_remainder_check samples at each radius, and the seed of their phases
+#: directions remainder_ladder samples at each radius, and the seed of their phases
 N_DIRECTIONS = 6
 DIRECTION_SEED = 0
 
@@ -247,51 +247,65 @@ def taylor_remainder_check(
     *,
     tol: float = 1e-8,
 ) -> DecayReport:
-    """Check |oracle(z) - partial sum through degree n| = o(|z|^n) on a radius grid.
+    """Check |oracle(z) - partial sum through degree n| = o(|z|^n): a one-rung ladder."""
+    return remainder_ladder(oracle, series, [(n, radii)], tol=tol)[0]
+
+
+def remainder_ladder(oracle, series: TaylorSeries, ladder, *,
+                     tol: float = 1e-8) -> list[DecayReport]:
+    """One remainder report per rung (n, radii) of ladder, from one oracle read.
 
     Points are sampled with every coordinate of modulus r, so |z| = r in the
     max norm.  The ratio residual / r^n is computed in the log domain (the
     counterexample oracles underflow r^n long before the ratio is resolved).
-    Pass is decided by the ``remainder_trend`` rule.
+    Pass is decided by the ``remainder_trend`` rule.  Every rung's points go
+    to one :func:`sampling.evaluate_prefix` call; if the read stops inside
+    rung i, that rung is INCONCLUSIVE and the rungs after it are read again
+    by a fresh ladder call, so each report is that of a one-rung call.
     """
-    radii = [float(r) for r in radii]
-    if any(r <= 0 for r in radii) or any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
-        raise ValueError("radii must be positive and strictly decreasing")
-    if n < 0:
-        raise ValueError("order n must be >= 0")
+    rungs = [(n, [float(r) for r in radii]) for n, radii in ladder]
+    for n, radii in rungs:
+        if any(r <= 0 for r in radii) or any(a <= b for a, b in zip(radii, radii[1:])):
+            raise ValueError("radii must be positive and strictly decreasing")
+        if n < 0:
+            raise ValueError("order n must be >= 0")
     # n may exceed the stored degree: the check then asserts the function has
     # no terms between the stored degree and order n (caller's claim to test)
-
-    directions = _direction_set(series.dim)
-    points = (np.array(radii)[:, None, None] * directions).reshape(-1, series.dim)
+    if not rungs:
+        return []
+    points = (np.array([r for _n, radii in rungs for r in radii])[:, None, None]
+              * _direction_set(series.dim)).reshape(-1, series.dim)
     values, exc = evaluate_prefix(oracle, points)
-    done = len(values) // len(directions)  # radii read in full
-    read = done * len(directions)
-    resids = np.abs(values[:read] - series.partial_sum(points[:read], n))
-    # a computed zero only certifies |residual| below the smallest subnormal;
-    # use that as an honest upper bound on the ratio
-    worst = np.maximum(resids.reshape(done, len(directions)).max(axis=1), 5e-324)
-    ratios = [clamped_exp(math.log(w) - n * math.log(r))
-              for w, r in zip(worst.tolist(), radii)]
-    if len(values) < len(points):
-        point = tuple(points[len(values)].tolist())
-        note = (f"oracle failed: {exc}" if exc is not None
-                else f"non-finite oracle value at {point}")
-        return DecayReport(float(n), tuple(radii), tuple(ratios), tol,
-                           INCONCLUSIVE, "remainder_trend", witness=point, note=note)
-
-    rate = fitted_decay_rate([math.log(r) for r in radii], ratios)
-    slope = None if rate is None else -rate
-    if all(v <= tol for v in ratios):
-        verdict = PASS
-    elif monotone_below(ratios, tol):
-        verdict = PASS
-    elif slope is not None and slope >= 0.25 and ratios[-1] < ratios[0]:
-        verdict = PASS
-    else:
-        verdict = FAIL
-    return DecayReport(float(n), tuple(radii), tuple(ratios), tol, verdict,
-                       "remainder_trend", slope=slope)
+    reports, start = [], 0
+    for i, (n, radii) in enumerate(rungs):
+        stop = start + len(radii) * N_DIRECTIONS
+        read = min(len(values), stop)
+        read -= (read - start) % N_DIRECTIONS  # radii read in full
+        resids = np.abs(values[start:read] - series.partial_sum(points[start:read], n))
+        # a computed zero only certifies |residual| below the smallest subnormal;
+        # use that as an honest upper bound on the ratio
+        worst = np.maximum(resids.reshape(-1, N_DIRECTIONS).max(axis=1), 5e-324)
+        ratios = [clamped_exp(math.log(w) - n * math.log(r))
+                  for w, r in zip(worst.tolist(), radii)]
+        if len(values) < stop:
+            point = tuple(points[len(values)].tolist())
+            note = (f"oracle failed: {exc}" if exc is not None
+                    else f"non-finite oracle value at {point}")
+            reports.append(DecayReport(float(n), tuple(radii), tuple(ratios), tol,
+                                       INCONCLUSIVE, "remainder_trend", witness=point, note=note))
+            return reports + remainder_ladder(oracle, series, rungs[i + 1:], tol=tol)
+        rate = fitted_decay_rate([math.log(r) for r in radii], ratios)
+        slope = None if rate is None else -rate
+        if all(v <= tol for v in ratios) or monotone_below(ratios, tol):
+            verdict = PASS
+        elif slope is not None and slope >= 0.25 and ratios[-1] < ratios[0]:
+            verdict = PASS
+        else:
+            verdict = FAIL
+        reports.append(DecayReport(float(n), tuple(radii), tuple(ratios), tol, verdict,
+                                   "remainder_trend", slope=slope))
+        start = stop
+    return reports
 
 
 def parse_term_line(line: str) -> tuple[tuple[int, ...], tuple[int, ...], complex]:

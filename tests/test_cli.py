@@ -321,10 +321,10 @@ def test_parser_is_built_once_and_survives_a_failed_parse(tmp_path, capsys, monk
     assert _strip_timestamp(r1) == _strip_timestamp(r3)
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "holoflow.cli", "run",
-         str(SCENARIOS / "pushforward_mixed.txt"), "--out", "/tmp/holoflow_ep_test"],
+         str(SCENARIOS / "pushforward_mixed.txt"), "--out", str(tmp_path / "out")],
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "pushforward: pass" in proc.stdout

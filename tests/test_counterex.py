@@ -18,6 +18,8 @@ from holoflow import (BranchSearchError, ResonantExample, SpiralExample,
 from holoflow.counterex import sector_samples
 from holoflow.forelli import FD_STEP
 from holoflow.sampling import polydisk_points
+from holoflow.series import (N_DIRECTIONS, TaylorSeries, _direction_set, remainder_ladder,
+                             taylor_remainder_check)
 from holoflow.wirtinger import CIRCLE, dbar_fd
 
 
@@ -212,6 +214,74 @@ def test_suite_zero_jet_decay_reports_cover_orders():
         rep = report.decay_reports[f"zero_jet_order_{n}"]
         assert rep.passed
         assert rep.values[-1] <= 1e-8
+
+
+ZERO_JET_SUITES = [("resonant", {"t": Fraction(1, 2)}), ("spiral", {"alpha": -0.6 + 1.2j})]
+
+
+def zero_jet_ladder(monkeypatch, which, kwargs):
+    """The oracle and the eight rungs that the named suite's zero-jet check reads."""
+    real, seen = counterex.remainder_ladder, []
+    monkeypatch.setattr(counterex, "remainder_ladder", lambda oracle, series, ladder, **kw:
+                        seen.append((oracle, ladder)) or real(oracle, series, ladder, **kw))
+    counterexample_suite(which, **kwargs)
+    monkeypatch.undo()
+    [(oracle, ladder)] = seen
+    assert [n for n, _radii in ladder] == list(range(1, 9))
+    return oracle, ladder
+
+
+@pytest.mark.parametrize("which, kwargs", ZERO_JET_SUITES)
+def test_zero_jet_ladder_equals_one_check_per_order(monkeypatch, which, kwargs):
+    oracle, ladder = zero_jet_ladder(monkeypatch, which, kwargs)
+    zero = TaylorSeries.zero(2)
+    reports = remainder_ladder(oracle, zero, ladder)
+    assert reports == [taylor_remainder_check(oracle, zero, n, radii) for n, radii in ladder]
+    assert all(rep.passed for rep in reports)
+
+
+@pytest.mark.filterwarnings("ignore:oracle rejected a batch")
+@pytest.mark.parametrize("failure", ["raises", "nan"])
+def test_a_read_stopped_in_rung_three_gives_the_reports_of_separate_checks(monkeypatch,
+                                                                          failure):
+    example, ladder = zero_jet_ladder(monkeypatch, *ZERO_JET_SUITES[0])
+    bad = tuple((ladder[2][1][2] * _direction_set(2)[3]).tolist())  # rung 3, radius 3
+
+    def value(point):  # one point at a time, so a batch and a point-by-point read agree
+        if point == bad:
+            if failure == "raises":
+                raise RuntimeError("no data here")
+            return math.nan
+        return example(point)
+
+    def oracle(z):
+        return value(z) if isinstance(z, tuple) else np.array([value(p) for p in
+                                                               map(tuple, z.tolist())])
+
+    zero = TaylorSeries.zero(2)
+    reports = remainder_ladder(oracle, zero, ladder)
+    assert reports == [taylor_remainder_check(oracle, zero, n, radii) for n, radii in ladder]
+    assert [rep.verdict for rep in reports] == ["pass"] * 2 + ["inconclusive"] + ["pass"] * 5
+    assert reports[2].witness == bad and len(reports[2].values) == 2
+    assert reports[2].note == ("oracle failed: no data here" if failure == "raises"
+                               else f"non-finite oracle value at {bad}")
+
+
+def test_zero_jet_check_reads_its_oracle_once():
+    ex, calls = ResonantExample(0.5), []
+
+    def oracle(z):
+        calls.append(len(z))
+        return ex(z)
+
+    def log_ratio(v, n):  # the resonant suite's, at t = 1/2
+        e = v * 1.5
+        return n * v - (math.exp(e) if e < 700.0 else math.inf)
+
+    decay = {}
+    assert counterex._zero_jet_check(oracle, log_ratio, decay)["passed"]
+    assert calls == [8 * 5 * N_DIRECTIONS] == [240]
+    assert sorted(decay) == [f"zero_jet_order_{n}" for n in range(1, 9)]
 
 
 def reference_zero_jet_radii(log_ratio, n, tol, v_cap=640.0, points=5):

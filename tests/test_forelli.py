@@ -18,6 +18,7 @@ from holoflow import (ANTIHOLOMORPHIC_OBSTRUCTION, HOLOMORPHIC,
 from holoflow import forelli
 from holoflow.counterex import ResonantExample
 from holoflow.flow import level_of
+from holoflow.series import N_DIRECTIONS, taylor_remainder_check
 
 from conftest import random_jet, random_positive_field
 
@@ -351,6 +352,23 @@ def test_jet_oracle_validates_its_own_remainders():
     jo = jet_oracle(jet)
     reports = jo.validate_jet()
     assert len(reports) == jet.degree + 1
+    assert all(r.passed for r in reports)
+
+
+def test_jet_oracle_validation_reads_its_oracle_once():
+    jet = TaylorSeries(2, {((1, 0), (0, 0)): 1.0, ((0, 2), (0, 1)): -0.5j})
+    calls = []
+
+    def oracle(z):
+        calls.append(len(z))
+        return eval_taylor(jet, z)
+
+    jo = JetOracle(oracle, jet, 1.0)
+    radii = (0.3, 0.2, 0.12, 0.08, 0.05)
+    reports = jo.validate_jet(radii)
+    assert calls == [(jet.degree + 1) * len(radii) * N_DIRECTIONS]
+    assert reports == [taylor_remainder_check(jo.oracle, jet, n, radii, tol=1e-6)
+                       for n in range(jet.degree + 1)]
     assert all(r.passed for r in reports)
 
 

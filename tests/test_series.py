@@ -12,6 +12,7 @@ from holoflow import (MultiIndex, TaylorSeries, antiholomorphic_part,
                       eval_taylor, holomorphic_part, taylor_remainder_check,
                       wirtinger_F_derivative)
 from holoflow.flow import level_of
+from holoflow.reports import fitted_decay_rate
 from holoflow.series import DIRECTION_SEED, N_DIRECTIONS, _direction_set, level_sums
 from holoflow.wirtinger import CIRCLE, dbar_circle, dbar_fd
 
@@ -377,6 +378,28 @@ def test_remainder_direction_set_is_one_cached_read_only_draw(dim):
              for _ in range(N_DIRECTIONS - 1)]
     assert dirs.shape == (N_DIRECTIONS, dim) and dirs.dtype == complex
     assert np.array_equal(dirs, np.array([[1 + 0j] * dim] + drawn))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fitted_decay_rate_is_the_least_squares_slope_of_polyfit(seed):
+    # five radii and values ~ C r^s as the remainder fits see them; |s| >= 0.25
+    # keeps the slope away from 0, where relative error means nothing
+    rng = np.random.default_rng(seed)
+    for _ in range(500):
+        xs = np.log(np.sort(rng.uniform(1e-6, 0.9, 5))[::-1])
+        s = rng.choice([-1, 1]) * rng.uniform(0.25, 40.0)
+        values = np.exp(s * xs + rng.normal(0.0, 3.0) + rng.normal(0.0, 0.5, 5)).tolist()
+        expected = np.polyfit(xs, [math.log(v) for v in values], 1)[0]
+        rate = fitted_decay_rate(xs.tolist(), values)
+        assert abs(-rate - expected) <= 1e-12 * abs(expected)
+
+
+def test_fitted_decay_rate_is_none_when_underdetermined():
+    assert fitted_decay_rate([0.0, 1.0, 2.0], [1.0, 0.0, -1.0]) is None  # one positive value
+    assert fitted_decay_rate([0.0, 1.0, 2.0], [1.0, math.inf, math.nan]) is None
+    assert fitted_decay_rate([], []) is None
+    assert fitted_decay_rate([1.0, 1.0 + 1e-13, 1.0], [1.0, 2.0, 3.0]) is None  # span < 1e-12
+    assert fitted_decay_rate([0.0, 1.0, 5.0], [1.0, math.e ** -2, 0.0]) == 2.0
 
 
 def test_remainder_rejects_bad_radii():
