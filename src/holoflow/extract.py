@@ -150,7 +150,15 @@ def extract_coefficients(
     each coefficient is a DFT bin refined by one deflation step (module
     docstring), and reported as zero below params.tol in modulus.  If ``trace``
     is a list, rows (level, coefficient, sup of the residual without the levels
-    up to this one) are appended for CSV export.
+    up to this one) are appended for CSV export.  The trace walk starts from
+    the final residual and adds each nonzero term back.  It reuses the
+    exponentials e^(-lambda z) of the deflation, which are kept (one array of
+    line nodes per nonzero first-pass level) only when a trace is requested,
+    and recomputes one only for a level whose first pass snapped to 0.  The
+    coefficient is a numpy complex128, so  c * term  rounds like
+    c * np.exp(...)  at every window size (no temporary elision; see the
+    module docstring), and the rows equal those of a walk that recomputes
+    every exponential.
     """
     levels, steps, q = params.grid.levels, params.grid.steps, params.grid.q
     y, K = _window(params)
@@ -165,8 +173,13 @@ def extract_coefficients(
     norm0 = float(np.max(np.abs(vals)))
     first = weight * np.fft.ifft(vals)[bins]
     first[np.abs(first) < params.tol] = 0
+    terms = {}  # level index -> e^(-lambda z), kept for the trace walk only
     for i in np.flatnonzero(first):
-        vals -= first[i] * np.exp(-lam[i] * z)
+        if trace is None:
+            vals -= first[i] * np.exp(-lam[i] * z)
+        else:
+            terms[i] = np.exp(-lam[i] * z)
+            vals -= first[i] * terms[i]
     coeffs = first + weight * np.fft.ifft(vals)[bins]
     coeffs[np.abs(coeffs) < params.tol] = 0
     spectrum = np.zeros_like(vals)
@@ -188,7 +201,8 @@ def extract_coefficients(
         for i in reversed(range(len(levels))):
             rows.append((float(lam[i]), complex(coeffs[i]), norm))
             if coeffs[i] != 0:
-                vals += coeffs[i] * np.exp(-lam[i] * z)
+                term = terms[i] if i in terms else np.exp(-lam[i] * z)  # first pass snapped to 0
+                vals += coeffs[i] * term
                 norm = float(np.max(np.abs(vals)))
         trace.extend(reversed(rows))
     return HolomorphicExpansion(zip(levels, coeffs.tolist()))

@@ -265,6 +265,8 @@ def remainder_ladder(oracle, series: TaylorSeries, ladder, *,
     """
     rungs = [(n, [float(r) for r in radii]) for n, radii in ladder]
     for n, radii in rungs:
+        if not radii:
+            raise ValueError("radii must not be empty")
         if any(r <= 0 for r in radii) or any(a <= b for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be positive and strictly decreasing")
         if n < 0:

@@ -15,12 +15,30 @@ from holoflow import (BranchSearchError, ResonantExample, SpiralExample,
                       branch_power, choose_branch_exponent,
                       counterexample_suite, phi_resonant, phi_spiral,
                       sector_angles, spiral_curve, verify_time_identity)
-from holoflow.counterex import sector_samples
 from holoflow.forelli import FD_STEP
 from holoflow.sampling import polydisk_points
 from holoflow.series import (N_DIRECTIONS, TaylorSeries, _direction_set, remainder_ladder,
                              taylor_remainder_check)
 from holoflow.wirtinger import CIRCLE, dbar_fd
+
+
+def sector_samples(ex: SpiralExample, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random points of the cone, log-uniform over several magnitude decades.
+
+    The Monte-Carlo reference for the exact sector rule: the ratio of the two
+    generators' weights stays within e^(+-6), so the samples come no nearer
+    than about e^(-6) sin(width) radians to an edge ray of the cone.
+    """
+    rs = -np.exp(rng.uniform(-3.0, 3.0, size=n))
+    ss = -np.exp(rng.uniform(-3.0, 3.0, size=n))
+    g = ex.gamma
+    return rs * g + ss * g.conjugate()
+
+
+def sampled_sector_verdict(ex: SpiralExample, seed: int = 0) -> bool:
+    """Re(xi^b) < 0 at 10 000 random cone points, as the suite once decided it."""
+    xis = sector_samples(ex, np.random.default_rng(seed), 10_000)
+    return bool(np.all(branch_power(ex, xis).real < 0))
 
 
 def test_phi_resonant_zero_extension():
@@ -187,7 +205,7 @@ def test_suite_spiral_reports_branch_data():
     report = counterexample_suite("spiral", seed=1)
     assert float(report.params["b"]) > 1
     assert report.checks["time_identity"]["max_error"] < 1e-12
-    assert report.checks["sector_negativity"]["samples"] == 10_000
+    assert report.checks["sector_negativity"]["margin"] > 0
 
 
 def test_suite_remark_documents_necessity():
@@ -463,3 +481,64 @@ def test_time_identity_takes_an_array_and_names_the_worst_zeta():
     report = verify_time_identity(broken, zetas, tol=0.0)
     assert not report.passed and report.witness == zetas[int(np.argmax(errors))]
     assert report.max_error == pytest.approx(max(errors), rel=1e-12)
+
+
+SECTOR_GRID = [complex(re, im) for re in (-2.0, -1.0, -0.75, -0.5, -0.2)
+               for im in (0.3, 0.6, 1.2, 2.0, 3.0)]
+SEARCH_BS = 1.0 + np.arange(1, 3001) * 1e-3  # the b grid of choose_branch_exponent
+
+
+@pytest.mark.parametrize("alpha", SECTOR_GRID, ids=str)
+def test_exact_sector_rule_agrees_with_sampling(alpha):
+    lo0, hi0 = sector_angles(alpha)
+    verdicts = set()
+    for k in range(4):
+        margins = counterex._band_margin(SEARCH_BS, lo0 + 2 * math.pi * k, hi0 + 2 * math.pi * k)
+        inside, outside = np.flatnonzero(margins > 1e-3), np.flatnonzero(margins < -1e-3)
+        # the widest and the narrowest positive margins, the most negative margin, and
+        # the one nearest -0.02: the samples see a violation at an edge ray only once it
+        # is about 0.01 rad deep (next test)
+        picks = [] if not len(inside) else [inside[np.argmax(margins[inside])],
+                                            inside[np.argmin(margins[inside])]]
+        picks += [outside[np.argmin(margins[outside])],
+                  outside[np.argmin(np.abs(margins[outside] + 0.02))]]
+        for i in picks:
+            ex = SpiralExample(alpha, 1.0, float(SEARCH_BS[i]), k)
+            check = counterex._sector_check(ex)
+            assert check["margin"] == margins[i]
+            assert check["passed"] == (margins[i] > 0) == sampled_sector_verdict(ex), (k, ex.b)
+            verdicts.add(check["passed"])
+    assert False in verdicts  # k = 0: the image of the cone contains 0, where cos = 1
+    if alpha.imag >= 0.6:  # a narrow enough cone has an admissible branch
+        assert True in verdicts
+
+
+def test_exact_sector_rule_sees_a_violation_thinner_than_the_samples():
+    # at k = 1 a b on a 1e-5 grid puts the image of the -1 + i cone 1 to 3 mrad past
+    # its band: 10 000 samples never come that close to an edge ray; the rule and
+    # the edge-ray evaluation both see it
+    lo0, hi0 = sector_angles(-1 + 1j)
+    bs = np.linspace(1.0, 4.0, 300_001)[1:]
+    margins = counterex._band_margin(bs, lo0 + 2 * math.pi, hi0 + 2 * math.pi)
+    i = np.flatnonzero((margins < -1e-3) & (margins > -3e-3))[-1]
+    ex = SpiralExample(-1 + 1j, 1.0, float(bs[i]), 1)
+    assert counterex._sector_check(ex) == {"passed": False, "margin": margins[i]}
+    edges = branch_power(ex, [-ex.gamma, -ex.gamma.conjugate()])
+    assert np.max(edges.real) >= 0
+    assert sampled_sector_verdict(ex)
+
+
+def test_sector_check_reports_the_chosen_branch_margin(monkeypatch):
+    for alpha in (-1 + 1j, -0.6 + 1.5j, -2 + 0.5j):
+        ex = SpiralExample.create(alpha, 1.0)
+        lo0, hi0 = sector_angles(alpha)
+        shift = 2 * math.pi * ex.branch_offset
+        lo, hi = ex.b * (lo0 + shift), ex.b * (hi0 + shift)
+        j = round(((lo + hi) / 2 - math.pi) / (2 * math.pi))
+        expected = min(lo - (0.5 * math.pi + 2 * math.pi * j), (1.5 * math.pi + 2 * math.pi * j) - hi)
+        check = counterex._sector_check(ex)
+        assert check["passed"] and check["margin"] == pytest.approx(expected, abs=1e-12)
+    # a branch the search would reject fails at creation, not only in the suite
+    monkeypatch.setattr(counterex, "choose_branch_exponent", lambda alpha: (1.5, 0))
+    with pytest.raises(ValueError, match="fails on the sector"):
+        SpiralExample.create(-1 + 1j, 1.0)

@@ -250,6 +250,27 @@ def test_traced_extraction_keeps_the_coefficients_and_the_reference_rows(rng):
         assert rows == reference_rows
 
 
+@pytest.mark.parametrize("rates, lam_max, terms, nodes", [
+    # scenarios/extraction_demo.txt and scenarios/extraction_large.txt; the second
+    # window is past the 16 384 nodes from which numpy elides temporaries
+    (("1/2",), "3", [("1", 3.0), ("5/2", 1 + 1j)], 4096),
+    (("1/7", "1/11", "1/13"), "3/2", [("0", 0.5), ("1/7", 1 - 0.5j), ("18/77", 0.25 + 0.75j),
+                                      ("3/13", -0.4 + 0.2j), ("10/7", 0.3 + 0.3j)], 30375),
+], ids=["extraction_demo", "extraction_large"])
+def test_trace_rows_equal_a_walk_that_recomputes_every_exponential(rng, rates, lam_max,
+                                                                   terms, nodes):
+    grid = level_grid(DiagonalField(tuple(Fraction(r) for r in rates)), Fraction(lam_max))
+    params = default_params(grid)
+    assert len(quadrature_nodes(params)) == nodes
+    shipped = HolomorphicExpansion(sorted((Fraction(lam), c) for lam, c in terms))
+    for oracle in (shipped, random_source(rng, grid, n_terms=6)):
+        rows = []
+        recovered = extract_coefficients(oracle, params, trace=rows)
+        pairs, reference_rows, _ = reference_extract(oracle, params)
+        assert recovered.pairs() == pairs
+        assert repr(rows) == repr(reference_rows)  # bit for bit, signed zeros included
+
+
 @pytest.mark.parametrize("rates, lam_max, n_sources",
                          [(("1/6",), 10, 20), (("1/5", "1/7", "1/9"), 2, 3)])
 def test_transform_matches_sequential_sweep(rng, rates, lam_max, n_sources):

@@ -13,7 +13,8 @@ from holoflow import (MultiIndex, TaylorSeries, antiholomorphic_part,
                       wirtinger_F_derivative)
 from holoflow.flow import level_of
 from holoflow.reports import fitted_decay_rate
-from holoflow.series import DIRECTION_SEED, N_DIRECTIONS, _direction_set, level_sums
+from holoflow.series import (DIRECTION_SEED, N_DIRECTIONS, _direction_set, level_sums,
+                             remainder_ladder)
 from holoflow.wirtinger import CIRCLE, dbar_circle, dbar_fd
 
 from conftest import random_interior_point, random_jet, random_positive_field
@@ -405,3 +406,12 @@ def test_fitted_decay_rate_is_none_when_underdetermined():
 def test_remainder_rejects_bad_radii():
     with pytest.raises(ValueError):
         taylor_remainder_check(lambda z: 0j, TaylorSeries.zero(1), 1, (0.1, 0.2))
+
+
+def test_remainder_rejects_an_empty_radius_list():
+    # a rung with no radii has no ratios to score: it raised nothing and read pass
+    one = lambda z: 1 + 0 * z[:, 0]  # noqa: E731
+    with pytest.raises(ValueError, match="radii must not be empty"):
+        taylor_remainder_check(one, TaylorSeries.zero(1), 1, [])
+    with pytest.raises(ValueError, match="radii must not be empty"):
+        remainder_ladder(one, TaylorSeries.zero(1), [(1, [0.2, 0.1]), (2, [])])
