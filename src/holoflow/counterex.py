@@ -149,15 +149,7 @@ class SpiralExample:
 
     @classmethod
     def create(cls, alpha: complex, t: float = 1.0) -> "SpiralExample":
-        b, k = choose_branch_exponent(alpha)
-        ex = cls(alpha=complex(alpha), t=float(t), b=b, branch_offset=k)
-        ident = verify_time_identity(ex, [complex(1, 0), complex(0.3, -2.1), complex(-1.7, 0.9)])
-        if not ident.passed:
-            raise ValueError(f"time identity failed at {ident.witness}: {ident.max_error}")
-        sector = _sector_check(ex)
-        if not sector["passed"]:
-            raise ValueError(f"Re(xi^b) < 0 fails on the sector: margin {sector['margin']!r} rad")
-        return ex
+        return _checked_spiral(alpha, t)[0]
 
     def __call__(self, z):
         return phi_spiral(self, z)
@@ -224,6 +216,22 @@ def _sector_check(ex: SpiralExample) -> dict:
     margin = float(_band_margin(ex.b, lo0 + shift, hi0 + shift))
     edges = branch_power(ex, [-ex.gamma, -ex.gamma.conjugate()])
     return {"passed": margin > 0 and bool(np.all(edges.real < 0)), "margin": margin}
+
+
+def _checked_spiral(alpha: complex, t: float) -> tuple[SpiralExample, dict]:
+    """The example of :meth:`SpiralExample.create` and its passed sector check.
+
+    Raises ValueError when the time identity or the sector check fails.
+    """
+    b, k = choose_branch_exponent(alpha)
+    ex = SpiralExample(alpha=complex(alpha), t=float(t), b=b, branch_offset=k)
+    ident = verify_time_identity(ex, [complex(1, 0), complex(0.3, -2.1), complex(-1.7, 0.9)])
+    if not ident.passed:
+        raise ValueError(f"time identity failed at {ident.witness}: {ident.max_error}")
+    sector = _sector_check(ex)
+    if not sector["passed"]:
+        raise ValueError(f"Re(xi^b) < 0 fails on the sector: margin {sector['margin']!r} rad")
+    return ex, sector
 
 
 @dataclass(frozen=True)
@@ -391,7 +399,7 @@ def _resonant_suite(t: Fraction, rng: np.random.Generator) -> SuiteReport:
 
 
 def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator) -> SuiteReport:
-    ex = SpiralExample.create(alpha, t)
+    ex, sector = _checked_spiral(alpha, t)
     reach = 0.6 / (abs(ex.alpha) * max(1.0, t))
     curves = polydisk_points(rng, 2, 10, r_min=0.15, r_max=0.4)
     # ten samples per curve in the disk |zeta| <= reach, drawn curve by curve
@@ -404,7 +412,7 @@ def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator) -> SuiteRe
     ident = verify_time_identity(ex, rng.uniform(-10, 10, 100) + 1j * rng.uniform(-10, 10, 100))
     checks["time_identity"] = {"passed": ident.passed, "max_error": ident.max_error}
 
-    checks["sector_negativity"] = _sector_check(ex)
+    checks["sector_negativity"] = sector
 
     # decay constant along the all-equal-moduli direction used by the radius grid
     g_dir = -(ex.gamma + ex.gamma.conjugate() / ex.t)

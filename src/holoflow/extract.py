@@ -151,14 +151,10 @@ def extract_coefficients(
     docstring), and reported as zero below params.tol in modulus.  If ``trace``
     is a list, rows (level, coefficient, sup of the residual without the levels
     up to this one) are appended for CSV export.  The trace walk starts from
-    the final residual and adds each nonzero term back.  It reuses the
-    exponentials e^(-lambda z) of the deflation, which are kept (one array of
-    line nodes per nonzero first-pass level) only when a trace is requested,
-    and recomputes one only for a level whose first pass snapped to 0.  The
-    coefficient is a numpy complex128, so  c * term  rounds like
-    c * np.exp(...)  at every window size (no temporary elision; see the
-    module docstring), and the rows equal those of a walk that recomputes
-    every exponential.
+    the final residual and adds each nonzero term back, computing its
+    exponential again rather than keeping the deflation's: a traced run then
+    holds a few arrays of line nodes, as an untraced one does, not one per
+    term (at ``MAX_NODES`` each is 64 MB).
     """
     levels, steps, q = params.grid.levels, params.grid.steps, params.grid.q
     y, K = _window(params)
@@ -173,13 +169,8 @@ def extract_coefficients(
     norm0 = float(np.max(np.abs(vals)))
     first = weight * np.fft.ifft(vals)[bins]
     first[np.abs(first) < params.tol] = 0
-    terms = {}  # level index -> e^(-lambda z), kept for the trace walk only
     for i in np.flatnonzero(first):
-        if trace is None:
-            vals -= first[i] * np.exp(-lam[i] * z)
-        else:
-            terms[i] = np.exp(-lam[i] * z)
-            vals -= first[i] * terms[i]
+        vals -= first[i] * np.exp(-lam[i] * z)
     coeffs = first + weight * np.fft.ifft(vals)[bins]
     coeffs[np.abs(coeffs) < params.tol] = 0
     spectrum = np.zeros_like(vals)
@@ -201,8 +192,7 @@ def extract_coefficients(
         for i in reversed(range(len(levels))):
             rows.append((float(lam[i]), complex(coeffs[i]), norm))
             if coeffs[i] != 0:
-                term = terms[i] if i in terms else np.exp(-lam[i] * z)  # first pass snapped to 0
-                vals += coeffs[i] * term
+                vals += coeffs[i] * np.exp(-lam[i] * z)
                 norm = float(np.max(np.abs(vals)))
         trace.extend(reversed(rows))
     return HolomorphicExpansion(zip(levels, coeffs.tolist()))

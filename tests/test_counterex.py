@@ -542,3 +542,12 @@ def test_sector_check_reports_the_chosen_branch_margin(monkeypatch):
     monkeypatch.setattr(counterex, "choose_branch_exponent", lambda alpha: (1.5, 0))
     with pytest.raises(ValueError, match="fails on the sector"):
         SpiralExample.create(-1 + 1j, 1.0)
+
+
+def test_spiral_suite_decides_its_sector_once(monkeypatch):
+    calls = []
+    check = counterex._sector_check
+    monkeypatch.setattr(counterex, "_sector_check", lambda ex: calls.append(ex) or check(ex))
+    report = counterexample_suite("spiral", seed=1)
+    assert len(calls) == 1
+    assert report.checks["sector_negativity"] == check(calls[0])
