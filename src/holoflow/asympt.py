@@ -242,16 +242,14 @@ def tail_bound_check(
 
     grid = np.array([complex(x, y) for x in TAIL_ABSCISSAS for y in Y_SAMPLES],
                     dtype=complex).reshape(len(TAIL_ABSCISSAS), len(Y_SAMPLES))
-    samples, exc = evaluate_prefix(oracle, grid.ravel())
+    samples, note = evaluate_prefix(oracle, grid.ravel())
     rows = grid[: len(samples) // len(Y_SAMPLES)]
     partial = e.partial(rows, n) if e.levels else 0j
     resid = np.abs(samples[: rows.size].reshape(rows.shape) - partial)
     sups = resid.max(axis=1)
     values = [clamped_exp((math.log(sup) if sup else -math.inf) + lam_n * x)
               for sup, x in zip(sups.tolist(), TAIL_ABSCISSAS)]
-    if len(samples) < grid.size:
-        note = (f"oracle failed: {exc}" if exc is not None
-                else f"non-finite oracle value at {complex(grid.flat[len(samples)])}")
+    if note:
         return DecayReport(lam_n, TAIL_ABSCISSAS, tuple(values), TAIL_TOL, INCONCLUSIVE,
                            "monotone_below_tol", note=note)
 
@@ -296,7 +294,7 @@ def max_principle_bound(
     if len(left):
         raise ValueError(f"sample {complex(z[left[0]])} lies left of the reference "
                          f"segment Re z = {x_lo}")
-    values, exc = evaluate_prefix(oracle, z)
+    values, note = evaluate_prefix(oracle, z)
     read = z[: len(values)]
     with np.errstate(divide="ignore"):  # a zero value has log ratio -inf, ratio 0
         log_ratio = np.log(np.abs(values)) - math.log(M) + lam * (read.real - x_lo)
@@ -305,12 +303,8 @@ def max_principle_bound(
     np.maximum.at(worst_log, at, log_ratio)
     ratios = tuple(clamped_exp(v) for v in worst_log.tolist())
     worst_ratio = max(ratios, default=0.0)
-    verdict = PASS if worst_ratio <= 1.0 + tol else FAIL
-    note = f"worst ratio {worst_ratio:.6e} vs allowed 1+tol"
-    if len(values) < len(z):
-        verdict = INCONCLUSIVE
-        note = (f"oracle failed: {exc}" if exc is not None
-                else f"non-finite oracle value at {complex(z[len(values)])}")
+    verdict = INCONCLUSIVE if note else PASS if worst_ratio <= 1.0 + tol else FAIL
+    note = note or f"worst ratio {worst_ratio:.6e} vs allowed 1+tol"
     witness = complex(read[np.argmax(log_ratio)]) if verdict == FAIL else None
     return DecayReport(lam, tuple(xs.tolist()), ratios, tol, verdict, "bound_margin",
                        witness=witness, note=note)

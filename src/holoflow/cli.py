@@ -54,6 +54,8 @@ KEYS = {
     "counterexample": ("which", "t", "alpha"),
     "bounds": ("exp_term", "claimed_rate", "x_lo", "bound", "tolerance"),
 }
+#: which of ``t`` and ``alpha`` each oracle and counterexample reads; the oracle catalog
+READS = {"jet": (), "resonant": ("t",), "spiral": ("t", "alpha"), "remark": ()}
 #: the keys whose lines accumulate
 REPEATABLE = ("term", "exp_term")
 #: the flag that overrides each key
@@ -261,7 +263,6 @@ def _run_extraction(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     source = _parse_expansion(sc)
     grid_rates = sc.value("grid_rates", _fraction, many=True)
     lam_max = sc.value("lambda_max", _fraction)
-    sc.check("lambda_max", lam_max > 0, "> 0")
     try:
         field = DiagonalField(tuple(grid_rates))
     except ValueError as exc:
@@ -318,11 +319,21 @@ def _spiral_alpha(sc: Scenario) -> complex:
     return alpha
 
 
-def _named_oracle(sc: Scenario, name: str, dim: int):
-    if name not in ("resonant", "spiral", "remark"):
-        sc.error("oracle", f"unknown oracle {name!r} (catalog: jet, resonant, spiral, remark)")
-    if dim != 2:
+def _check_reads(sc: Scenario, what: str, name: str) -> None:
+    """Reject, at its line, a t or alpha that the oracle or counterexample name does not read."""
+    for key in sc.entries:
+        if key in ("t", "alpha") and key not in READS[name]:
+            sc.error(key, f"{what} {name} does not read {key!r}")
+
+
+def _named_oracle(sc: Scenario, name: str, jet: TaylorSeries, dim: int):
+    if name not in READS:
+        sc.error("oracle", f"unknown oracle {name!r} (catalog: {', '.join(READS)})")
+    if name != "jet" and dim != 2:
         sc.error("oracle", f"oracle {name} is a function on C^2, the field has dimension {dim}")
+    _check_reads(sc, "oracle", name)
+    if name == "jet":
+        return lambda z: eval_taylor(jet, z)
     if name == "resonant":
         return cx.ResonantExample(_exponent_t(sc, sc.value("t", float, 1.0)))
     if name == "spiral":
@@ -337,10 +348,7 @@ def _run_forelli(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     if jet.dim != field.dim:
         sc.error("rates", f"dimension mismatch: {field.dim} rates, jet dim {jet.dim}")
     oracle_name = sc.value("oracle", default="jet")
-    if oracle_name == "jet":
-        oracle = lambda z: eval_taylor(jet, z)
-    else:
-        oracle = _named_oracle(sc, oracle_name, field.dim)
+    oracle = _named_oracle(sc, oracle_name, jet, field.dim)
     bound = sc.value("bound", float, None)
     sc.check("bound", bound is None or 0 <= bound < np.inf, "finite and >= 0")
     expect = sc.value("expect", default="holomorphic")
@@ -372,6 +380,7 @@ def _run_counterexample(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]
         kwargs["t"] = _exponent_t(sc, sc.value("t", float, 1.0))
     elif which != "remark":
         sc.error("which", f"unknown counterexample {which!r}")
+    _check_reads(sc, "counterexample", which)
     suite = cx.counterexample_suite(which, **kwargs)
     for name, rep in suite.decay_reports.items():
         write_decay_csv(out / f"decay_{name}.csv", rep, label=name)
@@ -467,6 +476,9 @@ def run_scenario(path, out_dir, tolerance=None, seed=None, max_level=None) -> in
     if "tolerance" in KEYS[kind]:  # checked here for every kind that reads it
         tol = sc.value("tolerance", float, None)
         sc.check("tolerance", tol is None or 0 < tol < np.inf, "finite and > 0")
+    if "lambda_max" in KEYS[kind]:  # likewise
+        lam_max = sc.value("lambda_max", _fraction, None)
+        sc.check("lambda_max", lam_max is None or lam_max > 0, "> 0")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report, passed = _RUNNERS[kind](sc, out, seed)

@@ -42,11 +42,10 @@ from functools import partial
 import numpy as np
 
 from .flow import DiagonalField, integral_curve
-from .forelli import (FD_STEP, HYPOTHESIS_VIOLATED, ForelliConfig, JetOracle, curve_check,
-                      forelli_pipeline)
+from .forelli import HYPOTHESIS_VIOLATED, ForelliConfig, JetOracle, curve_check, forelli_pipeline
 from .sampling import evaluate, polydisk_points
 from .series import TaylorSeries, antiholomorphic_part, remainder_ladder
-from .wirtinger import CIRCLE, dbar_circle
+from .wirtinger import CIRCLE, circles, dbar_circle
 
 TWO_PI = 2.0 * math.pi
 #: largest resonant t the suite supports: its curve samples have Re zeta in
@@ -327,9 +326,10 @@ class SuiteReport:
 def _witness_check(oracle) -> dict:
     """max_j |d phi / d zbar_j| at (0.5, 0.5), from one call on the coordinate circles."""
     point = np.array([0.5, 0.5], dtype=complex)
-    circles = point + FD_STEP * CIRCLE[:, None] * np.eye(2)[:, None, :]  # (2, 4, 2)
-    values = evaluate(oracle, circles.reshape(-1, 2)).reshape(2, len(CIRCLE))
-    residual = float(np.abs(dbar_circle(values, FD_STEP)[1]).max())
+    # (2, 4, 2): coordinate j on its circle, the other coordinate at the point
+    points = np.where(np.eye(2, dtype=bool)[:, None, :], circles(point)[:, :, None], point)
+    values = evaluate(oracle, points.reshape(-1, 2)).reshape(2, len(CIRCLE))
+    residual = float(np.abs(dbar_circle(values)[1]).max())
     return {"passed": residual > 1e-3, "residual": residual, "point": "(0.5, 0.5)"}
 
 

@@ -34,6 +34,8 @@ Levels are Fractions at the API and the grid's integers steps = levels * q
 inside: bins steps * K (below MAX_NODES / 20 by the node check, so no int64
 overflow) and float levels steps / q.  The Cauchy check takes np.hypot of
 each coefficient: np.abs differs from abs(complex) by an ulp on many inputs.
+A short read of the line (:func:`sampling.evaluate_prefix`) is an
+ExtractionError with the read's note, whatever the oracle raised.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 
 from .asympt import HolomorphicExpansion
 from .flow import LevelGrid
-from .sampling import evaluate
+from .sampling import evaluate_prefix
 
 #: required quadrature nodes per oscillation period of the fastest grid level
 NODES_PER_PERIOD = 20
@@ -59,7 +61,7 @@ SUP_X = 1e-9
 
 
 class ExtractionError(RuntimeError):
-    """Sampling failed or the oracle is inconsistent with the level grid."""
+    """A short read, a window over MAX_NODES, or an oracle inconsistent with the grid."""
 
 
 @dataclass(frozen=True)
@@ -126,11 +128,10 @@ def _window(params: ExtractionParams) -> tuple[np.ndarray, int]:
 
 
 def _line_values(oracle, z: np.ndarray) -> np.ndarray:
-    """One batched oracle call on the line nodes; non-finite samples are an error."""
-    values = evaluate(oracle, z)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        raise ExtractionError(f"non-finite oracle sample at z = {z[np.argmax(bad)]}")
+    """One batched oracle call on the line nodes; a short read is an ExtractionError."""
+    values, note = evaluate_prefix(oracle, z)
+    if note:
+        raise ExtractionError(note)
     return values
 
 
@@ -146,7 +147,7 @@ def extract_coefficients(
 ) -> HolomorphicExpansion:
     """Recover one coefficient per grid level from line samples of the oracle.
 
-    The oracle is called once, on all line nodes (see :func:`sampling.evaluate`);
+    The oracle is called once, on all line nodes (see :func:`_line_values`);
     each coefficient is a DFT bin refined by one deflation step (module
     docstring), and reported as zero below params.tol in modulus.  If ``trace``
     is a list, rows (level, coefficient, sup of the residual without the levels

@@ -39,7 +39,7 @@ from .flow import (DiagonalField, SpectrumClass, _coords, classify_spectrum,
 from .sampling import evaluate, evaluate_prefix, halfplane_points, polydisk_points
 from .series import (TaylorSeries, antiholomorphic_part, eval_taylor,
                      holomorphic_part, level_sums, remainder_ladder)
-from .wirtinger import CIRCLE, dbar_circle
+from .wirtinger import CIRCLE, circles, dbar_circle
 
 HOLOMORPHIC = "holomorphic"
 HYPOTHESIS_VIOLATED = "hypothesis_violated"
@@ -48,8 +48,7 @@ ANTIHOLOMORPHIC_OBSTRUCTION = "antiholomorphic_obstruction"
 #: every verdict tag
 TAGS = (HOLOMORPHIC, HYPOTHESIS_VIOLATED, NOT_F_HOLOMORPHIC, ANTIHOLOMORPHIC_OBSTRUCTION)
 
-#: circle radius and pass threshold of the curve check
-FD_STEP = 1e-5
+#: pass threshold of the curve check
 FD_TOL = 1e-6
 #: polydisk radius of the final comparison
 COMPARE_RADIUS = 0.5
@@ -135,7 +134,7 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_sample
                 tol: float = FD_TOL) -> CurveCheckReport:
     """Sampled dbar residual of  zeta -> oracle(curve(c, zeta))  over the curves.
 
-    Each sample zeta is replaced by the circle zeta + FD_STEP * CIRCLE, and
+    Each sample zeta is replaced by its circle, :func:`wirtinger.circles`, and
     its residual is |dbar| / (1 + |circle mean|) by :func:`dbar_circle`; a
     non-finite residual or circle mean makes the check inconclusive there.
     curves is a (C, N) array or a sequence of base points, zeta_samples (Z,)
@@ -153,10 +152,11 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_sample
     base = (np.asarray(curves, dtype=complex) if isinstance(curves, np.ndarray)
             else np.array([_coords(c) for c in curves]))
     zetas = np.asarray(zeta_samples, dtype=complex)
-    circles = curve(base[:, None, None, :], zetas[..., None] + FD_STEP * CIRCLE)
+    ring = circles(zetas)
+    points = curve(base[:, None, None, :], ring)
     zetas = np.broadcast_to(zetas, (len(base), zetas.shape[-1]))
     width = len(CIRCLE)
-    flat = circles.reshape(-1, circles.shape[-1])
+    flat = points.reshape(-1, points.shape[-1])
     w = flat.ravel()  # |w|^2 near 1 picks the coordinates that the exact |w| >= 1 reads
     near = np.flatnonzero(w.real ** 2 + w.imag ** 2 >= 1 - 1e-12)
     outside = near[np.abs(w[near]) >= 1.0] // flat.shape[1]
@@ -166,9 +166,9 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_sample
         c, j = divmod(int(i), zetas.shape[1])
         return tuple(base[c].tolist()), complex(zetas[c, j])
 
-    values, exc = evaluate_prefix(oracle, flat[:reach])
+    values, note = evaluate_prefix(oracle, flat[:reach])
     done = len(values) // width
-    mean, dbar = dbar_circle(values[: done * width].reshape(done, width), FD_STEP)
+    mean, dbar = dbar_circle(values[: done * width].reshape(done, width))
     scaled = np.abs(dbar) / (1.0 + np.abs(mean))
     bad = np.flatnonzero(~(np.isfinite(scaled) & np.isfinite(mean)))  # an inf mean scores 0
     scored = scaled[: bad[0] if len(bad) else done]
@@ -176,19 +176,13 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_sample
     if len(scored) and scored.max() > 0.0:
         i = int(np.argmax(scored))
         worst, witness = float(scored[i]), sample(i)
-    if len(bad):
-        return CurveCheckReport(False, worst, witness=sample(bad[0]),
-                                inconclusive=True, note="non-finite residual")
-    if isinstance(exc, ValueError):
-        raise exc
-    if len(values) < reach:
-        note = (f"oracle failed: {exc}" if exc is not None
-                else f"non-finite oracle value at {tuple(flat[len(values)].tolist())}")
-        return CurveCheckReport(False, worst, sample(done), inconclusive=True, note=note)
+    if len(bad) or note:  # a non-finite residual comes before the read's stop
+        stop, note = (bad[0], "non-finite residual") if len(bad) else (done, note)
+        return CurveCheckReport(False, worst, sample(stop), inconclusive=True, note=note)
     if reach < len(flat):
-        (c, zeta), offset = sample(reach // width), CIRCLE[reach % width]
-        raise ValueError(f"curve through {c} leaves the polydisk at zeta = "
-                         f"{complex(zeta + FD_STEP * offset)}")
+        c = sample(reach // width)[0]
+        at = np.broadcast_to(ring, points.shape[:-1]).flat[reach]
+        raise ValueError(f"curve through {c} leaves the polydisk at zeta = {complex(at)}")
     passed = worst < tol
     return CurveCheckReport(passed, worst, witness=None if passed else witness)
 

@@ -24,11 +24,11 @@ Verdict rules
 
 The tail, remainder, max-principle and curve checks read the oracle up to
 its first failure or non-finite value (:func:`sampling.evaluate_prefix`); a
-short read is INCONCLUSIVE, noted ``non-finite oracle value at <point>`` or
-``oracle failed: <exc>``.  The weighted ones score ``clamped_exp(log|residual|
-+ log weight)``.  Values may be 0.0 (a zero residual; the remainder check
-scores it as the smallest subnormal, all a computed zero certifies) or inf
-(clamped overflow); the rules treat both directions conservatively.
+short read, whatever the oracle raised, is INCONCLUSIVE with that read's note.
+The weighted ones score ``clamped_exp(log|residual| + log weight)``.  Values
+may be 0.0 (a zero residual; the remainder check scores it as the smallest
+subnormal, all a computed zero certifies) or inf (clamped overflow); the
+rules treat both directions conservatively.
 """
 
 from __future__ import annotations

@@ -86,19 +86,22 @@ def _values(oracle, points) -> tuple[np.ndarray, Exception | None]:
         return np.array(found, dtype=complex), None
 
 
-def evaluate_prefix(oracle, points) -> tuple[np.ndarray, Exception | None]:
+def evaluate_prefix(oracle, points) -> tuple[np.ndarray, str]:
     """Oracle values before the first point where it fails or returns a
-    non-finite value, and the exception if it failed there (else None).
+    non-finite value, and the note of that stop ("" after a full read).
 
-    A short read, with fewer values than points, stopped at
-    ``points[len(values)]``.  The oracle is called as by :func:`evaluate`;
-    the returned array is the caller's to modify.
+    The read rule of every sampled check; a short read is never a pass.  It
+    stopped at ``points[len(values)]``, and its note is ``oracle failed:
+    <exc>`` or ``non-finite oracle value at <point>``, the point as
+    :func:`_one_by_one` gives it.  The oracle is called as by
+    :func:`evaluate`; the returned array is the caller's to modify.
     """
     values, exc = _values(oracle, points)
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
-        return values[: bad[0]], None
-    return values, exc
+        point, = _one_by_one(np.asarray(points, dtype=complex)[bad[0]: bad[0] + 1])
+        return values[: bad[0]], f"non-finite oracle value at {point}"
+    return values, "" if exc is None else f"oracle failed: {exc}"
 
 
 def evaluate(oracle, points) -> np.ndarray:

@@ -131,9 +131,6 @@ class TaylorSeries:
             merged[key] = merged.get(key, 0j) + a
         return TaylorSeries(self._dim, merged)
 
-    def __sub__(self, other: "TaylorSeries") -> "TaylorSeries":
-        return self + other.scale(-1)
-
     def scale(self, factor: complex) -> "TaylorSeries":
         return TaylorSeries(self._dim, {key: factor * a for key, a in self._terms.items()})
 
@@ -277,7 +274,7 @@ def remainder_ladder(oracle, series: TaylorSeries, ladder, *,
         return []
     points = (np.array([r for _n, radii in rungs for r in radii])[:, None, None]
               * _direction_set(series.dim)).reshape(-1, series.dim)
-    values, exc = evaluate_prefix(oracle, points)
+    values, note = evaluate_prefix(oracle, points)
     reports, start = [], 0
     for i, (n, radii) in enumerate(rungs):
         stop = start + len(radii) * N_DIRECTIONS
@@ -290,11 +287,9 @@ def remainder_ladder(oracle, series: TaylorSeries, ladder, *,
         ratios = [clamped_exp(math.log(w) - n * math.log(r))
                   for w, r in zip(worst.tolist(), radii)]
         if len(values) < stop:
-            point = tuple(points[len(values)].tolist())
-            note = (f"oracle failed: {exc}" if exc is not None
-                    else f"non-finite oracle value at {point}")
             reports.append(DecayReport(float(n), tuple(radii), tuple(ratios), tol,
-                                       INCONCLUSIVE, "remainder_trend", witness=point, note=note))
+                                       INCONCLUSIVE, "remainder_trend",
+                                       witness=tuple(points[len(values)].tolist()), note=note))
             return reports + remainder_ladder(oracle, series, rungs[i + 1:], tol=tol)
         rate = fitted_decay_rate([math.log(r) for r in radii], ratios)
         slope = None if rate is None else -rate

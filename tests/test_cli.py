@@ -484,6 +484,13 @@ def test_nonpositive_lambda_max_is_line_anchored(tmp_path, capsys):
     )
     assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
     assert "lam.txt:3" in capsys.readouterr().err
+    # a pushforward reads the same key, and is checked by the same rule
+    for value in ("0", "-1"):
+        scenario.write_text("kind = pushforward\nrates = 1/1 2/1\nterm = 1 0 | 0 1 | 1.0 | 0.0\n"
+                            f"base_point = 0.8 0.7\nlambda_max = {value}\n")
+        assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        assert f"lam.txt:5: lambda_max must be > 0, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_oversized_lattice_is_a_job_error_not_a_config_error(tmp_path, capsys):
@@ -514,6 +521,7 @@ OUT_OF_MODEL_BASES = {
     "pushforward-no-rates": "kind = pushforward\nterm = 1 0 | 0 0 | 1.0 | 0.0\n"
                             "base_point = 0.5 0.5\n",
     "extraction-no-grid": "kind = extraction\nlambda_max = 3\nexp_term = 1 | 1.0 | 0.0\n",
+    "counterexample-remark": "kind = counterexample\nwhich = remark\n",
 }
 
 
@@ -580,8 +588,17 @@ def test_out_of_model_parameters_exit_two_at_their_line(tmp_path, capsys, base, 
     ("bounds", "rates = 1/1", 4, "bounds scenarios do not read 'rates'"),
     ("extraction", "x0 = 1.0\nx0 = 2.0", 6, "x0 given twice (first at line 5)"),
     ("counterexample-resonant", "seed = 1\nseed = 2", 4, "seed given twice (first at line 3)"),
+    # t and alpha are read only by the oracles and counterexamples that take them
+    ("counterexample-resonant", "alpha = 5+5i", 3, "counterexample resonant does not read 'alpha'"),
+    ("counterexample-remark", "t = 7", 3, "counterexample remark does not read 't'"),
+    ("counterexample-remark", "alpha = -1+1i", 3, "counterexample remark does not read 'alpha'"),
+    ("forelli", "t = 5", 4, "oracle jet does not read 't'"),
+    ("forelli", "oracle = jet\nalpha = -1+1i", 5, "oracle jet does not read 'alpha'"),
+    ("forelli-resonant", "alpha = -1+1i", 5, "oracle resonant does not read 'alpha'"),
+    ("forelli", "oracle = remark\nt = 0.5", 5, "oracle remark does not read 't'"),
 ], ids=["unread-tolerance", "unread-lambda_max", "unread-rates", "repeated-x0",
-        "repeated-seed"])
+        "repeated-seed", "resonant-alpha", "remark-t", "remark-alpha", "jet-t", "jet-alpha",
+        "forelli-resonant-alpha", "forelli-remark-t"])
 def test_unread_and_repeated_keys_exit_two_at_their_line(tmp_path, capsys, base, extra,
                                                         line, message):
     scenario = tmp_path / "keys.txt"

@@ -15,9 +15,9 @@ import pytest
 from holoflow import BasePoint, DiagonalField, eval_taylor, integral_curve
 from holoflow.counterex import ResonantExample
 from holoflow.flow import _coords
-from holoflow.forelli import FD_STEP, FD_TOL, CurveCheckReport, curve_check
+from holoflow.forelli import FD_TOL, CurveCheckReport, curve_check
 from holoflow.sampling import evaluate_prefix, halfplane_points, polydisk_points
-from holoflow.wirtinger import CIRCLE, dbar_circle
+from holoflow.wirtinger import CIRCLE, FD_STEP, dbar_circle
 
 from conftest import random_jet, random_positive_field
 
@@ -38,9 +38,9 @@ def reference_curve_check(oracle, curve, curves, zeta_samples, *, tol=FD_TOL):
         c, j = divmod(int(i), zetas.shape[1])
         return tuple(base[c].tolist()), complex(zetas[c, j])
 
-    values, exc = evaluate_prefix(oracle, flat[:reach])
+    values, note = evaluate_prefix(oracle, flat[:reach])
     done = len(values) // width
-    mean, dbar = dbar_circle(values[: done * width].reshape(done, width), FD_STEP)
+    mean, dbar = dbar_circle(values[: done * width].reshape(done, width))
     scaled = np.abs(dbar) / (1.0 + np.abs(mean))
     bad = np.flatnonzero(~np.isfinite(scaled))
     scored = scaled[: bad[0] if len(bad) else done]
@@ -51,11 +51,7 @@ def reference_curve_check(oracle, curve, curves, zeta_samples, *, tol=FD_TOL):
     if len(bad):
         return CurveCheckReport(False, worst, witness=sample(bad[0]),
                                 inconclusive=True, note="non-finite residual")
-    if isinstance(exc, ValueError):
-        raise exc
     if len(values) < reach:
-        note = (f"oracle failed: {exc}" if exc is not None
-                else f"non-finite oracle value at {tuple(flat[len(values)].tolist())}")
         return CurveCheckReport(False, worst, sample(done), inconclusive=True, note=note)
     if reach < len(flat):
         (c, zeta), offset = sample(reach // width), CIRCLE[reach % width]

@@ -17,9 +17,8 @@ from holoflow import (BasePoint, DiagonalField, ExtractionParams,
                       level_grid, normalize_time)
 from holoflow.cli import main
 from holoflow.flow import LevelGrid
-from holoflow.forelli import FD_STEP
 from holoflow.sampling import halfplane_points, polydisk_points
-from holoflow.wirtinger import CIRCLE
+from holoflow.wirtinger import CIRCLE, FD_STEP
 
 from conftest import random_interior_point, random_positive_field
 

@@ -19,6 +19,7 @@ from holoflow import forelli
 from holoflow.counterex import ResonantExample
 from holoflow.flow import level_of
 from holoflow.series import N_DIRECTIONS, taylor_remainder_check
+from holoflow.wirtinger import FD_STEP
 
 from conftest import random_jet, random_positive_field
 
@@ -133,7 +134,7 @@ def test_curve_check_oracle_failure_is_inconclusive():
 def test_curve_check_nan_value_is_inconclusive_at_its_point():
     jet = TaylorSeries.monomial(2, (2, 0), (0, 0))
     field = DiagonalField((1, 2))
-    nan_point = integral_curve(field, CURVES[1].coords, ZETAS[2] + forelli.FD_STEP * 1j)
+    nan_point = integral_curve(field, CURVES[1].coords, ZETAS[2] + FD_STEP * 1j)
 
     def oracle(z):
         return np.where(np.all(z == nan_point, axis=1), np.nan, eval_taylor(jet, z))

@@ -1,12 +1,22 @@
 """Seeded samples against the point-by-point loops they are drawn like, and the oracle read."""
 
+import contextlib
 import math
 import warnings
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
+from holoflow import (HYPOTHESIS_VIOLATED, DiagonalField, ExtractionError, ExtractionParams,
+                      HolomorphicExpansion, JetOracle, TaylorSeries, extract_coefficients,
+                      forelli_pipeline, integral_curve, level_grid, max_principle_bound,
+                      tail_bound_check)
+from holoflow.forelli import curve_check
+from holoflow.reports import INCONCLUSIVE
 from holoflow.sampling import evaluate, halfplane_points, polydisk_points
+from holoflow.series import remainder_ladder
 
 
 def loop_points(rng, dim, n, r_min=0.05, r_max=0.95):
@@ -70,3 +80,86 @@ def test_an_overflow_in_a_batched_oracle_is_a_value_under_an_error_filter():
         values = evaluate(oracle, np.full((3, 2), 0.5 + 0j))
     assert calls == [3]
     assert np.array_equal(values, np.full(3, complex(math.inf, 0)))
+
+
+class FailingOracle:
+    """1 at every point but one: the middle point of the first batch it is given,
+    where it raises ValueError ("value_error") or returns NaN ("nan").  With
+    "runtime_error" it raises RuntimeError everywhere."""
+
+    def __init__(self, how):
+        self.how, self.bad = how, None
+
+    def __call__(self, z):
+        if self.how == "runtime_error":
+            raise RuntimeError("sensor gap")
+        z = np.asarray(z, dtype=complex)
+        if self.bad is None:  # the first call is the reader's batch
+            self.bad = z[len(z) // 2]
+        hit = np.all(z == self.bad, axis=-1) if self.bad.ndim else z == self.bad
+        if self.how == "value_error" and np.any(hit):
+            raise ValueError("no data here")
+        return np.where(hit, np.nan, 1.0)
+
+    def note(self):
+        if self.how == "runtime_error":
+            return "oracle failed: sensor gap"
+        if self.how == "value_error":
+            return "oracle failed: no data here"
+        point = tuple(self.bad.tolist()) if self.bad.ndim else complex(self.bad)
+        return f"non-finite oracle value at {point}"
+
+
+def _inconclusive_note(report):
+    assert report.verdict == INCONCLUSIVE
+    return report.note
+
+
+def _curve_note(oracle):
+    rng = np.random.default_rng(3)
+    report = curve_check(oracle, partial(integral_curve, DiagonalField((1, 2))),
+                         polydisk_points(rng, 2, 3, r_min=0.15, r_max=0.7),
+                         halfplane_points(rng, 5, x_range=(0.1, 2.0), y_range=(-2.0, 2.0)))
+    assert report.inconclusive and not report.passed
+    return report.note
+
+
+def _pipeline_note(oracle):
+    verdict = forelli_pipeline(JetOracle(oracle, TaylorSeries.zero(2), 1.0), DiagonalField((1, 2)))
+    assert verdict.tag == HYPOTHESIS_VIOLATED
+    head, note = verdict.reason.split(": ", 1)
+    assert head == "curve check inconclusive"
+    return note
+
+
+def _extraction_note(oracle):
+    params = ExtractionParams(level_grid(DiagonalField((Fraction(1),)), 2))
+    with pytest.raises(ExtractionError) as info:
+        extract_coefficients(oracle, params)
+    return str(info.value)
+
+
+SOURCE = HolomorphicExpansion([(Fraction(1), 1 + 0j)])
+#: each sampled check that reads an oracle, mapped to the note it reports for a short read
+READERS = {
+    "tail": lambda oracle: _inconclusive_note(tail_bound_check(oracle, SOURCE.to_expansion(), 0)),
+    "max_principle": lambda oracle: _inconclusive_note(max_principle_bound(
+        oracle, 1.0, 1, halfplane_points(np.random.default_rng(4), 40, x_range=(0.5, 3.0)),
+        x_lo=0.5)),
+    "remainder": lambda oracle: _inconclusive_note(
+        remainder_ladder(oracle, TaylorSeries.zero(2), [(1, (0.3, 0.2, 0.1))])[0]),
+    "curve_check": _curve_note,
+    "pipeline": _pipeline_note,
+    "extraction": _extraction_note,
+}
+
+
+@pytest.mark.parametrize("how", ["value_error", "runtime_error", "nan"])
+@pytest.mark.parametrize("reader", READERS)
+def test_every_reader_reports_a_short_read_with_the_note_of_the_read(reader, how):
+    oracle = FailingOracle(how)
+    # a raising batch is read again point by point, with a warning
+    refused = pytest.warns(RuntimeWarning, match="point by point")
+    with refused if how != "nan" else contextlib.nullcontext():
+        note = READERS[reader](oracle)
+    assert note == oracle.note()
