@@ -40,7 +40,7 @@ from .flow import (_TAU_TOL, BasePoint, DiagonalField, SpectrumError, integral_c
                    level_grid, level_of, normalize_time)
 from .forelli import CERT_POINTS, CERT_RADIUS, TAGS, ForelliConfig, JetOracle, forelli_pipeline
 from .reports import write_csv, write_decay_csv
-from .sampling import evaluate, halfplane_points, polydisk_points
+from .sampling import evaluate_prefix, halfplane_points, polydisk_points
 from .series import MultiIndex, TaylorSeries, eval_taylor, parse_term_line
 
 
@@ -342,6 +342,15 @@ def _named_oracle(sc: Scenario, name: str, jet: TaylorSeries, dim: int):
     return cx.phi_remark
 
 
+def _sampled_bound(oracle, points, where: str) -> float:
+    """max |oracle| on the points; a short read is a job error naming the sample set."""
+    values, note = evaluate_prefix(oracle, points)
+    if note:
+        raise ValueError(f"the sampled bound on {where}: {note}")
+    with np.errstate(all="ignore"):  # a modulus beyond double range is an infinite bound
+        return float(np.max(np.abs(values)))
+
+
 def _run_forelli(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     field = _field(sc)
     jet = _parse_jet(sc)
@@ -356,7 +365,7 @@ def _run_forelli(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     if bound is None:  # sampled on the torus where reconstruct audits the level sups
         rng = np.random.default_rng(seed + 1)
         pts = polydisk_points(rng, jet.dim, CERT_POINTS, r_min=CERT_RADIUS, r_max=CERT_RADIUS)
-        bound = max(float(np.max(np.abs(evaluate(oracle, pts)))), 1e-12)
+        bound = max(_sampled_bound(oracle, pts, f"the torus |z_j| = {CERT_RADIUS}"), 1e-12)
     config = ForelliConfig(seed=seed, compare_tol=sc.value("tolerance", float, 1e-10))
     verdict = forelli_pipeline(JetOracle(oracle, jet, bound), field, config)
     passed = verdict.tag == expect
@@ -398,7 +407,7 @@ def _run_bounds(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     sc.check("bound", bound is None or 0 < bound < np.inf, "finite and > 0")
     if bound is None:
         ys = np.linspace(-40.0, 40.0, 4001)
-        bound = float(np.max(np.abs(evaluate(source, x_lo + 1j * ys))))
+        bound = _sampled_bound(source, x_lo + 1j * ys, f"Re z = {x_lo}")
         if bound == 0:
             sc.error("exp_term", f"the sampled bound on Re z = {x_lo} is 0; give 'bound'")
     rng = np.random.default_rng(seed)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .flow import (DiagonalField, SpectrumClass, _coords, classify_spectrum,
                    integral_curve, level_of, normalize_time)
-from .sampling import evaluate, evaluate_prefix, halfplane_points, polydisk_points
+from .sampling import evaluate_prefix, halfplane_points, polydisk_points
 from .series import (TaylorSeries, antiholomorphic_part, eval_taylor,
                      holomorphic_part, level_sums, remainder_ladder)
 from .wirtinger import CIRCLE, circles, dbar_circle
@@ -62,7 +62,7 @@ CERT_RADIUS = 0.999
 class JetOracle:
     """A function on the polydisk, its asserted jet, and a sampled sup bound.
 
-    The oracle follows the batched convention of :func:`sampling.evaluate`.
+    The oracle follows the batched convention of :func:`sampling.evaluate_prefix`.
     """
 
     oracle: Callable
@@ -168,8 +168,9 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_sample
 
     values, note = evaluate_prefix(oracle, flat[:reach])
     done = len(values) // width
-    mean, dbar = dbar_circle(values[: done * width].reshape(done, width))
-    scaled = np.abs(dbar) / (1.0 + np.abs(mean))
+    with np.errstate(all="ignore"):  # as in the read: an overflowing circle scores non-finite
+        mean, dbar = dbar_circle(values[: done * width].reshape(done, width))
+        scaled = np.abs(dbar) / (1.0 + np.abs(mean))
     bad = np.flatnonzero(~(np.isfinite(scaled) & np.isfinite(mean)))  # an inf mean scores 0
     scored = scaled[: bad[0] if len(bad) else done]
     worst, witness = 0.0, None
@@ -308,13 +309,18 @@ def _stages(jo: JetOracle, field: DiagonalField, config: ForelliConfig):
 
     points = polydisk_points(rng, psi.dim, config.compare_points,
                              r_min=0.0, r_max=COMPARE_RADIUS)
-    diffs = np.abs(evaluate(jo.oracle, points) - eval_taylor(psi, points))
-    diffs[~np.isfinite(diffs)] = math.inf  # a NaN value is no agreement
+    values, note = evaluate_prefix(jo.oracle, points)
+    with np.errstate(all="ignore"):
+        diffs = np.abs(values - eval_taylor(psi, points[: len(values)]))
+    diffs[~np.isfinite(diffs)] = math.inf  # a NaN difference is no agreement
     max_diff = float(diffs.max(initial=0.0))
     worst_point = tuple(points[int(np.argmax(diffs))].tolist()) if max_diff > 0.0 else None
     threshold = config.compare_tol * jo.bound
     verdict = ForelliVerdict(HOLOMORPHIC, psi=psi)
-    if max_diff > threshold and max_diff != 0.0:
+    if note:  # as in stage 2, a short read is no agreement, and its stop is the witness
+        verdict = ForelliVerdict(HYPOTHESIS_VIOLATED, witness=tuple(points[len(values)].tolist()),
+                                 reason=f"comparison inconclusive: {note}")
+    elif max_diff > threshold:
         verdict = ForelliVerdict(HYPOTHESIS_VIOLATED, witness=worst_point,
                                  reason=f"reconstructed sum differs from the function "
                                         f"by {max_diff:.3e} (allowed {threshold:.3e})")

@@ -2,8 +2,8 @@
 
 Oracles are called with a batch of points and return one value per point:
 points of shape (n,) for half-plane oracles, (n, N) for polydisk oracles,
-values of shape (n,).  :func:`evaluate` and :func:`evaluate_prefix` are the
-only places that call them.
+values of shape (n,).  :func:`evaluate_prefix` is the one place that calls
+them; what an oracle raises ends the read with a note, and is never raised.
 """
 
 from __future__ import annotations
@@ -47,25 +47,26 @@ def _one_by_one(points: np.ndarray):
     return map(tuple, points.tolist()) if points.ndim == 2 else points.tolist()
 
 
-def _values(oracle, points) -> tuple[np.ndarray, Exception | None]:
-    """Oracle values up to its first failing point, and that point's exception.
+def evaluate_prefix(oracle, points) -> tuple[np.ndarray, str]:
+    """Oracle values before the first point where it fails or returns a
+    non-finite value, and the note of that stop ("" after a full read).
 
-    One batched call is made.  Only if it raises or returns the wrong shape
-    is a RuntimeWarning emitted and the oracle called point by point, with
-    a ``complex`` for a half-plane point and a tuple of ``complex`` for a
-    polydisk point.  An (N, N) batch is sent with its first point repeated,
-    as N + 1 rows: a batched oracle returns N + 1 values, and the first N
-    are kept, while an oracle written for one tuple returns N, one per
-    coordinate, so it is called point by point.  If a point-by-point
-    call raises at point i, the values of points 0..i-1 are returned with
-    that exception; otherwise all values are returned with None.  The
+    The program's one oracle read; a short read is never a pass.  It stopped
+    at ``points[len(values)]``, and its note is ``oracle failed: <exc>`` or
+    ``non-finite oracle value at <point>``, the point as :func:`_one_by_one`
+    gives it.  One batched call is made.  Only if it raises or returns the
+    wrong shape is a RuntimeWarning emitted and the oracle called point by
+    point, with a ``complex`` for a half-plane point and a tuple of
+    ``complex`` for a polydisk point.  An (N, N) batch is sent with its
+    first point repeated, as N + 1 rows: a batched oracle returns N + 1
+    values, and the first N are kept, while an oracle written for one tuple
+    returns N, one per coordinate, so it is called point by point.  The
     returned array is the caller's to modify.  The whole read runs under one
     ``np.errstate(all="ignore")``, so a numpy overflow inside the oracle is a
     non-finite value, not an exception, under any warnings filter.
     """
     points = np.asarray(points, dtype=complex)
-    n = len(points)
-    square = points.ndim == 2 and n == points.shape[1]
+    square = points.ndim == 2 and len(points) == points.shape[1]
     sent = np.concatenate([points, points[:1]]) if square else points
     with np.errstate(all="ignore"):
         try:
@@ -74,39 +75,20 @@ def _values(oracle, points) -> tuple[np.ndarray, Exception | None]:
         except Exception as exc:  # any failure of the batched call means: retry per point
             values, reason = None, type(exc).__name__
         if values is not None and values.shape == (len(sent),):
-            return values[:n], None
-        warnings.warn(f"oracle rejected a batch ({reason}); evaluating point by point, "
-                      "as a single-point oracle", RuntimeWarning)
-        found: list[complex] = []
-        for point in _one_by_one(points):
-            try:
-                found.append(complex(oracle(point)))
-            except Exception as exc:  # handed to the caller, which reports the point
-                return np.array(found, dtype=complex), exc
-        return np.array(found, dtype=complex), None
-
-
-def evaluate_prefix(oracle, points) -> tuple[np.ndarray, str]:
-    """Oracle values before the first point where it fails or returns a
-    non-finite value, and the note of that stop ("" after a full read).
-
-    The read rule of every sampled check; a short read is never a pass.  It
-    stopped at ``points[len(values)]``, and its note is ``oracle failed:
-    <exc>`` or ``non-finite oracle value at <point>``, the point as
-    :func:`_one_by_one` gives it.  The oracle is called as by
-    :func:`evaluate`; the returned array is the caller's to modify.
-    """
-    values, exc = _values(oracle, points)
+            values, note = values[: len(points)], ""
+        else:
+            warnings.warn(f"oracle rejected a batch ({reason}); evaluating point by point, "
+                          "as a single-point oracle", RuntimeWarning)
+            found, note = [], ""
+            for point in _one_by_one(points):
+                try:
+                    found.append(complex(oracle(point)))
+                except Exception as exc:  # the read stops here, and its note says why
+                    note = f"oracle failed: {exc}"
+                    break
+            values = np.array(found, dtype=complex)
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
-        point, = _one_by_one(np.asarray(points, dtype=complex)[bad[0]: bad[0] + 1])
+        point, = _one_by_one(points[bad[0]: bad[0] + 1])
         return values[: bad[0]], f"non-finite oracle value at {point}"
-    return values, "" if exc is None else f"oracle failed: {exc}"
-
-
-def evaluate(oracle, points) -> np.ndarray:
-    """Oracle values at every point, non-finite or not; a point-by-point failure propagates."""
-    values, exc = _values(oracle, points)
-    if exc is not None:
-        raise exc
-    return values
+    return values, note

@@ -9,6 +9,14 @@ import numpy as np
 import pytest
 
 from holoflow import DiagonalField, HolomorphicExpansion, TaylorSeries
+from holoflow.sampling import evaluate_prefix
+
+
+def full_read(oracle, points) -> np.ndarray:
+    """The oracle's values at every point, from a read asserted not to stop short."""
+    values, note = evaluate_prefix(oracle, points)
+    assert note == ""
+    return values
 
 
 def random_multi_index(rng: np.random.Generator, dim: int, max_order: int) -> tuple[int, ...]:

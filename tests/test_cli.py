@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from holoflow import cli
 from holoflow.cli import main, parse_complex
+from holoflow.forelli import CERT_RADIUS
 from holoflow.reports import DecayReport, write_decay_csv
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -450,13 +451,14 @@ def test_exp_term_level_beyond_double_range_exits_two_at_its_line(tmp_path, caps
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_sampled_bound_is_a_job_error(tmp_path, capsys):
-    # 1e308 (1 + z1) overflows on the torus, so the sampled default bound is
-    # infinite; JetOracle refuses it
+    # 1e308 (1 + z1) overflows on the torus, so the read of the sampled
+    # default bound stops short, and the job ends naming its sample set
     scenario = tmp_path / "inf_bound.txt"
     scenario.write_text("kind = forelli\nrates = 1/1 2/1\nterm = 0 0 | 0 0 | 1e308 | 0.0\n"
                         "term = 1 0 | 0 0 | 1e308 | 0.0\n")
     assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 1
-    assert "error: bound must be finite and >= 0, got inf" in capsys.readouterr().err
+    assert (f"error: the sampled bound on the torus |z_j| = {CERT_RADIUS}: "
+            "non-finite oracle value at (") in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -470,8 +472,42 @@ def test_non_finite_sampled_bound_is_a_job_error_under_error_warnings(tmp_path):
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "holoflow.cli", "run",
          str(scenario), "--out", str(tmp_path / "out")], capture_output=True, text=True)
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: bound must be finite and >= 0, got inf")
+    assert proc.stderr.startswith(f"error: the sampled bound on the torus |z_j| = {CERT_RADIUS}: "
+                                  "non-finite oracle value at (")
     assert "Traceback" not in proc.stderr
+
+
+def run_under_error_warnings(scenario: Path, out: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "holoflow.cli", "run",
+         str(scenario), "--out", str(out)], capture_output=True, text=True)
+
+
+def test_a_bounds_sampled_bound_that_overflows_is_a_job_error(tmp_path):
+    # 1e308 (1 + e^(-z)) overflows on Re z = 0.01, so the read of the sampled
+    # default bound stops short, and the job ends before any report is written
+    scenario = tmp_path / "inf_bound.txt"
+    scenario.write_text("kind = bounds\nexp_term = 0 | 1e308 | 0.0\nexp_term = 1 | 1e308 | 0.0\n"
+                        "claimed_rate = 1/1\n")
+    proc = run_under_error_warnings(scenario, tmp_path / "out")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: the sampled bound on Re z = 0.01: "
+                                  "non-finite oracle value at (0.01-")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_an_overflowing_circle_is_inconclusive_under_error_warnings(tmp_path):
+    # 1e308 (1 + z2 conj(z1)) is finite on every circle point, but the circle
+    # sum overflows: the curve check reads INCONCLUSIVE, not a traceback
+    scenario = tmp_path / "overflow.txt"
+    scenario.write_text("kind = forelli\nrates = 1/1 2/1\nterm = 0 0 | 0 0 | 1e308 | 0.0\n"
+                        "term = 0 1 | 1 0 | 1e308 | 0.0\nbound = 1\n")
+    proc = run_under_error_warnings(scenario, tmp_path / "out")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    verdict = json.loads((tmp_path / "out" / "report.json").read_text())["report"]["verdict"]
+    assert verdict["reason"] == "curve check inconclusive: non-finite residual"
 
 
 def test_nonpositive_lambda_max_is_line_anchored(tmp_path, capsys):

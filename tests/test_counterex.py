@@ -551,3 +551,20 @@ def test_spiral_suite_decides_its_sector_once(monkeypatch):
     report = counterexample_suite("spiral", seed=1)
     assert len(calls) == 1
     assert report.checks["sector_negativity"] == check(calls[0])
+
+
+@pytest.mark.parametrize("make, args", [
+    (ResonantExample, (math.inf,)),
+    (ResonantExample, (math.nan,)),
+    (SpiralExample, (complex(-math.inf, 1), 1.0, 1.5, 0)),
+    (SpiralExample, (complex(-1, math.inf), 1.0, 1.5, 0)),
+    (SpiralExample, (complex(math.nan, 1), 1.0, 1.5, 0)),
+    (SpiralExample, (-1 + 1j, math.inf, 1.5, 0)),
+    (SpiralExample, (-1 + 1j, 1.0, math.inf, 0)),
+], ids=["resonant_t_inf", "resonant_t_nan", "spiral_alpha_re_inf", "spiral_alpha_im_inf",
+        "spiral_alpha_nan", "spiral_t_inf", "spiral_b_inf"])
+def test_examples_refuse_parameters_outside_their_model(make, args):
+    # holoflow run refuses these values at their line; the examples themselves
+    # refuse them too, so no suite or oracle is built on an infinite parameter
+    with pytest.raises(ValueError, match="finite"):
+        make(*args)

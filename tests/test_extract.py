@@ -17,10 +17,10 @@ from holoflow import (DiagonalField, ExtractionError, ExtractionParams,
 from holoflow.extract import (MAX_NODES, NODES_PER_PERIOD, SUP_X, CauchyBoundReport,
                               _five_smooth, aligned_window, quadrature_nodes)
 from holoflow.reports import fitted_decay_rate
-from holoflow.sampling import evaluate, evaluate_prefix
+from holoflow.sampling import evaluate_prefix
 from holoflow.wirtinger import CIRCLE, FD_STEP, dbar_circle
 
-from conftest import random_coeff, random_expansion_sixths
+from conftest import full_read, random_coeff, random_expansion_sixths
 
 SIXTH_GRID = level_grid(DiagonalField((Fraction(1, 6),)), 10)
 
@@ -32,7 +32,7 @@ def default_params(grid=SIXTH_GRID) -> ExtractionParams:
 def sequential_sweep(oracle, params):
     """Reference: trace rows of the window mean of the running residual, level by level."""
     z = params.x0 + 1j * quadrature_nodes(params)
-    vals = evaluate(oracle, z)
+    vals = full_read(oracle, z)
     rows = []
     for lam in params.grid.levels:
         c = complex(np.mean(vals * np.exp(float(lam) * z)))
@@ -74,7 +74,7 @@ def reference_first_pass(oracle, params):
     (L, q, K, Q), bins, lam = reference_window(params)
     y = -L + (2.0 * L / Q) * np.arange(Q)
     z = params.x0 + 1j * y
-    vals = evaluate(oracle, z)
+    vals = full_read(oracle, z)
     lam, bins = np.array(lam), np.array(bins, dtype=np.int64)
     weight = np.exp(lam * params.x0) * np.where(bins % 2, -1.0, 1.0)
     bins %= Q
@@ -99,7 +99,7 @@ def reference_extract(oracle, params):
         if coeffs[i] != 0:
             vals += coeffs[i] * np.exp(-lam[i] * z)
             norm = float(np.max(np.abs(vals)))
-    sup = float(np.max(np.abs(evaluate(oracle, SUP_X + 1j * y))))
+    sup = float(np.max(np.abs(full_read(oracle, SUP_X + 1j * y))))
     return tuple(zip(params.grid.levels, coeffs.tolist())), rows[::-1], sup
 
 
@@ -483,9 +483,9 @@ def test_cauchy_bound_two_term_difference():
 
 def test_scalar_only_oracle_warns_once_and_matches_batched():
     z = np.linspace(0.1, 2.0, 7) + 1j * np.linspace(-1.0, 1.0, 7)
-    batched = evaluate(lambda w: np.exp(-w) + w ** 2, z)
+    batched = full_read(lambda w: np.exp(-w) + w ** 2, z)
     with pytest.warns(RuntimeWarning, match="point by point") as record:
-        scalar = evaluate(lambda w: cmath.exp(-complex(w)) + complex(w) ** 2, z)
+        scalar = full_read(lambda w: cmath.exp(-complex(w)) + complex(w) ** 2, z)
     assert len(record) == 1
     assert scalar == pytest.approx(batched, rel=1e-15)
 
@@ -501,15 +501,13 @@ def test_point_by_point_failure_keeps_the_values_before_it():
         values, note = evaluate_prefix(oracle, points)
     assert values.tolist() == [0.1 * 0.2 + 0j, 0.3 * 0.4 + 0j]
     assert note == "oracle failed: no data here"
-    with pytest.warns(RuntimeWarning), pytest.raises(RuntimeError, match="no data"):
-        evaluate(oracle, points)
 
 
 def dbar_z2(oracle, z):
-    """d oracle / d zbar_2 at z from one evaluate call on the 4 x 4 circle batch."""
+    """d oracle / d zbar_2 at z from one full read of the 4 x 4 circle batch."""
     points = np.tile(np.asarray(z, dtype=complex), (len(CIRCLE), 1))
     points[:, 1] += FD_STEP * CIRCLE
-    return dbar_circle(evaluate(oracle, points))[1]
+    return dbar_circle(full_read(oracle, points))[1]
 
 
 def test_square_batch_of_a_single_point_oracle_is_not_misread():
@@ -545,6 +543,6 @@ def test_square_batch_of_a_batched_oracle_is_read_in_one_call():
     points = (0.1 + 0.05j) * np.arange(16).reshape(4, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = evaluate(oracle, points)
+        values = full_read(oracle, points)
     assert shapes == [(5, 4)]
     assert np.array_equal(values, points[:, 0] * np.conj(points[:, 1]))

@@ -19,9 +19,9 @@ from holoflow import (DiagonalField, ForelliConfig, JetOracle, TaylorSeries, eva
                       forelli_pipeline)
 from holoflow.counterex import ResonantExample, phi_remark
 from holoflow.forelli import CERT_POINTS, CERT_RADIUS
-from holoflow.sampling import evaluate, polydisk_points
+from holoflow.sampling import polydisk_points
 
-from conftest import random_jet
+from conftest import full_read, random_jet
 
 SEEDS = range(10)
 RATES = (Fraction(1), Fraction(2))
@@ -34,7 +34,7 @@ def sampled_bound(oracle, seed):
     """The sup bound as ``holoflow run`` samples it, on the CERT_RADIUS torus."""
     points = polydisk_points(np.random.default_rng(seed + 1), 2, CERT_POINTS,
                              r_min=CERT_RADIUS, r_max=CERT_RADIUS)
-    return max(float(np.max(np.abs(evaluate(oracle, points)))), 1e-12)
+    return max(float(np.max(np.abs(full_read(oracle, points)))), 1e-12)
 
 
 def jet_case(seed, mixed):

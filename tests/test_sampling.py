@@ -13,9 +13,10 @@ from holoflow import (HYPOTHESIS_VIOLATED, DiagonalField, ExtractionError, Extra
                       HolomorphicExpansion, JetOracle, TaylorSeries, extract_coefficients,
                       forelli_pipeline, integral_curve, level_grid, max_principle_bound,
                       tail_bound_check)
+from holoflow.counterex import _witness_check
 from holoflow.forelli import curve_check
 from holoflow.reports import INCONCLUSIVE
-from holoflow.sampling import evaluate, halfplane_points, polydisk_points
+from holoflow.sampling import evaluate_prefix, halfplane_points, polydisk_points
 from holoflow.series import remainder_ladder
 
 
@@ -77,15 +78,17 @@ def test_an_overflow_in_a_batched_oracle_is_a_value_under_an_error_filter():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = evaluate(oracle, np.full((3, 2), 0.5 + 0j))
+        values, note = evaluate_prefix(oracle, np.full((3, 2), 0.5 + 0j))
     assert calls == [3]
-    assert np.array_equal(values, np.full(3, complex(math.inf, 0)))
+    assert len(values) == 0 and note == "non-finite oracle value at ((0.5+0j), (0.5+0j))"
 
 
 class FailingOracle:
     """1 at every point but one: the middle point of the first batch it is given,
-    where it raises ValueError ("value_error") or returns NaN ("nan").  With
-    "runtime_error" it raises RuntimeError everywhere."""
+    where it raises ValueError ("value_error") or KeyError ("key_error"), or
+    returns NaN ("nan").  With "runtime_error" it raises RuntimeError everywhere."""
+
+    ERRORS = {"value_error": ValueError, "key_error": KeyError}
 
     def __init__(self, how):
         self.how, self.bad = how, None
@@ -97,15 +100,15 @@ class FailingOracle:
         if self.bad is None:  # the first call is the reader's batch
             self.bad = z[len(z) // 2]
         hit = np.all(z == self.bad, axis=-1) if self.bad.ndim else z == self.bad
-        if self.how == "value_error" and np.any(hit):
-            raise ValueError("no data here")
+        if self.how in self.ERRORS and np.any(hit):
+            raise self.ERRORS[self.how]("no data here")
         return np.where(hit, np.nan, 1.0)
 
     def note(self):
         if self.how == "runtime_error":
             return "oracle failed: sensor gap"
-        if self.how == "value_error":
-            return "oracle failed: no data here"
+        if self.how in self.ERRORS:
+            return f"oracle failed: {self.ERRORS[self.how]('no data here')}"
         point = tuple(self.bad.tolist()) if self.bad.ndim else complex(self.bad)
         return f"non-finite oracle value at {point}"
 
@@ -132,6 +135,33 @@ def _pipeline_note(oracle):
     return note
 
 
+def _comparison_note(oracle):
+    """The note of a pipeline whose curve check reads 1 everywhere, so that the
+    comparison's batch is the first the oracle is given; the read's stop point
+    is the witness."""
+    calls = []
+
+    def after_the_curve_check(z):
+        calls.append(len(z))
+        return np.ones(len(z)) if len(calls) == 1 else oracle(z)
+
+    one = TaylorSeries.monomial(2, (0, 0), (0, 0))
+    verdict = forelli_pipeline(JetOracle(after_the_curve_check, one, 1.0), DiagonalField((1, 2)))
+    assert verdict.tag == HYPOTHESIS_VIOLATED
+    assert type(verdict.witness) is tuple and all(type(c) is complex for c in verdict.witness)
+    if oracle.bad is not None:
+        assert verdict.witness == tuple(oracle.bad.tolist())
+    head, note = verdict.reason.split(": ", 1)
+    assert head == "comparison inconclusive"
+    return note
+
+
+def _witness_note(oracle):
+    check = _witness_check(oracle)
+    assert check["passed"] is False
+    return check["note"]
+
+
 def _extraction_note(oracle):
     params = ExtractionParams(level_grid(DiagonalField((Fraction(1),)), 2))
     with pytest.raises(ExtractionError) as info:
@@ -150,11 +180,13 @@ READERS = {
         remainder_ladder(oracle, TaylorSeries.zero(2), [(1, (0.3, 0.2, 0.1))])[0]),
     "curve_check": _curve_note,
     "pipeline": _pipeline_note,
+    "comparison": _comparison_note,
+    "witness": _witness_note,
     "extraction": _extraction_note,
 }
 
 
-@pytest.mark.parametrize("how", ["value_error", "runtime_error", "nan"])
+@pytest.mark.parametrize("how", ["value_error", "key_error", "runtime_error", "nan"])
 @pytest.mark.parametrize("reader", READERS)
 def test_every_reader_reports_a_short_read_with_the_note_of_the_read(reader, how):
     oracle = FailingOracle(how)
