@@ -19,7 +19,7 @@ from .forelli import (ANTIHOLOMORPHIC_OBSTRUCTION, HOLOMORPHIC,
                       HYPOTHESIS_VIOLATED, NOT_F_HOLOMORPHIC, ForelliConfig,
                       ForelliVerdict, JetOracle, antiholomorphic_vanishing,
                       f_holomorphy_check, forelli_pipeline, reconstruct)
-from .reports import DecayReport, write_decay_csv
+from .reports import DecayReport
 from .series import (MultiIndex, TaylorSeries, antiholomorphic_part,
                      eval_taylor, holomorphic_part, taylor_remainder_check,
                      wirtinger_F_derivative)
@@ -41,7 +41,7 @@ __all__ = [
     "pushforward", "reconstruct", "residual", "restrict_holomorphic",
     "sampled_sup", "sector_angles", "shift_difference", "spiral_curve",
     "tail_bound_check", "taylor_remainder_check", "verify_cauchy_bound",
-    "verify_time_identity", "wirtinger_F_derivative", "write_decay_csv",
+    "verify_time_identity", "wirtinger_F_derivative",
     "HOLOMORPHIC", "HYPOTHESIS_VIOLATED", "NOT_F_HOLOMORPHIC",
     "ANTIHOLOMORPHIC_OBSTRUCTION",
 ]

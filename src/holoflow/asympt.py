@@ -245,7 +245,8 @@ def tail_bound_check(
     samples, note = evaluate_prefix(oracle, grid.ravel())
     rows = grid[: len(samples) // len(Y_SAMPLES)]
     partial = e.partial(rows, n) if e.levels else 0j
-    resid = np.abs(samples[: rows.size].reshape(rows.shape) - partial)
+    with np.errstate(all="ignore"):  # as in the read: an overflow is an infinite residual
+        resid = np.abs(samples[: rows.size].reshape(rows.shape) - partial)
     sups = resid.max(axis=1)
     values = [clamped_exp((math.log(sup) if sup else -math.inf) + lam_n * x)
               for sup, x in zip(sups.tolist(), TAIL_ABSCISSAS)]

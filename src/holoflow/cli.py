@@ -14,8 +14,9 @@ values use ``a+bi``.  The oracle catalog is closed: polynomial jets
 (``term`` lines), finite holomorphic expansions (``exp_term`` lines), and
 the named counterexamples.
 
-Outputs: ``report.json`` plus CSV tables in the output directory; exit
-status 0 iff every required check passed, 2 on configuration errors.
+Output: ``report.json`` in the output directory, the one file a run
+writes; exit status 0 iff every required check passed, 2 on configuration
+errors.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .extract import ExtractionParams, extract_coefficients, sampled_sup, \
 from .flow import (_TAU_TOL, BasePoint, DiagonalField, SpectrumError, integral_curve,
                    level_grid, level_of, normalize_time)
 from .forelli import CERT_POINTS, CERT_RADIUS, TAGS, ForelliConfig, JetOracle, forelli_pipeline
-from .reports import write_csv, write_decay_csv
 from .sampling import evaluate_prefix, halfplane_points, polydisk_points
 from .series import MultiIndex, TaylorSeries, eval_taylor, parse_term_line
 
@@ -212,11 +212,7 @@ def _json_complex(c: complex) -> list[float]:
     return [c.real, c.imag]
 
 
-class _Numbers(tuple):
-    """Float reprs formatted already, which _report_text writes as they are."""
-
-
-def _run_pushforward(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
+def _run_pushforward(sc: Scenario, seed: int) -> tuple[dict, bool]:
     field = _field(sc)
     jet = _parse_jet(sc)
     c = sc.value("base_point", parse_complex, many=True)
@@ -246,9 +242,6 @@ def _run_pushforward(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     max_err = float(np.max(errors))
     passed = max_err <= tol
 
-    write_csv(out / "expansion.csv", ("mu", "nu", "level", "re", "im"),
-              [(str(mu), str(nu), str(mu + nu), repr(p.real), repr(p.imag))
-               for mu, nu, p in expansion.all_terms()])
     report = {
         "expansion": [[str(mu), str(nu), _json_complex(p)]
                       for mu, nu, p in expansion.all_terms()],
@@ -259,7 +252,7 @@ def _run_pushforward(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     return report, passed
 
 
-def _run_extraction(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
+def _run_extraction(sc: Scenario, seed: int) -> tuple[dict, bool]:
     source = _parse_expansion(sc)
     grid_rates = sc.value("grid_rates", _fraction, many=True)
     lam_max = sc.value("lambda_max", _fraction)
@@ -294,10 +287,9 @@ def _run_extraction(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     cauchy = verify_cauchy_bound(recovered, source, bound)
     passed = max_err <= compare_tol and cauchy.passed
 
-    write_csv(out / "extraction_trace.csv", ("level", "coeff_re", "coeff_im", "residual_norm"),
-              [(repr(lam), repr(c.real), repr(c.imag), repr(norm)) for lam, c, norm in trace])
     report = {
         "recovered": [[str(lam), _json_complex(c)] for lam, c in recovered.pairs()],
+        "residual_norms": [norm for _lam, _c, norm in trace],
         "max_error": max_err,
         "tolerance": compare_tol,
         "sampled_sup": bound,
@@ -351,7 +343,7 @@ def _sampled_bound(oracle, points, where: str) -> float:
         return float(np.max(np.abs(values)))
 
 
-def _run_forelli(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
+def _run_forelli(sc: Scenario, seed: int) -> tuple[dict, bool]:
     field = _field(sc)
     jet = _parse_jet(sc)
     if jet.dim != field.dim:
@@ -378,7 +370,7 @@ def _run_forelli(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     return report, passed
 
 
-def _run_counterexample(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
+def _run_counterexample(sc: Scenario, seed: int) -> tuple[dict, bool]:
     which = sc.value("which")
     kwargs: dict = {"seed": seed}
     if which == "resonant":
@@ -391,12 +383,10 @@ def _run_counterexample(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]
         sc.error("which", f"unknown counterexample {which!r}")
     _check_reads(sc, "counterexample", which)
     suite = cx.counterexample_suite(which, **kwargs)
-    for name, rep in suite.decay_reports.items():
-        write_decay_csv(out / f"decay_{name}.csv", rep, label=name)
     return suite.to_json_dict(), suite.passed
 
 
-def _run_bounds(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
+def _run_bounds(sc: Scenario, seed: int) -> tuple[dict, bool]:
     source = _parse_expansion(sc)
     lam = sc.value("claimed_rate", _fraction)
     sc.check("claimed_rate", lam >= 0, ">= 0")
@@ -415,12 +405,8 @@ def _run_bounds(sc: Scenario, out: Path, seed: int) -> tuple[dict, bool]:
     mp_report = max_principle_bound(source, bound, lam, samples, x_lo=x_lo, tol=tol)
     tail_report = tail_bound_check(source, source.to_expansion(),
                                    n=len(source.to_expansion().levels) - 1)
-    report = {"bound": bound}
-    for name, rep in (("max_principle", mp_report), ("tail", tail_report)):
-        # the report takes the number texts of the table, each formatted once
-        abscissas, values = write_decay_csv(out / f"{name}.csv", rep, label=name)
-        report[name] = {**rep.to_json_dict(), "abscissas": _Numbers(abscissas),
-                        "values": _Numbers(values)}
+    report = {"bound": bound, "max_principle": mp_report.to_json_dict(),
+              "tail": tail_report.to_json_dict()}
     return report, mp_report.passed and tail_report.passed
 
 
@@ -436,9 +422,8 @@ _RUNNERS = {
 def _report_text(value, newline: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True, allow_nan=False) in one pass,
     with each non-finite float as the string "inf", "-inf" or "nan", which float()
-    reads back, so report.json stays strict JSON.  A _Numbers tuple is a list
-    of those float texts, formatted already.  Dict keys must be strings; what
-    json cannot encode raises TypeError."""
+    reads back, so report.json stays strict JSON.  Dict keys must be strings;
+    what json cannot encode raises TypeError."""
     if isinstance(value, str):
         return _STR(value)
     if value is None or isinstance(value, bool):
@@ -453,11 +438,6 @@ def _report_text(value, newline: str = "\n") -> str:
         return "{}" if isinstance(value, dict) else "[]"
     inner = newline + "  "
     sep = "," + inner
-    if isinstance(value, _Numbers):  # a non-finite repr ("inf", "-inf", "nan") has an "n"
-        body = sep.join(value)
-        if "n" in body:
-            body = sep.join(_STR(text) if "n" in text else text for text in value)
-        return "[" + inner + body + newline + "]"
     if isinstance(value, dict):
         return "{" + inner + sep.join(f"{_STR(key)}: {_report_text(item, inner)}"
                                       for key, item in sorted(value.items())) + newline + "}"
@@ -490,7 +470,7 @@ def run_scenario(path, out_dir, tolerance=None, seed=None, max_level=None) -> in
         sc.check("lambda_max", lam_max is None or lam_max > 0, "> 0")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report, passed = _RUNNERS[kind](sc, out, seed)
+    report, passed = _RUNNERS[kind](sc, seed)
     payload = {
         "kind": kind,
         "scenario": str(path),

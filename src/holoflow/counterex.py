@@ -320,6 +320,7 @@ class SuiteReport:
             "params": {k: str(v) for k, v in self.params.items()},
             "passed": self.passed,
             "checks": self.checks,
+            "decay": {name: rep.to_json_dict() for name, rep in self.decay_reports.items()},
         }
 
 

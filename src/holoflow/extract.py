@@ -61,7 +61,8 @@ SUP_X = 1e-9
 
 
 class ExtractionError(RuntimeError):
-    """A short read, a window over MAX_NODES, or an oracle inconsistent with the grid."""
+    """A short read, a window over MAX_NODES, a line transform beyond double range,
+    or an oracle inconsistent with the grid."""
 
 
 @dataclass(frozen=True)
@@ -151,11 +152,12 @@ def extract_coefficients(
     each coefficient is a DFT bin refined by one deflation step (module
     docstring), and reported as zero below params.tol in modulus.  If ``trace``
     is a list, rows (level, coefficient, sup of the residual without the levels
-    up to this one) are appended for CSV export.  The trace walk starts from
-    the final residual and adds each nonzero term back, computing its
-    exponential again rather than keeping the deflation's: a traced run then
-    holds a few arrays of line nodes, as an untraced one does, not one per
-    term (at ``MAX_NODES`` each is 64 MB).
+    up to this one) are appended; ``holoflow run`` reports the sups as
+    ``residual_norms``.  The trace walk starts from the final residual and
+    adds each nonzero term back, computing its exponential again rather than
+    keeping the deflation's: a traced run then holds a few arrays of line
+    nodes, as an untraced one does, not one per term (at ``MAX_NODES`` each
+    is 64 MB).
     """
     levels, steps, q = params.grid.levels, params.grid.steps, params.grid.q
     y, K = _window(params)
@@ -168,16 +170,23 @@ def extract_coefficients(
     weight = np.exp(lam * params.x0) * np.where(bins % 2, -1.0, 1.0)
     bins %= len(z)
     norm0 = float(np.max(np.abs(vals)))
-    first = weight * np.fft.ifft(vals)[bins]
-    first[np.abs(first) < params.tol] = 0
-    for i in np.flatnonzero(first):
-        vals -= first[i] * np.exp(-lam[i] * z)
-    coeffs = first + weight * np.fft.ifft(vals)[bins]
-    coeffs[np.abs(coeffs) < params.tol] = 0
-    spectrum = np.zeros_like(vals)
-    spectrum[bins] = (coeffs - first) / weight
-    vals -= np.fft.fft(spectrum)  # sum of (coeffs - first) e^(-lambda z)
+    with np.errstate(all="ignore"):  # a sum beyond double range is a non-finite value
+        first = weight * np.fft.ifft(vals)[bins]
+        first[np.abs(first) < params.tol] = 0
+        for i in np.flatnonzero(first):
+            vals -= first[i] * np.exp(-lam[i] * z)
+        coeffs = first + weight * np.fft.ifft(vals)[bins]
+        coeffs[np.abs(coeffs) < params.tol] = 0
+        spectrum = np.zeros_like(vals)
+        spectrum[bins] = (coeffs - first) / weight
+        vals -= np.fft.fft(spectrum)  # sum of (coeffs - first) e^(-lambda z)
     norm = float(np.max(np.abs(vals)))
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if len(bad):
+        raise ExtractionError(f"non-finite coefficient {complex(coeffs[bad[0]])} at level "
+                              f"{levels[bad[0]]}: the line values' transform overflows")
+    if not math.isfinite(norm):
+        raise ExtractionError(f"non-finite residual norm {norm} after all {len(levels)} levels")
     if levels:
         # after the whole grid is consumed, only snapped-to-zero terms and
         # content decaying faster than lambda_max may legitimately remain
@@ -193,7 +202,8 @@ def extract_coefficients(
         for i in reversed(range(len(levels))):
             rows.append((float(lam[i]), complex(coeffs[i]), norm))
             if coeffs[i] != 0:
-                vals += coeffs[i] * np.exp(-lam[i] * z)
+                with np.errstate(all="ignore"):
+                    vals += coeffs[i] * np.exp(-lam[i] * z)
                 norm = float(np.max(np.abs(vals)))
         trace.extend(reversed(rows))
     return HolomorphicExpansion(zip(levels, coeffs.tolist()))

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 PASS = "pass"
@@ -112,38 +111,3 @@ def clamped_exp(log_value: float) -> float:
     if log_value < -745.0:
         return 0.0
     return math.exp(log_value)
-
-
-def write_csv(path, header, rows) -> None:
-    """Write the header row, then every row, as one string in one write.
-
-    Cells are joined as they are: csv.writer's default dialect quotes none
-    of the cells holoflow writes (float reprs, exact fractions p/q, verdicts,
-    fixed identifiers), so the bytes are those csv.writer would write.  A
-    cell from elsewhere goes through ``_csv_cell`` first.
-    """
-    text = "\r\n".join(map(",".join, (header, *rows)))
-    with open(path, "w", newline="") as fh:
-        fh.write(text + "\r\n")
-
-
-def _csv_cell(text: str) -> str:
-    """text as csv.writer's default dialect (QUOTE_MINIMAL) writes it in a row
-    of several cells: quoted, with quotes doubled, iff it holds , " CR or LF."""
-    if any(ch in text for ch in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def write_decay_csv(path, report: DecayReport, label: str = "") -> tuple[list, list]:
-    """Rows (label, abscissa, weighted residual, verdict), one per abscissa.
-
-    Returns the texts of every abscissa and every value (their float reprs),
-    so a report built from the same numbers need not format them again; a
-    short read has more abscissas than rows.
-    """
-    xs = list(map(repr, map(float, report.abscissas)))
-    vs = list(map(repr, map(float, report.values)))
-    write_csv(path, ("label", "abscissa", "weighted_residual", "verdict"),
-              zip(repeat(_csv_cell(label)), xs, vs, repeat(report.verdict)))
-    return xs, vs

@@ -280,7 +280,8 @@ def remainder_ladder(oracle, series: TaylorSeries, ladder, *,
         stop = start + len(radii) * N_DIRECTIONS
         read = min(len(values), stop)
         read -= (read - start) % N_DIRECTIONS  # radii read in full
-        resids = np.abs(values[start:read] - series.partial_sum(points[start:read], n))
+        with np.errstate(all="ignore"):  # as in the read: an overflow is an infinite residual
+            resids = np.abs(values[start:read] - series.partial_sum(points[start:read], n))
         # a computed zero only certifies |residual| below the smallest subnormal;
         # use that as an honest upper bound on the ratio
         worst = np.maximum(resids.reshape(-1, N_DIRECTIONS).max(axis=1), 5e-324)

@@ -1,6 +1,5 @@
 """Scenario parsing, report emission, exit codes, and determinism."""
 
-import csv
 import json
 import math
 import subprocess
@@ -15,8 +14,8 @@ from hypothesis import strategies as st
 
 from holoflow import cli
 from holoflow.cli import main, parse_complex
+from holoflow.extract import extract_coefficients
 from holoflow.forelli import CERT_RADIUS
-from holoflow.reports import DecayReport, write_decay_csv
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -49,7 +48,7 @@ def test_resonant_scenario_exits_zero(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["report"]["passed"]
-    assert (tmp_path / "decay_zero_jet_order_8.csv").exists()
+    assert report["report"]["decay"]["zero_jet_order_8"]["verdict"] == "pass"
 
 
 def test_extraction_scenario_recovers_within_tolerance(tmp_path):
@@ -61,7 +60,7 @@ def test_extraction_scenario_recovers_within_tolerance(tmp_path):
     recovered = {lam: complex(re, im) for lam, (re, im) in report["report"]["recovered"]}
     assert abs(recovered["1"] - 3.0) < 1e-8
     assert abs(recovered["5/2"] - (1 + 1j)) < 1e-8
-    assert (tmp_path / "extraction_trace.csv").exists()
+    assert len(report["report"]["residual_norms"]) == len(recovered)
 
 
 def test_pushforward_and_bounds_scenarios(tmp_path):
@@ -71,6 +70,46 @@ def test_pushforward_and_bounds_scenarios(tmp_path):
                     "--out", str(tmp_path / "b")]) == 0
     push = json.loads((tmp_path / "p" / "report.json").read_text())
     assert push["report"]["expansion"] == [["1", "2", [0.8 * 0.7, 0.0]]]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.txt")))
+def test_a_run_writes_report_json_and_nothing_else(tmp_path, name):
+    out = tmp_path / "out"
+    assert run_cli(["run", str(SCENARIOS / name), "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("which, orders", [("resonant", 8), ("spiral", 8), ("remark", 0)])
+def test_the_report_carries_every_decay_ladder_of_the_suite(tmp_path, monkeypatch, which,
+                                                            orders):
+    suites, original = [], cli.cx.counterexample_suite
+
+    def suite(*args, **kwargs):
+        suites.append(original(*args, **kwargs))
+        return suites[-1]
+
+    monkeypatch.setattr(cli.cx, "counterexample_suite", suite)
+    assert run_cli(["run", str(SCENARIOS / f"counterexample_{which}.txt"),
+                    "--out", str(tmp_path)]) == 0
+    decay = json.loads((tmp_path / "report.json").read_text())["report"]["decay"]
+    assert sorted(decay) == sorted(f"zero_jet_order_{n}" for n in range(1, orders + 1))
+    for name, rep in suites[0].decay_reports.items():
+        assert decay[name] == json.loads(cli._report_text(rep.to_json_dict())), name
+
+
+def test_the_extraction_report_carries_the_residual_norm_of_every_trace_row(tmp_path,
+                                                                            monkeypatch):
+    traces = []
+
+    def extract(oracle, params, trace=None):
+        traces.append(trace)
+        return extract_coefficients(oracle, params, trace=trace)
+
+    monkeypatch.setattr(cli, "extract_coefficients", extract)
+    assert run_cli(["run", str(SCENARIOS / "extraction_demo.txt"), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert len(report["residual_norms"]) == len(report["recovered"]) == len(traces[0])
+    assert report["residual_norms"] == [norm for _lam, _c, norm in traces[0]]
 
 
 def reject_constant(token):
@@ -260,27 +299,6 @@ def test_report_text_refuses_what_json_cannot_encode(value):
         stdlib_report_text(value)
     with pytest.raises(TypeError):
         cli._report_text(value)
-
-
-def per_row_decay_csv(path, report: DecayReport, label: str) -> None:
-    """Reference for reports.write_decay_csv: one writerow per sample."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "abscissa", "weighted_residual", "verdict"])
-        for a, v in zip(report.abscissas, report.values):
-            writer.writerow([label, repr(float(a)), repr(float(v)), report.verdict])
-
-
-def test_decay_csv_equals_the_per_row_writer(tmp_path):
-    report = DecayReport(2.0, (0.1, np.float64(3.0), 1e308, 4.0),
-                         (math.inf, 5e-324, -math.inf), 1e-6, "fail", "bound_margin")
-    for label in ["tail", "a,b", 'say "x"', "two\nlines", "car\rriage", ""]:
-        texts = write_decay_csv(tmp_path / "batched.csv", report, label=label)
-        per_row_decay_csv(tmp_path / "per_row.csv", report, label=label)
-        assert (tmp_path / "batched.csv").read_bytes() \
-            == (tmp_path / "per_row.csv").read_bytes(), label
-        # every abscissa's text, also the one a short read left without a row
-        assert texts == (["0.1", "3.0", "1e+308", "4.0"], ["inf", "5e-324", "-inf"])
 
 
 def test_bounds_report_of_saturated_ratios_is_canonical_strict_json(tmp_path):
@@ -508,6 +526,31 @@ def test_an_overflowing_circle_is_inconclusive_under_error_warnings(tmp_path):
     assert "Traceback" not in proc.stderr
     verdict = json.loads((tmp_path / "out" / "report.json").read_text())["report"]["verdict"]
     assert verdict["reason"] == "curve check inconclusive: non-finite residual"
+
+
+#: line values near 2e305 on 4 096 nodes: their transform's sum overflows double range
+_OVERFLOWING_EXTRACTION = ("kind = extraction\ngrid_rates = 1\nlambda_max = 2\n"
+                           "exp_term = 0 | 1e305 | 0\nexp_term = 1 | 1e305 | 0\n")
+
+
+def test_an_overflowing_extraction_transform_is_a_job_error(tmp_path, capsys):
+    # the NaN coefficients of the overflowing sum were written, and read as a failed check
+    scenario = tmp_path / "big.txt"
+    scenario.write_text(_OVERFLOWING_EXTRACTION)
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite coefficient (nan+nanj) at level 0")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_an_overflowing_extraction_transform_is_a_job_error_under_error_warnings(tmp_path):
+    scenario = tmp_path / "big.txt"
+    scenario.write_text(_OVERFLOWING_EXTRACTION)
+    proc = run_under_error_warnings(scenario, tmp_path / "out")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: non-finite coefficient (nan+nanj) at level 0")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_nonpositive_lambda_max_is_line_anchored(tmp_path, capsys):

@@ -349,6 +349,18 @@ def test_non_finite_sample_raises_named_point():
         extract_coefficients(oracle, default_params(grid))
 
 
+@pytest.mark.parametrize("warning_filter", ["default", "error"])
+def test_an_overflowing_transform_raises_naming_the_coefficient(warning_filter):
+    # past about 1.8e308 / Q the ifft sum overflows; a NaN coefficient was returned,
+    # and a NaN residual norm passed the final check, since nan > allowance is False
+    src = HolomorphicExpansion([(Fraction(0), 1e305), (Fraction(1), 1e305)])
+    grid = level_grid(DiagonalField((Fraction(1),)), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warning_filter, RuntimeWarning)
+        with pytest.raises(ExtractionError, match=r"non-finite coefficient .* at level 0"):
+            extract_coefficients(src, default_params(grid), trace=[])
+
+
 def test_inconsistent_oracle_rejected_by_final_residual():
     oracle = lambda z: np.exp(+0.5 * z)  # growing: not a sum of grid decays
     grid = level_grid(DiagonalField((Fraction(1),)), 4)

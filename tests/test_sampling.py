@@ -83,6 +83,27 @@ def test_an_overflow_in_a_batched_oracle_is_a_value_under_an_error_filter():
     assert len(values) == 0 and note == "non-finite oracle value at ((0.5+0j), (0.5+0j))"
 
 
+#: a residual that overflows: the constant -1.5e308 against an expansion or jet of 1.5e308
+OVERFLOWING_RESIDUALS = {
+    "tail": lambda: tail_bound_check(
+        lambda z: -1.5e308 + 0 * z,
+        HolomorphicExpansion([(Fraction(0), 1.5e308 + 0j)]).to_expansion(), 0),
+    "remainder": lambda: remainder_ladder(
+        lambda z: np.full(len(z), -1.5e308 + 0j),
+        TaylorSeries(2, [(((0, 0), (0, 0)), 1.5e308 + 0j)]), [(1, [0.5, 0.25, 0.125])])[0],
+}
+
+
+@pytest.mark.parametrize("check", OVERFLOWING_RESIDUALS)
+def test_an_overflowing_residual_fails_the_check_under_an_error_filter(check):
+    # the subtraction from the read ran outside its error state, and raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = OVERFLOWING_RESIDUALS[check]()
+    assert report.verdict == "fail"
+    assert report.values[-1] == math.inf
+
+
 class FailingOracle:
     """1 at every point but one: the middle point of the first batch it is given,
     where it raises ValueError ("value_error") or KeyError ("key_error"), or
