@@ -205,8 +205,8 @@ def pushforward(series: TaylorSeries, field: DiagonalField, c, lambda_max) -> As
     for levels up to lambda_max.  Terms landing on the same (mu, nu) merge;
     merged coefficients below MERGE_PRUNE_TOL are treated as cancellation.
 
-    The field is normalized internally (positive rates, tau = 1), so the
-    expansion variable is the canonical curve time.
+    The field is normalized internally (all rates positive, time's sign
+    flipped if need be), so the expansion variable is the canonical curve time.
     """
     lam_max = _as_fraction(lambda_max)
     nfield, _ = normalize_time(field)  # raises SpectrumError without positive ratios

@@ -5,7 +5,7 @@ Usage::
     holoflow run scenario.txt [--out DIR] [--tolerance X] [--seed N]
                               [--max-level P/Q]
 
-Scenario files are plain ``key = value`` text; ``#`` starts a comment.
+Scenario files are UTF-8 ``key = value`` text; ``#`` starts a comment.
 ``KEYS`` lists the keys each kind reads; any other key, or a key given
 twice other than the accumulating ``term`` and ``exp_term`` lines, is a
 configuration error.  The flags override the ``tolerance``, ``seed`` and
@@ -15,8 +15,10 @@ values use ``a+bi``.  The oracle catalog is closed: polynomial jets
 the named counterexamples.
 
 Output: ``report.json`` in the output directory, the one file a run
-writes; exit status 0 iff every required check passed, 2 on configuration
-errors.
+writes; a run that writes no report makes no directory.  Exit status 0 iff
+every required check passed; 2 on configuration errors; 1 otherwise, which
+includes a job that cannot finish and an output directory that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .asympt import HolomorphicExpansion, eval_expansion, max_principle_bound, \
     pushforward, tail_bound_check
 from .extract import ExtractionParams, extract_coefficients, sampled_sup, \
     verify_cauchy_bound
-from .flow import (_TAU_TOL, BasePoint, DiagonalField, SpectrumError, integral_curve,
-                   level_grid, level_of, normalize_time)
+from .flow import (BasePoint, DiagonalField, SpectrumError, integral_curve, level_grid,
+                   level_of, normalize_time)
 from .forelli import CERT_POINTS, CERT_RADIUS, TAGS, ForelliConfig, JetOracle, forelli_pipeline
 from .sampling import evaluate_prefix, halfplane_points, polydisk_points
 from .series import MultiIndex, TaylorSeries, eval_taylor, parse_term_line
@@ -46,11 +48,10 @@ from .series import MultiIndex, TaylorSeries, eval_taylor, parse_term_line
 
 #: the keys each kind reads besides ``kind`` and ``seed``
 KEYS = {
-    "pushforward": ("rates", "tau", "term", "base_point", "lambda_max", "tolerance"),
+    "pushforward": ("rates", "term", "base_point", "lambda_max", "tolerance"),
     "extraction": ("grid_rates", "lambda_max", "exp_term", "x0", "window", "nodes",
                    "snap_tol", "tolerance"),
-    "forelli": ("rates", "tau", "term", "oracle", "t", "alpha", "bound", "expect",
-                "tolerance"),
+    "forelli": ("rates", "term", "oracle", "t", "alpha", "bound", "expect", "tolerance"),
     "counterexample": ("which", "t", "alpha"),
     "bounds": ("exp_term", "claimed_rate", "x_lo", "bound", "tolerance"),
 }
@@ -100,8 +101,8 @@ class Scenario:
         self.overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
         self.entries: dict[str, list[tuple[int, str]]] = {}
         try:
-            text = self.path.read_text()
-        except OSError as exc:
+            text = self.path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError(path, None, f"cannot read scenario: {exc}")
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -200,10 +201,8 @@ def _parse_expansion(sc: Scenario) -> HolomorphicExpansion:
 
 def _field(sc: Scenario) -> DiagonalField:
     rates = sc.value("rates", _fraction, many=True)
-    tau = sc.value("tau", parse_complex, 1 + 0j)
-    sc.check("tau", abs(abs(tau) - 1.0) <= _TAU_TOL, f"of modulus 1 within {_TAU_TOL}")
     try:
-        return DiagonalField(tuple(rates), tau)
+        return DiagonalField(tuple(rates))
     except ValueError as exc:
         sc.error("rates", str(exc))
 
@@ -468,8 +467,6 @@ def run_scenario(path, out_dir, tolerance=None, seed=None, max_level=None) -> in
     if "lambda_max" in KEYS[kind]:  # likewise
         lam_max = sc.value("lambda_max", _fraction, None)
         sc.check("lambda_max", lam_max is None or lam_max > 0, "> 0")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report, passed = _RUNNERS[kind](sc, seed)
     payload = {
         "kind": kind,
@@ -479,6 +476,8 @@ def run_scenario(path, out_dir, tolerance=None, seed=None, max_level=None) -> in
         "report": report,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(_report_text(payload) + "\n")
     print(f"{kind}: {'pass' if passed else 'FAIL'} -> {out / 'report.json'}")
     return 0 if passed else 1
@@ -521,7 +520,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

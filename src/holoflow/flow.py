@@ -1,22 +1,22 @@
 """Diagonal linear fields z' = A z, their curves, spectrum, and level grid.
 
-Rates are exact rationals and the shared time unit tau has modulus one, so
-the eigenvalues are alpha_j = r_j * tau.  Keeping the rates rational makes
-the decay-level grid {lambda_j} exact: level coincidences are set equality
-on fractions, never a floating point tie-break.
+A field is its exact rational rates r_j, the eigenvalues alpha_j.  Only the
+ratios r_j / r_k enter the paper's hypothesis, and a common unit tau changes
+no complex integral curve (zeta -> tau zeta), so the field carries none.
+Keeping the rates rational makes the spectrum class and the decay-level grid
+{lambda_j} exact: level coincidences are set equality on fractions, never a
+floating point tie-break.
 
 Curve convention: the canonical curve through c is
 ``s_c(zeta) = (c_1 e^(-alpha_1 zeta), ..., c_N e^(-alpha_N zeta))``,
-so with positive rates and unit time the curves contract into the
-polydisk as Re zeta -> +infinity, and the right half-plane is the common
-domain for all expansions.  Fields written with the opposite sign are the
-same curves under zeta -> -zeta; :func:`normalize_time` records the
-rescale factor.
+so with positive rates the curves contract into the polydisk as
+Re zeta -> +infinity, and the right half-plane is the common domain for all
+expansions.  Fields written with negative rates are the same curves under
+zeta -> -zeta; :func:`normalize_time` records the sign.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-_TAU_TOL = 1e-12
 #: most multiples of 1/q a level grid may span, so the most levels (plus one) it holds
 MAX_LATTICE = 2**18
 
@@ -45,14 +44,13 @@ def _as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class DiagonalField:
-    """Diagonal field with rational rates and a unit-modulus time factor.
+    """Diagonal field z' = diag(r) z with exact rational rates r_j.
 
-    ``eigenvalues`` (alpha_j = r_j * tau as complex doubles) is derived from
-    the other two fields once, and takes no part in equality, hash or repr.
+    ``eigenvalues`` (the rates as complex doubles) is derived once, and takes
+    no part in equality, hash or repr.
     """
 
     rates: tuple
-    time_unit: complex = 1 + 0j
     eigenvalues: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -61,15 +59,11 @@ class DiagonalField:
             raise ValueError("field needs at least one rate")
         if any(r == 0 for r in rates):
             raise ValueError("all rates must be nonzero")
-        tau = complex(self.time_unit)
-        if not abs(abs(tau) - 1.0) <= _TAU_TOL:  # NaN fails this test too
-            raise ValueError(f"time unit must have modulus 1, got |tau| = {abs(tau)}")
         try:
-            eigenvalues = tuple(complex(r) * tau for r in rates)
+            eigenvalues = tuple(complex(r) for r in rates)
         except OverflowError:  # a rate beyond double range
             raise ValueError("rates must lie within double range") from None
         object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "time_unit", tau)
         object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
@@ -79,7 +73,6 @@ class DiagonalField:
 
 class SpectrumClass(Enum):
     POSITIVE_RATIOS = "positive_ratios"
-    COMMON_HALF_PLANE = "common_half_plane"
     MIXED = "mixed"
 
 
@@ -108,35 +101,14 @@ def _coords(c) -> tuple[complex, ...]:
     return tuple(complex(v) for v in c)
 
 
-def classify_spectrum(field) -> SpectrumClass:
-    """Classify a field (or a raw eigenvalue sequence) by its ratio structure.
+def classify_spectrum(field: DiagonalField) -> SpectrumClass:
+    """Classify a field by the signs of its rational rates, exactly.
 
-    POSITIVE_RATIOS: every pairwise ratio alpha_j/alpha_k is a positive real.
-    COMMON_HALF_PLANE: some unit w makes every Re(alpha_j * w) < 0.
-    MIXED: neither.
-
-    A field's eigenvalues r_j * tau all lie on one line through 0, so its
-    class is decided exactly by the signs of the rational rates.  Raw
-    eigenvalues share an open half-plane iff the largest cyclic gap between
-    their sorted arguments exceeds pi.
+    POSITIVE_RATIOS: every ratio r_j/r_k is positive, i.e. all rates share
+    one sign.  MIXED: otherwise.
     """
-    if isinstance(field, DiagonalField):
-        positive = {r > 0 for r in field.rates}
-        return SpectrumClass.POSITIVE_RATIOS if len(positive) == 1 else SpectrumClass.MIXED
-    eigs = tuple(complex(a) for a in field)
-    if any(a == 0 for a in eigs):
-        raise ValueError("eigenvalues must be nonzero")
-
-    base = eigs[0]
-    ratios = [a / base for a in eigs]
-    if all(abs(r.imag) <= 1e-12 * abs(r) and r.real > 0 for r in ratios):
-        return SpectrumClass.POSITIVE_RATIOS
-
-    args = sorted(cmath.phase(a) for a in eigs)
-    gaps = [b - a for a, b in zip(args, args[1:])] + [2.0 * math.pi - (args[-1] - args[0])]
-    if max(gaps) > math.pi:
-        return SpectrumClass.COMMON_HALF_PLANE
-    return SpectrumClass.MIXED
+    positive = {r > 0 for r in field.rates}
+    return SpectrumClass.POSITIVE_RATIOS if len(positive) == 1 else SpectrumClass.MIXED
 
 
 def integral_curve(field: DiagonalField, c, zeta):
@@ -240,19 +212,17 @@ def level_grid(field: DiagonalField, lambda_max) -> LevelGrid:
 
 class NormalizedField(NamedTuple):
     field: DiagonalField
-    factor: complex
+    factor: int
 
 
 def normalize_time(field: DiagonalField) -> NormalizedField:
-    """Rescale time so tau = 1 and all rates are positive.
+    """Flip the sign of time, if need be, so all rates are positive.
 
-    Returns the canonical field and the factor sigma with
-    old_alpha_j = new_rate_j * sigma, i.e. the canonical curve parameter is
-    zeta' = sigma * zeta.
+    Returns the canonical field and the sign sigma = +-1 with
+    old_rate_j = new_rate_j * sigma, i.e. the canonical curve parameter is
+    zeta' = sigma * zeta.  Levels keep their units.
     """
     if classify_spectrum(field) is not SpectrumClass.POSITIVE_RATIOS:
         raise SpectrumError("cannot normalize a field without positive ratios")
     sign = 1 if field.rates[0] > 0 else -1
-    factor = sign * field.time_unit
-    new_field = DiagonalField(tuple(sign * r for r in field.rates), 1 + 0j)
-    return NormalizedField(new_field, factor)
+    return NormalizedField(DiagonalField(tuple(sign * r for r in field.rates)), sign)

@@ -664,6 +664,7 @@ def test_out_of_model_parameters_exit_two_at_their_line(tmp_path, capsys, base, 
     ("counterexample-resonant", "tolerance = 1e-6", 3,
      "counterexample scenarios do not read 'tolerance'"),
     ("forelli", "lambda_max = 3", 4, "forelli scenarios do not read 'lambda_max'"),
+    ("forelli", "tau = 1", 4, "forelli scenarios do not read 'tau'"),
     ("bounds", "rates = 1/1", 4, "bounds scenarios do not read 'rates'"),
     ("extraction", "x0 = 1.0\nx0 = 2.0", 6, "x0 given twice (first at line 5)"),
     ("counterexample-resonant", "seed = 1\nseed = 2", 4, "seed given twice (first at line 3)"),
@@ -675,7 +676,7 @@ def test_out_of_model_parameters_exit_two_at_their_line(tmp_path, capsys, base, 
     ("forelli", "oracle = jet\nalpha = -1+1i", 5, "oracle jet does not read 'alpha'"),
     ("forelli-resonant", "alpha = -1+1i", 5, "oracle resonant does not read 'alpha'"),
     ("forelli", "oracle = remark\nt = 0.5", 5, "oracle remark does not read 't'"),
-], ids=["unread-tolerance", "unread-lambda_max", "unread-rates", "repeated-x0",
+], ids=["unread-tolerance", "unread-lambda_max", "unread-tau", "unread-rates", "repeated-x0",
         "repeated-seed", "resonant-alpha", "remark-t", "remark-alpha", "jet-t", "jet-alpha",
         "forelli-resonant-alpha", "forelli-remark-t"])
 def test_unread_and_repeated_keys_exit_two_at_their_line(tmp_path, capsys, base, extra,
@@ -684,6 +685,38 @@ def test_unread_and_repeated_keys_exit_two_at_their_line(tmp_path, capsys, base,
     scenario.write_text(OUT_OF_MODEL_BASES[base] + extra + "\n")
     assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
     assert f"keys.txt:{line}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, code", [
+    (_FORELLI + "bound = -1\n", 2),
+    (_OVERFLOWING_EXTRACTION, 1),
+], ids=["config-error", "job-error"])
+def test_a_run_that_writes_no_report_makes_no_directory(tmp_path, capsys, body, code):
+    # the output directory was made before the job ran, and left empty when it failed
+    scenario = tmp_path / "none.txt"
+    scenario.write_text(body)
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out" / "run")]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["out", "out/run"], ids=["a-file", "under-a-file"])
+def test_an_out_path_that_is_or_is_under_a_file_is_a_job_error(tmp_path, capsys, out):
+    # the FileExistsError or NotADirectoryError of mkdir escaped main as a traceback
+    (tmp_path / "out").write_text("")
+    assert run_cli(["run", str(SCENARIOS / "bounds_demo.txt"), "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / out) in err
+    assert (tmp_path / "out").read_text() == ""
+
+
+def test_a_scenario_that_is_not_utf8_exits_two(tmp_path, capsys):
+    # the UnicodeDecodeError, a ValueError, once exited 1 with a bare codec message
+    scenario = tmp_path / "bytes.txt"
+    scenario.write_bytes(b"\xff\xfe")
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {scenario}: cannot read scenario: 'utf-8' codec" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # a bad flag value is the flag's fault: the message names the flag, not the line
@@ -777,13 +810,13 @@ def test_a_non_finite_term_coefficient_exits_two_at_its_line(tmp_path, capsys, k
 @pytest.mark.parametrize("tau", ["nan", "2", "1+1i", "nan+1i"])
 def test_a_time_unit_not_of_modulus_one_exits_two_at_the_tau_line(tmp_path, capsys, kind,
                                                                   tau):
-    # a NaN tau once passed the modulus test, and normalize_time dropped it
+    # a field is its rates: no kind reads a time unit, whatever its value
     scenario = tmp_path / "tau.txt"
     scenario.write_text(f"kind = {kind}\nrates = 1/1 2/1\ntau = {tau}\n"
                         f"term = 1 0 | 0 0 | 1.0 | 0.0\n" + _JET_KEYS[kind])
     assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
-    assert "tau.txt:3: tau must be of modulus 1" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "report.json").exists()
+    assert f"tau.txt:3: {kind} scenarios do not read 'tau'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_bounds_scenario_of_zero_coefficients_needs_a_bound(tmp_path, capsys):

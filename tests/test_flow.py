@@ -28,12 +28,6 @@ def test_field_validation():
         DiagonalField(())
     with pytest.raises(ValueError):
         DiagonalField((Fraction(0), Fraction(1)))
-    with pytest.raises(ValueError):
-        DiagonalField((Fraction(1),), time_unit=2.0)
-    # |tau| - 1 > tol is false for NaN, so a NaN time unit once passed
-    for tau in (math.nan, complex(math.nan, 1.0), complex(1.0, math.inf)):
-        with pytest.raises(ValueError, match="modulus 1"):
-            DiagonalField((Fraction(1),), time_unit=tau)
     with pytest.raises(TypeError):
         DiagonalField((0.5,))  # floats are not exact rates
     with pytest.raises(ValueError, match="double range"):
@@ -46,21 +40,15 @@ def test_field_accepts_fraction_strings():
 
 
 def test_field_eigenvalues_are_kept_out_of_equality_hash_and_repr():
-    f = DiagonalField(("1/2", 3, Fraction(-2, 3)), 1j)
-    assert f.eigenvalues == tuple(complex(r) * 1j for r in f.rates)
-    assert f == DiagonalField((Fraction(1, 2), Fraction(3), Fraction(-2, 3)), 1j)
-    assert f != DiagonalField(f.rates)
-    assert hash(f) == hash((f.rates, f.time_unit))
-    assert repr(f) == ("DiagonalField(rates=(Fraction(1, 2), Fraction(3, 1), "
-                       "Fraction(-2, 3)), time_unit=1j)")
-
-
-def test_replacing_the_time_unit_rebuilds_the_eigenvalues():
-    f = DiagonalField((Fraction(1, 2), Fraction(3)))
-    tau = cmath.exp(0.25j)
-    g = dataclasses.replace(f, time_unit=tau)
-    assert g.eigenvalues == (0.5 * tau, 3 * tau)
-    assert f.eigenvalues == (0.5 + 0j, 3 + 0j)
+    f = DiagonalField(("-1/2", -3, Fraction(2, 3)))
+    assert f.eigenvalues == (-0.5 + 0j, -3 + 0j, complex(2 / 3))
+    assert f == DiagonalField((Fraction(-1, 2), Fraction(-3), Fraction(2, 3)))
+    assert f != DiagonalField(tuple(-r for r in f.rates))
+    assert hash(f) == hash((f.rates,))
+    assert repr(f) == ("DiagonalField(rates=(Fraction(-1, 2), Fraction(-3, 1), "
+                       "Fraction(2, 3)))")
+    # replacing the rates rebuilds the eigenvalues
+    assert dataclasses.replace(f, rates=(1, 3)).eigenvalues == (1 + 0j, 3 + 0j)
 
 
 def test_base_point_validation():
@@ -76,21 +64,12 @@ def test_classify_positive_and_mixed():
     assert classify_spectrum(DiagonalField((1, -1))) is SpectrumClass.MIXED
 
 
-def test_classify_complex_eigenvalue_pairs():
-    # conjugate pair with negative real parts: w = 1 makes both Re < 0,
-    # so the rotation scan finds a common half-plane
-    assert classify_spectrum([-1 + 1j, -1 - 1j]) is SpectrumClass.COMMON_HALF_PLANE
-    # antipodal eigenvalues admit no common rotation (and their ratio is -1)
-    assert classify_spectrum([1 + 1j, -1 - 1j]) is SpectrumClass.MIXED
-
-
-@pytest.mark.parametrize("eigs, expected", [
-    ((1, cmath.exp(1j * (math.pi - 1e-4))), SpectrumClass.COMMON_HALF_PLANE),
-    ((1, -1), SpectrumClass.MIXED),
-    ((1, cmath.exp(2j * math.pi / 3), cmath.exp(-2j * math.pi / 3)), SpectrumClass.MIXED),
-])
-def test_classify_half_plane_boundary(eigs, expected):
-    assert classify_spectrum(eigs) is expected
+def test_classify_is_exact_on_rates_below_double_resolution():
+    # 1e-400 is 0.0 as a double, but its sign is the rate's
+    tiny = Fraction(1, 10**400)
+    assert classify_spectrum(DiagonalField((tiny, 1))) is SpectrumClass.POSITIVE_RATIOS
+    assert classify_spectrum(DiagonalField((-tiny, 1))) is SpectrumClass.MIXED
+    assert classify_spectrum(DiagonalField((-tiny, -1))) is SpectrumClass.POSITIVE_RATIOS
 
 
 def test_integral_curve_on_an_array_of_times_matches_scalar_calls(rng):
@@ -364,15 +343,8 @@ def test_two_cli_runs_in_one_process_build_the_extraction_grid_once(tmp_path):
 
 def test_normalize_time_sign_flip():
     nf, factor = normalize_time(DiagonalField((-1, -2)))
-    assert nf.rates == (Fraction(1), Fraction(2))
-    assert nf.time_unit == 1
+    assert nf == DiagonalField((1, 2))
     assert factor == -1
-
-
-def test_normalize_time_rotates_unit():
-    nf, factor = normalize_time(DiagonalField((1, 3), time_unit=1j))
-    assert nf.rates == (Fraction(1), Fraction(3))
-    assert factor == 1j
 
 
 def test_normalize_time_identity():
@@ -390,15 +362,17 @@ def test_normalize_time_rejects_mixed():
 def test_normalized_field_classifies_positive(rng):
     for _ in range(10):
         f = random_positive_field(rng, 2)
-        flipped = DiagonalField(tuple(-r for r in f.rates), time_unit=-1j)
+        flipped = DiagonalField(tuple(-r for r in f.rates))
         nf, _ = normalize_time(flipped)
         assert classify_spectrum(nf) is SpectrumClass.POSITIVE_RATIOS
+        assert nf == f
 
 
 def test_normalize_factor_maps_curves(rng):
     # old curve at zeta equals canonical curve at factor * zeta
-    f = DiagonalField((-2, -3), time_unit=1j)
+    f = DiagonalField((-2, -3))
     nf, factor = normalize_time(f)
+    assert factor == -1
     for _ in range(10):
         c = random_interior_point(rng, 2, 0.2, 0.8)
         zeta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
