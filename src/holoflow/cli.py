@@ -2,14 +2,13 @@
 
 Usage::
 
-    holoflow run scenario.txt [--out DIR] [--tolerance X] [--seed N]
-                              [--max-level P/Q]
+    holoflow run scenario.txt [--out DIR] [--seed N]
 
 Scenario files are UTF-8 ``key = value`` text; ``#`` starts a comment.
 ``KEYS`` lists the keys each kind reads; any other key, or a key given
 twice other than the accumulating ``term`` and ``exp_term`` lines, is a
-configuration error.  The flags override the ``tolerance``, ``seed`` and
-``lambda_max`` keys.  Rates and levels are exact fractions ``p/q``; complex
+configuration error.  ``--seed`` overrides the ``seed`` key; the file sets
+every other value.  Rates and levels are exact fractions ``p/q``; complex
 values use ``a+bi``.  The oracle catalog is closed: polynomial jets
 (``term`` lines), finite holomorphic expansions (``exp_term`` lines), and
 the named counterexamples.
@@ -49,8 +48,7 @@ from .series import MultiIndex, TaylorSeries, eval_taylor, parse_term_line
 #: the keys each kind reads besides ``kind`` and ``seed``
 KEYS = {
     "pushforward": ("rates", "term", "base_point", "lambda_max", "tolerance"),
-    "extraction": ("grid_rates", "lambda_max", "exp_term", "x0", "window", "nodes",
-                   "snap_tol", "tolerance"),
+    "extraction": ("grid_rates", "lambda_max", "exp_term", "tolerance"),
     "forelli": ("rates", "term", "oracle", "t", "alpha", "bound", "expect", "tolerance"),
     "counterexample": ("which", "t", "alpha"),
     "bounds": ("exp_term", "claimed_rate", "x_lo", "bound", "tolerance"),
@@ -59,8 +57,6 @@ KEYS = {
 READS = {"jet": (), "resonant": ("t",), "spiral": ("t", "alpha"), "remark": ()}
 #: the keys whose lines accumulate
 REPEATABLE = ("term", "exp_term")
-#: the flag that overrides each key
-FLAGS = {"tolerance": "--tolerance", "seed": "--seed", "lambda_max": "--max-level"}
 
 
 class ScenarioError(Exception):
@@ -91,14 +87,10 @@ _WHAT = {int: "an integer", float: "a number",
 
 
 class Scenario:
-    """Parsed key/value file; values keep their line numbers for diagnostics.
+    """Parsed key/value file; values keep their line numbers for diagnostics."""
 
-    overrides maps keys to values that replace the file's; None is no override.
-    """
-
-    def __init__(self, path, overrides=None):
+    def __init__(self, path):
         self.path = Path(path)
-        self.overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
         self.entries: dict[str, list[tuple[int, str]]] = {}
         try:
             text = self.path.read_text(encoding="utf-8")
@@ -117,15 +109,13 @@ class Scenario:
             self.entries.setdefault(key, []).append((lineno, value))
 
     def error(self, key: str, message: str):
-        """Reject key at its line; a value given by a flag has no line."""
+        """Reject key at its line; a key the file lacks has none."""
         line = self.entries[key][0][0] if key in self.entries else None
-        raise ScenarioError(self.path, None if key in self.overrides else line, message)
+        raise ScenarioError(self.path, line, message)
 
     def value(self, key: str, parse=str, default=REQUIRED, many: bool = False):
-        """The override of key, else its file value parsed by parse (a list of
-        every whitespace token parsed, if many), else default."""
-        if key in self.overrides:
-            return self.overrides[key]
+        """The file value of key parsed by parse (a list of every whitespace
+        token parsed, if many), else default."""
         if key not in self.entries:
             if default is REQUIRED:
                 raise ScenarioError(self.path, None, f"missing required key {key!r}")
@@ -142,8 +132,7 @@ class Scenario:
     def check(self, key: str, ok: bool, rule: str) -> None:
         """Reject the value of key, at its line, unless ok; rule is what it must be."""
         if not ok:
-            self.error(key, f"{FLAGS[key] if key in self.overrides else key} must be {rule}, "
-                            f"got {self.value(key, default=None)!r}")
+            self.error(key, f"{key} must be {rule}, got {self.value(key, default=None)!r}")
 
     def get_all(self, key: str) -> list[tuple[int, str]]:
         return self.entries.get(key, [])
@@ -266,16 +255,10 @@ def _run_extraction(sc: Scenario, seed: int) -> tuple[dict, bool]:
     missing = [str(lam) for lam in source.levels if lam not in grid]
     if missing:
         sc.error("exp_term", f"oracle levels {missing} are off the grid")
-    x0, window = sc.value("x0", float, 1.0), sc.value("window", float, 64.0)
-    nodes, snap_tol = sc.value("nodes", int, 4096), sc.value("snap_tol", float, 1e-6)
-    sc.check("x0", 0 < x0 < np.inf, "finite and > 0")
-    sc.check("window", 0 < window < np.inf, "finite and > 0")
-    sc.check("nodes", nodes >= 2, ">= 2")
-    sc.check("snap_tol", 0 < snap_tol < np.inf, "finite and > 0")
-    try:  # what the checks above leave to fail is the x0 weight rule
-        params = ExtractionParams(grid, x0, window, nodes, snap_tol)
-    except ValueError as exc:
-        sc.error("x0", str(exc))
+    try:  # the one rule the default discretization can fail, past lambda_max = 709.78
+        params = ExtractionParams(grid)
+    except ValueError:
+        sc.check("lambda_max", False, "small enough that the weight e^(lambda_max x0) is finite")
     compare_tol = sc.value("tolerance", float, 1e-8)
 
     trace: list = []
@@ -298,8 +281,9 @@ def _run_extraction(sc: Scenario, seed: int) -> tuple[dict, bool]:
     return report, passed
 
 
-def _exponent_t(sc: Scenario, t):
-    sc.check("t", 0 < t < np.inf, "finite and > 0")
+def _exponent_t(sc: Scenario) -> Fraction:
+    t = sc.value("t", _fraction, Fraction(1))
+    sc.check("t", float(t) > 0, "> 0")  # a t that rounds to 0.0 is no exponent either
     return t
 
 
@@ -326,10 +310,9 @@ def _named_oracle(sc: Scenario, name: str, jet: TaylorSeries, dim: int):
     if name == "jet":
         return lambda z: eval_taylor(jet, z)
     if name == "resonant":
-        return cx.ResonantExample(_exponent_t(sc, sc.value("t", float, 1.0)))
+        return cx.ResonantExample(float(_exponent_t(sc)))
     if name == "spiral":
-        return cx.SpiralExample.create(_spiral_alpha(sc),
-                                       _exponent_t(sc, sc.value("t", float, 1.0)))
+        return cx.SpiralExample.create(_spiral_alpha(sc), float(_exponent_t(sc)))
     return cx.phi_remark
 
 
@@ -357,7 +340,8 @@ def _run_forelli(sc: Scenario, seed: int) -> tuple[dict, bool]:
         rng = np.random.default_rng(seed + 1)
         pts = polydisk_points(rng, jet.dim, CERT_POINTS, r_min=CERT_RADIUS, r_max=CERT_RADIUS)
         bound = max(_sampled_bound(oracle, pts, f"the torus |z_j| = {CERT_RADIUS}"), 1e-12)
-    config = ForelliConfig(seed=seed, compare_tol=sc.value("tolerance", float, 1e-10))
+    config = ForelliConfig(seed=seed,
+                           compare_tol=sc.value("tolerance", float, ForelliConfig.compare_tol))
     verdict = forelli_pipeline(JetOracle(oracle, jet, bound), field, config)
     passed = verdict.tag == expect
     report = {
@@ -365,6 +349,7 @@ def _run_forelli(sc: Scenario, seed: int) -> tuple[dict, bool]:
         "expected": expect,
         "bound": bound,
         "oracle": oracle_name,
+        "tolerance": config.compare_tol,
     }
     return report, passed
 
@@ -373,11 +358,11 @@ def _run_counterexample(sc: Scenario, seed: int) -> tuple[dict, bool]:
     which = sc.value("which")
     kwargs: dict = {"seed": seed}
     if which == "resonant":
-        kwargs["t"] = sc.value("t", _fraction, Fraction(1))
-        sc.check("t", 0 < kwargs["t"] <= cx.RESONANT_T_MAX, f"in (0, {cx.RESONANT_T_MAX}]")
+        kwargs["t"] = _exponent_t(sc)
+        sc.check("t", kwargs["t"] <= cx.RESONANT_T_MAX, f"in (0, {cx.RESONANT_T_MAX}]")
     elif which == "spiral":
         kwargs["alpha"] = _spiral_alpha(sc)
-        kwargs["t"] = _exponent_t(sc, sc.value("t", float, 1.0))
+        kwargs["t"] = float(_exponent_t(sc))
     elif which != "remark":
         sc.error("which", f"unknown counterexample {which!r}")
     _check_reads(sc, "counterexample", which)
@@ -450,8 +435,8 @@ def _report_text(value, newline: str = "\n") -> str:
     return "[" + inner + body + newline + "]"
 
 
-def run_scenario(path, out_dir, tolerance=None, seed=None, max_level=None) -> int:
-    sc = Scenario(path, {"tolerance": tolerance, "seed": seed, "lambda_max": max_level})
+def run_scenario(path, out_dir, seed=None) -> int:
+    sc = Scenario(path)
     kind = sc.value("kind")
     if kind not in _RUNNERS:
         sc.error("kind", f"unknown kind {kind!r} (one of {sorted(_RUNNERS)})")
@@ -459,8 +444,11 @@ def run_scenario(path, out_dir, tolerance=None, seed=None, max_level=None) -> in
     if unread:
         sc.error(unread[0], f"{kind} scenarios do not read {unread[0]!r} "
                             f"(keys: kind, seed, {', '.join(KEYS[kind])})")
-    seed = sc.value("seed", int, 0)
-    sc.check("seed", seed >= 0, ">= 0")
+    if seed is None:
+        seed = sc.value("seed", int, 0)
+        sc.check("seed", seed >= 0, ">= 0")
+    elif seed < 0:  # the flag's fault: no line of the file is to blame
+        raise ScenarioError(sc.path, None, f"--seed must be >= 0, got {seed}")
     if "tolerance" in KEYS[kind]:  # checked here for every kind that reads it
         tol = sc.value("tolerance", float, None)
         sc.check("tolerance", tol is None or 0 < tol < np.inf, "finite and > 0")
@@ -483,17 +471,6 @@ def run_scenario(path, out_dir, tolerance=None, seed=None, max_level=None) -> in
     return 0 if passed else 1
 
 
-def _positive_fraction(text: str) -> Fraction:
-    try:
-        value = _fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact fraction p/q within double range: "
-                                         f"{text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return value
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # built on the first call to main, not at import; argparse reads sys.stderr
@@ -503,20 +480,15 @@ def _parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario file")
     run_p.add_argument("scenario", help="path to the scenario file")
     run_p.add_argument("--out", default="reports", help="output directory")
-    run_p.add_argument("--tolerance", type=float, default=None,
-                       help="override the scenario tolerance")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-    run_p.add_argument("--max-level", type=_positive_fraction, default=None, metavar="P/Q",
-                       help="override the level cutoff")
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return run_scenario(args.scenario, args.out, args.tolerance,
-                            args.seed, args.max_level)
+        return run_scenario(args.scenario, args.out, args.seed)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from holoflow import cli
 from holoflow.cli import main, parse_complex
 from holoflow.extract import extract_coefficients
-from holoflow.forelli import CERT_RADIUS
+from holoflow.forelli import CERT_RADIUS, ForelliConfig
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -156,16 +156,20 @@ def test_monomial_jet_is_holomorphic_under_the_default_bound(tmp_path):
 
 
 def test_forelli_tolerance_key_and_flag_reach_the_pipeline(tmp_path, monkeypatch):
+    # the key reaches the comparison, and the report states the tolerance that judged it
     seen = []
     pipeline = cli.forelli_pipeline
     monkeypatch.setattr(cli, "forelli_pipeline", lambda jo, field, config: (
         seen.append(config.compare_tol) or pipeline(jo, field, config)))
     scenario = tmp_path / "tol.txt"
     scenario.write_text((SCENARIOS / "forelli_quadratic.txt").read_text() + "tolerance = 1e-7\n")
-    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "a")]) == 0
-    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "b"),
-                    "--tolerance", "1e-9"]) == 0
-    assert seen == [1e-7, 1e-9]
+    assert run_cli(["run", str(SCENARIOS / "forelli_quadratic.txt"),
+                    "--out", str(tmp_path / "a")]) == 0
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "b")]) == 0
+    assert seen == [ForelliConfig.compare_tol, 1e-7]
+    reported = [json.loads((tmp_path / run / "report.json").read_text())["report"]["tolerance"]
+                for run in ("a", "b")]
+    assert reported == [1e-10, 1e-7]
 
 
 def test_expected_negative_verdict_exits_zero(tmp_path):
@@ -330,9 +334,9 @@ def test_parser_is_built_once_and_survives_a_failed_parse(tmp_path, capsys, monk
     assert run_cli(["run", scenario, "--out", str(tmp_path / "run1")]) == 0
     count = len(built)  # 0 if an earlier test built the cached parser
     with pytest.raises(SystemExit) as exc:
-        run_cli(["run", scenario, "--out", str(tmp_path / "bad"), "--max-level", "0"])
+        run_cli(["run", scenario, "--out", str(tmp_path / "bad"), "--seed", "x"])
     assert exc.value.code == 2
-    assert "--max-level" in capsys.readouterr().err
+    assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
     assert run_cli(["run", scenario, "--out", str(tmp_path / "run3")]) == 0
     assert len(built) == count
     r1, r3 = (json.loads((tmp_path / run / "report.json").read_text())
@@ -358,9 +362,10 @@ def test_max_level_flag_truncates_pushforward(tmp_path):
         "term = 0 4 | 0 0 | 1.0 | 0.0\n"
         "base_point = 0.5 0.5\n"
         "tolerance = 1.0\n"        # exactness not expected after truncation
+        "lambda_max = 2/1\n"
     )
     out = tmp_path / "out"
-    assert run_cli(["run", str(scenario), "--out", str(out), "--max-level", "2/1"]) == 0
+    assert run_cli(["run", str(scenario), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     levels = [lam for lam, _, _ in report["report"]["expansion"]]
     assert levels == ["1"]
@@ -419,15 +424,6 @@ def test_base_point_outside_polydisk_is_config_error(tmp_path, capsys):
         assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "outside.txt:4" in err and "|c_j| < 1" in err
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "1/0", "1e400"])
-def test_bad_max_level_exits_two(tmp_path, capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["run", str(SCENARIOS / "extraction_demo.txt"), "--out", str(tmp_path),
-                 "--max-level", value])
-    assert exc.value.code == 2
-    assert "--max-level" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rates, message", [
@@ -600,6 +596,7 @@ OUT_OF_MODEL_BASES = {
     "pushforward-no-rates": "kind = pushforward\nterm = 1 0 | 0 0 | 1.0 | 0.0\n"
                             "base_point = 0.5 0.5\n",
     "extraction-no-grid": "kind = extraction\nlambda_max = 3\nexp_term = 1 | 1.0 | 0.0\n",
+    "extraction-no-lambda_max": "kind = extraction\ngrid_rates = 1\nexp_term = 1 | 1.0 | 0.0\n",
     "counterexample-remark": "kind = counterexample\nwhich = remark\n",
 }
 
@@ -616,18 +613,11 @@ OUT_OF_MODEL_BASES = {
     ("forelli", "bound = -1"),
     ("bounds", "bound = 0"),
     ("bounds-no-rate", "claimed_rate = -1"),
-    ("extraction", "x0 = 0"),
-    ("extraction", "window = -64"),
-    ("extraction", "nodes = 1"),
-    ("extraction", "snap_tol = 0"),
     ("forelli", "expect = holomorphc"),
     ("bounds", "seed = -3"),
     ("bounds", "tolerance = 0"),
     ("extraction", "tolerance = -1e-8"),
     ("forelli", "tolerance = nan"),
-    ("extraction", "window = inf"),
-    ("extraction", "x0 = inf"),
-    ("extraction", "snap_tol = inf"),
     ("forelli", "bound = inf"),
     ("bounds", "bound = inf"),
     ("bounds", "x_lo = nan"),
@@ -639,6 +629,7 @@ OUT_OF_MODEL_BASES = {
     ("forelli-resonant", "t = inf"),
     ("forelli-resonant", "t = 1e400"),
     ("counterexample-resonant", "t = 1e400"),
+    ("counterexample-resonant", "t = 1e-400"),  # 0.0 as a double
     ("counterexample-resonant", "t = 31"),
     ("counterexample-resonant", "t = 1e300"),
     ("counterexample-spiral", "t = 1e400"),
@@ -648,7 +639,8 @@ OUT_OF_MODEL_BASES = {
     ("forelli-no-rates", "rates = 1e400 1/2"),
     ("extraction-no-grid", "grid_rates = 1e400"),
     ("bounds-no-rate", "claimed_rate = 1e400"),
-    ("extraction", "x0 = 300"),
+    # e^(lambda_max x0) at the default x0 = 1 overflows past lambda_max = ln(DBL_MAX) = 709.78
+    ("extraction-no-lambda_max", "lambda_max = 710"),
 ])
 def test_out_of_model_parameters_exit_two_at_their_line(tmp_path, capsys, base, bad):
     body = OUT_OF_MODEL_BASES[base]
@@ -666,7 +658,8 @@ def test_out_of_model_parameters_exit_two_at_their_line(tmp_path, capsys, base, 
     ("forelli", "lambda_max = 3", 4, "forelli scenarios do not read 'lambda_max'"),
     ("forelli", "tau = 1", 4, "forelli scenarios do not read 'tau'"),
     ("bounds", "rates = 1/1", 4, "bounds scenarios do not read 'rates'"),
-    ("extraction", "x0 = 1.0\nx0 = 2.0", 6, "x0 given twice (first at line 5)"),
+    ("extraction", "tolerance = 1e-8\ntolerance = 1e-9", 6,
+     "tolerance given twice (first at line 5)"),
     ("counterexample-resonant", "seed = 1\nseed = 2", 4, "seed given twice (first at line 3)"),
     # t and alpha are read only by the oracles and counterexamples that take them
     ("counterexample-resonant", "alpha = 5+5i", 3, "counterexample resonant does not read 'alpha'"),
@@ -676,9 +669,15 @@ def test_out_of_model_parameters_exit_two_at_their_line(tmp_path, capsys, base, 
     ("forelli", "oracle = jet\nalpha = -1+1i", 5, "oracle jet does not read 'alpha'"),
     ("forelli-resonant", "alpha = -1+1i", 5, "oracle resonant does not read 'alpha'"),
     ("forelli", "oracle = remark\nt = 0.5", 5, "oracle remark does not read 't'"),
-], ids=["unread-tolerance", "unread-lambda_max", "unread-tau", "unread-rates", "repeated-x0",
-        "repeated-seed", "resonant-alpha", "remark-t", "remark-alpha", "jet-t", "jet-alpha",
-        "forelli-resonant-alpha", "forelli-remark-t"])
+    # the extraction discretization is ExtractionParams' defaults, not scenario keys
+    ("extraction", "x0 = 1.0", 5, "extraction scenarios do not read 'x0'"),
+    ("extraction", "window = 64", 5, "extraction scenarios do not read 'window'"),
+    ("extraction", "nodes = 4096", 5, "extraction scenarios do not read 'nodes'"),
+    ("extraction", "snap_tol = 1e-6", 5, "extraction scenarios do not read 'snap_tol'"),
+], ids=["unread-tolerance", "unread-lambda_max", "unread-tau", "unread-rates",
+        "repeated-tolerance", "repeated-seed", "resonant-alpha", "remark-t", "remark-alpha",
+        "jet-t", "jet-alpha", "forelli-resonant-alpha", "forelli-remark-t", "unread-x0",
+        "unread-window", "unread-nodes", "unread-snap_tol"])
 def test_unread_and_repeated_keys_exit_two_at_their_line(tmp_path, capsys, base, extra,
                                                         line, message):
     scenario = tmp_path / "keys.txt"
@@ -723,10 +722,7 @@ def test_a_scenario_that_is_not_utf8_exits_two(tmp_path, capsys):
 # of the file value it overrides (bounds_demo.txt has its own seed on line 7)
 @pytest.mark.parametrize("flags, message", [
     (["--seed", "-1"], "bounds_demo.txt: --seed must be >= 0, got -1"),
-    (["--tolerance", "nan"], "bounds_demo.txt: --tolerance must be finite and > 0, got nan"),
-    (["--tolerance", "inf"], "bounds_demo.txt: --tolerance must be finite and > 0, got inf"),
-    (["--tolerance", "-1"], "bounds_demo.txt: --tolerance must be finite and > 0, got -1.0"),
-], ids=["seed-negative", "tolerance-nan", "tolerance-inf", "tolerance-negative"])
+], ids=["seed-negative"])
 def test_out_of_model_flags_exit_two(tmp_path, capsys, flags, message):
     out = tmp_path / "out"
     assert run_cli(["run", str(SCENARIOS / "bounds_demo.txt"), "--out", str(out), *flags]) == 2
@@ -734,15 +730,15 @@ def test_out_of_model_flags_exit_two(tmp_path, capsys, flags, message):
     assert not (out / "report.json").exists()
 
 
-def test_a_bad_tolerance_flag_is_not_blamed_on_the_tolerance_line(tmp_path, capsys):
-    scenario = tmp_path / "own.txt"
-    scenario.write_text(_BOUNDS + "claimed_rate = 1/1\ntolerance = 1e-6\n")
-    out = tmp_path / "out"
-    assert run_cli(["run", str(scenario), "--out", str(out), "--tolerance", "-1"]) == 2
-    err = capsys.readouterr().err
-    assert "own.txt: --tolerance must be finite and > 0, got -1.0" in err
-    assert "own.txt:4" not in err
-    assert not (out / "report.json").exists()
+@pytest.mark.parametrize("flag", ["--tolerance", "--max-level"])
+def test_only_the_seed_has_a_flag(tmp_path, capsys, flag):
+    # the file sets every other value of a run, so the report's scenario and seed fix it
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", str(SCENARIOS / "bounds_demo.txt"), "--out", str(tmp_path / "out"),
+                 flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["resonant", "spiral", "remark"])
@@ -838,6 +834,22 @@ def test_a_malformed_term_line_exits_two_at_its_line(tmp_path, capsys):
     assert "term.txt:3: expected 'k | m | re | im'" in capsys.readouterr().err
 
 
-def test_tolerance_flag_is_ignored_by_a_kind_that_never_reads_it(tmp_path):
-    assert run_cli(["run", str(SCENARIOS / "counterexample_remark.txt"),
-                    "--out", str(tmp_path / "out"), "--tolerance", "nan"]) == 0
+def test_a_fraction_t_of_the_resonant_oracle_reads_as_its_decimal(tmp_path):
+    # t is an exact fraction for every named example; each float example takes float(t)
+    reports = []
+    for t in ("1/2", "0.5"):
+        scenario = tmp_path / f"t{len(reports)}.txt"
+        scenario.write_text(_FORELLI + f"oracle = resonant\nt = {t}\n"
+                            "expect = not_f_holomorphic\n")
+        out = tmp_path / f"out{len(reports)}"
+        assert run_cli(["run", str(scenario), "--out", str(out)]) == 0
+        report = _strip_timestamp(json.loads((out / "report.json").read_text()))
+        del report["scenario"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_a_spiral_counterexample_takes_a_fraction_t(tmp_path):
+    spiral = tmp_path / "spiral.txt"
+    spiral.write_text("kind = counterexample\nwhich = spiral\nt = 1/2\n")
+    assert run_cli(["run", str(spiral), "--out", str(tmp_path / "spiral")]) == 0
