@@ -21,8 +21,7 @@ from .forelli import (ANTIHOLOMORPHIC_OBSTRUCTION, HOLOMORPHIC,
                       f_holomorphy_check, forelli_pipeline, reconstruct)
 from .reports import DecayReport
 from .series import (MultiIndex, TaylorSeries, antiholomorphic_part,
-                     eval_taylor, holomorphic_part, taylor_remainder_check,
-                     wirtinger_F_derivative)
+                     eval_taylor, holomorphic_part, wirtinger_F_derivative)
 
 __version__ = "0.1.0"
 
@@ -40,7 +39,7 @@ __all__ = [
     "max_principle_bound", "normalize_time", "phi_resonant", "phi_spiral",
     "pushforward", "reconstruct", "residual", "restrict_holomorphic",
     "sampled_sup", "sector_angles", "shift_difference", "spiral_curve",
-    "tail_bound_check", "taylor_remainder_check", "verify_cauchy_bound",
+    "tail_bound_check", "verify_cauchy_bound",
     "verify_time_identity", "wirtinger_F_derivative",
     "HOLOMORPHIC", "HYPOTHESIS_VIOLATED", "NOT_F_HOLOMORPHIC",
     "ANTIHOLOMORPHIC_OBSTRUCTION",

@@ -297,8 +297,9 @@ def max_principle_bound(
                          f"segment Re z = {x_lo}")
     values, note = evaluate_prefix(oracle, z)
     read = z[: len(values)]
-    with np.errstate(divide="ignore"):  # a zero value has log ratio -inf, ratio 0
-        log_ratio = np.log(np.abs(values)) - math.log(M) + lam * (read.real - x_lo)
+    with np.errstate(all="ignore"):  # a zero value scores 0, an overflowing weight inf
+        log_ratio = np.where(values == 0, -np.inf, np.log(np.abs(values)) - math.log(M)
+                             + lam * (read.real - x_lo))
     xs, at = np.unique(read.real, return_inverse=True)
     worst_log = np.full(len(xs), -np.inf)
     np.maximum.at(worst_log, at, log_ratio)

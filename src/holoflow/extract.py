@@ -1,13 +1,13 @@
 """Coefficient recovery for bounded holomorphic sums of decaying exponentials.
 
-Given samples of  f(z) = sum c_j e^(-lambda_j z)  on a vertical line
-Re z = x0 and the exact rational grid the levels come from, each
+Given samples of  f(z) = sum c_j e^(-lambda_j z)  on the vertical line
+Re z = X0 and the exact rational grid the levels come from, each
 coefficient is a window mean of f(z) e^(lambda_j z), that is one DFT bin:
 
 * The window [-L, L) is snapped to a multiple of the common period of all
   grid frequencies, 2L = 2 pi q K with q the lcm of the level denominators.
   On Q equispaced nodes y_n = -L + 2Ln/Q the mean for level j/q is
-  c_j = e^(lambda_j x0) (-1)^(jK) ifft(samples)[jK mod Q], and other grid
+  c_j = e^(lambda_j X0) (-1)^(jK) ifft(samples)[jK mod Q], and other grid
   levels land in other bins, so cross terms cancel exactly while Q exceeds
   every jK (Trefethen & Weideman, SIAM Review 56, 2014).  The sign
   e^(-i lambda_j L) = (-1)^(jK) is exact; as a float phase with L near 1e4
@@ -24,10 +24,13 @@ coefficient is a window mean of f(z) e^(lambda_j z), that is one DFT bin:
   computes the oracle's  c * np.exp(...)  in place, in the other operand
   order (8 198 of the 30 375 nodes of scenarios/extraction_large.txt differ
   in the last bits), and the second pass absorbs that difference.
-* x0 must stay small: the weight e^(lambda x0) multiplies the float
+* X0 must stay small: the weight e^(lambda X0) multiplies the float
   rounding noise of the samples, so recovering level lambda costs
-  eps * e^(lambda x0) in absolute error.  The default x0 = 1 keeps that
-  below 1e-11 for lambda <= 10; x0 = 8 would bury every coefficient.
+  eps * e^(lambda X0) in absolute error.  X0 = 1 keeps that below 1e-11
+  for lambda <= 10; X0 = 8 would bury every coefficient.
+
+The grid fixes the rest, so ExtractionParams is the grid alone: the window
+nearest HALF_WIDTH, at least MIN_NODES nodes, zero below TOL.
 
 Levels must come from an exact grid; there is no blind frequency search.
 Levels are Fractions at the API and the grid's integers steps = levels * q
@@ -52,6 +55,14 @@ from .asympt import HolomorphicExpansion
 from .flow import LevelGrid
 from .sampling import evaluate_prefix
 
+#: abscissa of the line the coefficients are read on
+X0 = 1.0
+#: requested window half-length; the window is the nearest common-period multiple
+HALF_WIDTH = 64.0
+#: least line nodes of a window
+MIN_NODES = 4096
+#: coefficients below this modulus are reported as zero
+TOL = 1e-6
 #: required quadrature nodes per oscillation period of the fastest grid level
 NODES_PER_PERIOD = 20
 #: most line nodes one extraction or sup may sample; a larger window fails up front
@@ -67,47 +78,16 @@ class ExtractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExtractionParams:
-    """Discretization of the vertical-line averaging.
-
-    half_width is the requested window half-length; the effective window is
-    the nearest exact common-period multiple (see module docstring).  nodes
-    is a floor: the effective count grows with window * max level to keep
-    NODES_PER_PERIOD nodes per oscillation.
-    """
+    """The exact level grid an extraction reads, with a finite top weight
+    e^(lambda_max X0); the grid fixes the discretization (module docstring)."""
 
     grid: LevelGrid
-    x0: float = 1.0
-    half_width: float = 64.0
-    nodes: int = 4096
-    tol: float = 1e-6
 
     def __post_init__(self):
-        # NaN fails every range test below: a NaN tol would turn off snapping and the
-        # final check, an infinite one would zero every coefficient
-        if not 0 < self.x0 < math.inf:
-            raise ValueError(f"x0 must be finite and > 0, got {self.x0}")
         lam_max = float(self.grid.lambda_max)
-        if lam_max * self.x0 > math.log(sys.float_info.max):  # a level weight would overflow
-            raise ValueError(f"x0 must be small enough that e^(lambda_max x0) is finite "
-                             f"(lambda_max = {lam_max}), got {self.x0}")
-        if not 0 < self.half_width < math.inf:
-            raise ValueError(f"half_width must be finite and > 0, got {self.half_width}")
-        if self.nodes < 2:
-            raise ValueError("nodes must be >= 2")
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-
-
-def aligned_window(grid: LevelGrid, half_width: float) -> tuple[float, int, int]:
-    """Snap the half-width to pi*q*K so the window is a common period multiple.
-
-    Returns (effective half-width, q, K) with q the lcm of the level
-    denominators.  For q so large that pi*q exceeds the request, one full
-    common period is used.
-    """
-    q = grid.q
-    K = max(1, round(half_width / (math.pi * q)))
-    return math.pi * q * K, q, K
+        if lam_max * X0 > math.log(sys.float_info.max):  # a level weight would overflow
+            raise ValueError(f"lambda_max must be small enough that e^(lambda_max X0) is "
+                             f"finite (X0 = {X0}), got {lam_max}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -117,11 +97,14 @@ def _five_smooth(n: int) -> int:
     return min(p << (-(-n // p) - 1).bit_length() for p in odd)
 
 
-def _window(params: ExtractionParams) -> tuple[np.ndarray, int]:
-    """The y-nodes of the aligned window (a 5-smooth count) and its K."""
-    L, q, K = aligned_window(params.grid, params.half_width)
-    periods = (float(params.grid.levels[-1]) if params.grid.levels else 0.0) * q * K
-    Q = max(params.nodes, int(math.ceil(NODES_PER_PERIOD * periods)) + 1)
+def _window(grid: LevelGrid) -> tuple[np.ndarray, int]:
+    """The y-nodes of the window (a 5-smooth count) and its K: the half-width
+    HALF_WIDTH snapped to pi q K, q the grid's lcm, or one common period."""
+    q = grid.q
+    K = max(1, round(HALF_WIDTH / (math.pi * q)))
+    L = math.pi * q * K
+    periods = (float(grid.levels[-1]) if grid.levels else 0.0) * q * K
+    Q = max(MIN_NODES, int(math.ceil(NODES_PER_PERIOD * periods)) + 1)
     if Q > MAX_NODES:
         raise ExtractionError(f"window needs Q = {Q} line nodes; MAX_NODES = {MAX_NODES}")
     Q = _five_smooth(Q)  # MAX_NODES is 5-smooth, so this stays within it
@@ -138,7 +121,7 @@ def _line_values(oracle, z: np.ndarray) -> np.ndarray:
 
 def quadrature_nodes(params: ExtractionParams) -> np.ndarray:
     """Equispaced y-nodes of the aligned periodic window."""
-    return _window(params)[0]
+    return _window(params.grid)[0]
 
 
 def extract_coefficients(
@@ -150,7 +133,7 @@ def extract_coefficients(
 
     The oracle is called once, on all line nodes (see :func:`_line_values`);
     each coefficient is a DFT bin refined by one deflation step (module
-    docstring), and reported as zero below params.tol in modulus.  If ``trace``
+    docstring), and reported as zero below TOL in modulus.  If ``trace``
     is a list, rows (level, coefficient, sup of the residual without the levels
     up to this one) are appended; ``holoflow run`` reports the sups as
     ``residual_norms``.  The trace walk starts from the final residual and
@@ -160,23 +143,23 @@ def extract_coefficients(
     is 64 MB).
     """
     levels, steps, q = params.grid.levels, params.grid.steps, params.grid.q
-    y, K = _window(params)
-    z = params.x0 + 1j * y
+    y, K = _window(params.grid)
+    z = X0 + 1j * y
     vals = _line_values(oracle, z)
 
     # steps and q are exact in double below 2^53, so the quotient is float(level)
     lam = steps / q if q <= 2**53 else np.array([float(v) for v in levels])
     bins = steps * K  # below MAX_NODES / 20: _window checked lam_max q K
-    weight = np.exp(lam * params.x0) * np.where(bins % 2, -1.0, 1.0)
+    weight = np.exp(lam * X0) * np.where(bins % 2, -1.0, 1.0)
     bins %= len(z)
     norm0 = float(np.max(np.abs(vals)))
     with np.errstate(all="ignore"):  # a sum beyond double range is a non-finite value
         first = weight * np.fft.ifft(vals)[bins]
-        first[np.abs(first) < params.tol] = 0
+        first[np.abs(first) < TOL] = 0
         for i in np.flatnonzero(first):
             vals -= first[i] * np.exp(-lam[i] * z)
         coeffs = first + weight * np.fft.ifft(vals)[bins]
-        coeffs[np.abs(coeffs) < params.tol] = 0
+        coeffs[np.abs(coeffs) < TOL] = 0
         spectrum = np.zeros_like(vals)
         spectrum[bins] = (coeffs - first) / weight
         vals -= np.fft.fft(spectrum)  # sum of (coeffs - first) e^(-lambda z)
@@ -191,8 +174,8 @@ def extract_coefficients(
         # after the whole grid is consumed, only snapped-to-zero terms and
         # content decaying faster than lambda_max may legitimately remain
         scale = max(1.0, norm0)
-        allowance = params.tol * (10 + len(levels)) * scale \
-            + scale * math.exp(-float(params.grid.lambda_max) * params.x0)
+        allowance = TOL * (10 + len(levels)) * scale \
+            + scale * math.exp(-float(params.grid.lambda_max) * X0)
         if norm > allowance:
             raise ExtractionError(
                 f"residual norm {norm:.3e} after all {len(levels)} levels "

@@ -36,6 +36,7 @@ import numpy as np
 
 from .flow import (DiagonalField, SpectrumClass, _coords, classify_spectrum,
                    integral_curve, level_of, normalize_time)
+from .reports import clamped_exp
 from .sampling import evaluate_prefix, halfplane_points, polydisk_points
 from .series import (TaylorSeries, antiholomorphic_part, eval_taylor,
                      holomorphic_part, level_sums, remainder_ladder)
@@ -255,8 +256,10 @@ def reconstruct(
 
     worst_coeff = 0.0
     for (k, _m), a in psi.terms().items():
-        allowed = jo.bound / (CERT_RADIUS ** k.order)
-        worst_coeff = max(worst_coeff, abs(a) / allowed)
+        power = CERT_RADIUS ** k.order  # 0.0 from |k| near 744 700 on, scored in logs
+        ratio = abs(a) / (jo.bound / power) if power else clamped_exp(
+            math.log(abs(a)) + k.order * math.log(CERT_RADIUS) - math.log(jo.bound))
+        worst_coeff = max(worst_coeff, ratio)
 
     passed = worst_level <= 1.0 + CERT_SLACK and worst_coeff <= 1.0 + CERT_SLACK
     return psi, ReconstructionReport(passed, worst_level, worst_coeff)

@@ -20,7 +20,7 @@ import functools
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .flow import _lattice
 from .reports import (FAIL, INCONCLUSIVE, PASS, DecayReport, clamped_exp,
                       fitted_decay_rate, monotone_below)
 from .sampling import evaluate_prefix
-
-Point = Sequence[complex]
 
 #: directions remainder_ladder samples at each radius, and the seed of their phases
 N_DIRECTIONS = 6
@@ -234,18 +232,6 @@ def _direction_set(dim: int) -> np.ndarray:
     out = np.array(dirs)
     out.flags.writeable = False
     return out
-
-
-def taylor_remainder_check(
-    oracle: Callable[[Point], complex],
-    series: TaylorSeries,
-    n: int,
-    radii: Sequence[float],
-    *,
-    tol: float = 1e-8,
-) -> DecayReport:
-    """Check |oracle(z) - partial sum through degree n| = o(|z|^n): a one-rung ladder."""
-    return remainder_ladder(oracle, series, [(n, radii)], tol=tol)[0]
 
 
 def remainder_ladder(oracle, series: TaylorSeries, ladder, *,

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -286,6 +287,21 @@ def test_max_principle_violation_reports_witness():
                                  samples, x_lo=1.0)
     assert not report.passed
     assert report.witness == complex(2.0, 0.0)
+
+
+def test_max_principle_overflowing_weight_fails_under_an_error_filter():
+    # lambda (Re z - x_lo) overflowed outside an error state, and raised under the filter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = max_principle_bound(lambda z: np.exp(-z), 1.0, 1e308,
+                                     [complex(0.5, 0.0), complex(2.0, 1.0)], x_lo=0.01)
+    assert report.verdict == "fail" and report.values == (math.inf, math.inf)
+    # a zero value scores 0 under any weight: 0 times an overflowing weight was NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = max_principle_bound(lambda z: 0 * z, 1.0, 1e308,
+                                     [complex(0.5, 0.0), complex(2.0, 1.0)], x_lo=0.01)
+    assert report.verdict == "pass" and report.values == (0.0, 0.0)
 
 
 def test_residual_closed_form():

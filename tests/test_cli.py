@@ -669,7 +669,7 @@ def test_out_of_model_parameters_exit_two_at_their_line(tmp_path, capsys, base, 
     ("forelli", "oracle = jet\nalpha = -1+1i", 5, "oracle jet does not read 'alpha'"),
     ("forelli-resonant", "alpha = -1+1i", 5, "oracle resonant does not read 'alpha'"),
     ("forelli", "oracle = remark\nt = 0.5", 5, "oracle remark does not read 't'"),
-    # the extraction discretization is ExtractionParams' defaults, not scenario keys
+    # the extraction discretization follows from the grid, not from scenario keys
     ("extraction", "x0 = 1.0", 5, "extraction scenarios do not read 'x0'"),
     ("extraction", "window = 64", 5, "extraction scenarios do not read 'window'"),
     ("extraction", "nodes = 4096", 5, "extraction scenarios do not read 'nodes'"),
@@ -853,3 +853,39 @@ def test_a_spiral_counterexample_takes_a_fraction_t(tmp_path):
     spiral = tmp_path / "spiral.txt"
     spiral.write_text("kind = counterexample\nwhich = spiral\nt = 1/2\n")
     assert run_cli(["run", str(spiral), "--out", str(tmp_path / "spiral")]) == 0
+
+
+#: inputs that ended in a traceback under an error filter, printed RuntimeWarnings, or
+#: failed with no witness: (file, exit code, stderr)
+EXTREME_INPUTS = {
+    "high-order-term": ("kind = forelli\nrates = 1 2\nterm = 1000000 0 | 0 0 | 1 | 0\n", 0, ""),
+    "high-order-term-bound": ("kind = forelli\nrates = 1 2\nterm = 1000000 0 | 0 0 | 1 | 0\n"
+                              "bound = 1\n", 0, ""),
+    "overflowing-decay-weight": ("kind = bounds\nexp_term = 1 | 1 | 0\nclaimed_rate = 1e308\n"
+                                 "bound = 1\n", 1, ""),
+    "overflowing-pushforward": ("kind = pushforward\nrates = 1 2\nterm = 0 0 | 0 0 | 1e308 | 0.0\n"
+                                "term = 1 0 | 0 0 | 1e308 | 0.0\nbase_point = 0.9 0.9\n", 1, ""),
+    "spiral-nan-identity": ("kind = counterexample\nwhich = spiral\nalpha = -1e-300+1e300i\n", 1,
+                            "error: time identity failed at (0.3-2.1j): nan\n"),
+    "forelli-spiral-nan-identity": (_FORELLI + "oracle = spiral\nalpha = -1e-300+1e300i\n", 1,
+                                    "error: time identity failed at (0.3-2.1j): nan\n"),
+    "spiral-overflow": ("kind = counterexample\nwhich = spiral\nalpha = -1e200+1e200i\n", 1,
+                        "error: order-1 remainder cannot be certified within double range\n"),
+}
+
+
+@pytest.mark.parametrize("name", EXTREME_INPUTS)
+def test_extreme_inputs_end_alike_under_any_warnings_filter(tmp_path, capsys, name):
+    body, code, err = EXTREME_INPUTS[name]
+    scenario = tmp_path / "extreme.txt"
+    scenario.write_text(body)
+    reports = []
+    for action in ("always", "error"):
+        out = tmp_path / action
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert run_cli(["run", str(scenario), "--out", str(out)]) == code
+        assert caught == [] and capsys.readouterr().err == err
+        if (out / "report.json").exists():
+            reports.append(_strip_timestamp(json.loads((out / "report.json").read_text())))
+    assert len(reports) in (0, 2) and reports[:1] == reports[1:]

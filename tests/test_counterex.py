@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -16,8 +17,7 @@ from holoflow import (BranchSearchError, ResonantExample, SpiralExample,
                       counterexample_suite, phi_resonant, phi_spiral,
                       sector_angles, spiral_curve, verify_time_identity)
 from holoflow.sampling import polydisk_points
-from holoflow.series import (N_DIRECTIONS, TaylorSeries, _direction_set, remainder_ladder,
-                             taylor_remainder_check)
+from holoflow.series import N_DIRECTIONS, TaylorSeries, _direction_set, remainder_ladder
 from holoflow.wirtinger import CIRCLE, FD_STEP, circles, dbar_circle
 
 
@@ -254,7 +254,7 @@ def test_zero_jet_ladder_equals_one_check_per_order(monkeypatch, which, kwargs):
     oracle, ladder = zero_jet_ladder(monkeypatch, which, kwargs)
     zero = TaylorSeries.zero(2)
     reports = remainder_ladder(oracle, zero, ladder)
-    assert reports == [taylor_remainder_check(oracle, zero, n, radii) for n, radii in ladder]
+    assert reports == [remainder_ladder(oracle, zero, [(n, radii)])[0] for n, radii in ladder]
     assert all(rep.passed for rep in reports)
 
 
@@ -278,7 +278,7 @@ def test_a_read_stopped_in_rung_three_gives_the_reports_of_separate_checks(monke
 
     zero = TaylorSeries.zero(2)
     reports = remainder_ladder(oracle, zero, ladder)
-    assert reports == [taylor_remainder_check(oracle, zero, n, radii) for n, radii in ladder]
+    assert reports == [remainder_ladder(oracle, zero, [(n, radii)])[0] for n, radii in ladder]
     assert [rep.verdict for rep in reports] == ["pass"] * 2 + ["inconclusive"] + ["pass"] * 5
     assert reports[2].witness == bad and len(reports[2].values) == 2
     assert reports[2].note == ("oracle failed: no data here" if failure == "raises"
@@ -472,15 +472,28 @@ def test_time_identity_takes_an_array_and_names_the_worst_zeta():
     rng = np.random.default_rng(3)
     zetas = rng.uniform(-10, 10, 50) + 1j * rng.uniform(-10, 10, 50)
     assert verify_time_identity(ex, zetas).passed
-    assert verify_time_identity(ex, np.zeros(3), tol=0.0).witness is None
+    assert verify_time_identity(ex, np.zeros(3)).witness is None
     # a wrong gamma breaks the identity by O(1): the witness is the scalar argmax
     broken = SimpleNamespace(alpha=ex.alpha, beta=ex.beta, t=ex.t, gamma=1.1 * ex.gamma)
     g = broken.gamma
     errors = [abs(g * (ex.alpha * z).real + (g.conjugate() / ex.t) * (ex.beta * z).real - z)
               for z in zetas.tolist()]
-    report = verify_time_identity(broken, zetas, tol=0.0)
+    report = verify_time_identity(broken, zetas)
     assert not report.passed and report.witness == zetas[int(np.argmax(errors))]
     assert report.max_error == pytest.approx(max(errors), rel=1e-12)
+
+
+def test_a_nan_time_identity_error_fails_at_its_zeta():
+    # past double range the error is NaN: it failed with no witness, and raised under
+    # an error filter
+    ex = SpiralExample(alpha=-1e-300 + 1e300j, t=1.0, b=2.0, branch_offset=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_time_identity(ex, [1.0, 0.3 - 2.1j, -1.7 + 0.9j])
+        with pytest.raises(ValueError, match=r"^time identity failed at \(0\.3-2\.1j\): nan$"):
+            SpiralExample.create(-1e-300 + 1e300j)
+    assert not report.passed and math.isnan(report.max_error)
+    assert report.witness == 0.3 - 2.1j
 
 
 SECTOR_GRID = [complex(re, im) for re in (-2.0, -1.0, -0.75, -0.5, -0.2)

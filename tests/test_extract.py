@@ -14,8 +14,9 @@ from holoflow import (DiagonalField, ExtractionError, ExtractionParams,
                       HolomorphicExpansion, extract_coefficients, level_grid,
                       residual, sampled_sup, shift_difference,
                       verify_cauchy_bound)
-from holoflow.extract import (MAX_NODES, NODES_PER_PERIOD, SUP_X, CauchyBoundReport,
-                              _five_smooth, aligned_window, quadrature_nodes)
+from holoflow.extract import (HALF_WIDTH, MAX_NODES, MIN_NODES, NODES_PER_PERIOD, SUP_X,
+                              TOL, X0, CauchyBoundReport, _five_smooth, _window,
+                              quadrature_nodes)
 from holoflow.reports import fitted_decay_rate
 from holoflow.sampling import evaluate_prefix
 from holoflow.wirtinger import CIRCLE, FD_STEP, dbar_circle
@@ -31,12 +32,12 @@ def default_params(grid=SIXTH_GRID) -> ExtractionParams:
 
 def sequential_sweep(oracle, params):
     """Reference: trace rows of the window mean of the running residual, level by level."""
-    z = params.x0 + 1j * quadrature_nodes(params)
+    z = X0 + 1j * quadrature_nodes(params)
     vals = full_read(oracle, z)
     rows = []
     for lam in params.grid.levels:
         c = complex(np.mean(vals * np.exp(float(lam) * z)))
-        c = 0j if abs(c) < params.tol else c
+        c = 0j if abs(c) < TOL else c
         vals = vals - c * np.exp(-float(lam) * z)
         rows.append((float(lam), c, float(np.max(np.abs(vals)))))
     return rows
@@ -62,9 +63,9 @@ def reference_window(params):
     """(L, q, K, Q), the bins and the float levels, derived from the Fraction levels."""
     levels = params.grid.levels
     q = math.lcm(1, *(lam.denominator for lam in levels))
-    K = max(1, round(params.half_width / (math.pi * q)))
+    K = max(1, round(HALF_WIDTH / (math.pi * q)))
     periods = (float(levels[-1]) if levels else 0.0) * q * K
-    Q = max(params.nodes, int(math.ceil(NODES_PER_PERIOD * periods)) + 1)
+    Q = max(MIN_NODES, int(math.ceil(NODES_PER_PERIOD * periods)) + 1)
     bins = [lam.numerator * (q // lam.denominator) * K for lam in levels]
     return (math.pi * q * K, q, K, reference_five_smooth(Q)), bins, [float(v) for v in levels]
 
@@ -73,10 +74,10 @@ def reference_first_pass(oracle, params):
     """y, z, the line samples, float levels, bins, weights and unsnapped first-pass bins."""
     (L, q, K, Q), bins, lam = reference_window(params)
     y = -L + (2.0 * L / Q) * np.arange(Q)
-    z = params.x0 + 1j * y
+    z = X0 + 1j * y
     vals = full_read(oracle, z)
     lam, bins = np.array(lam), np.array(bins, dtype=np.int64)
-    weight = np.exp(lam * params.x0) * np.where(bins % 2, -1.0, 1.0)
+    weight = np.exp(lam * X0) * np.where(bins % 2, -1.0, 1.0)
     bins %= Q
     return y, z, vals, lam, bins, weight, weight * np.fft.ifft(vals)[bins]
 
@@ -84,11 +85,11 @@ def reference_first_pass(oracle, params):
 def reference_extract(oracle, params):
     """The pairs and trace rows of extract_coefficients, and sampled_sup."""
     y, z, vals, lam, bins, weight, first = reference_first_pass(oracle, params)
-    first[np.abs(first) < params.tol] = 0
+    first[np.abs(first) < TOL] = 0
     for i in np.flatnonzero(first):
         vals -= first[i] * np.exp(-lam[i] * z)
     coeffs = first + weight * np.fft.ifft(vals)[bins]
-    coeffs[np.abs(coeffs) < params.tol] = 0
+    coeffs[np.abs(coeffs) < TOL] = 0
     spectrum = np.zeros_like(vals)
     spectrum[bins] = (coeffs - first) / weight
     vals -= np.fft.fft(spectrum)
@@ -116,15 +117,16 @@ def reference_cauchy(pairs, M, tol=1e-6) -> CauchyBoundReport:
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.fractions(Fraction(1, 13), 3, max_denominator=13), min_size=1, max_size=3),
        st.fractions(Fraction(1, 12), 2, max_denominator=12),
-       st.floats(1.0, 400.0), st.integers(0, 2**32 - 1))
-@example([Fraction(1, 7), Fraction(1, 11), Fraction(1, 13)], Fraction(3, 2), 64.0, 0)
-@example([Fraction(1, 6)], Fraction(10), 64.0, 1)
-@example([Fraction(1, 3**34)], Fraction(100, 3**34), 64.0, 2)  # q beyond 2^53
-def test_lattice_extraction_equals_the_fraction_derivation(rates, lam_max, half_width, seed):
+       st.integers(0, 2**32 - 1))
+@example([Fraction(1, 7), Fraction(1, 11), Fraction(1, 13)], Fraction(3, 2), 0)
+@example([Fraction(1, 6)], Fraction(10), 1)
+@example([Fraction(1, 3**34)], Fraction(100, 3**34), 2)  # q beyond 2^53
+def test_lattice_extraction_equals_the_fraction_derivation(rates, lam_max, seed):
     grid = level_grid(DiagonalField(tuple(rates)), lam_max)
-    params = ExtractionParams(grid=grid, half_width=half_width)
+    params = ExtractionParams(grid=grid)
     (L, q, K, Q), bins, lam = reference_window(params)
-    assert aligned_window(grid, half_width) == (L, q, K) and grid.q == q
+    y, window_K = _window(grid)
+    assert (-y[0], window_K) == (L, K) and grid.q == q
     assert len(quadrature_nodes(params)) == Q == _five_smooth(Q)
     assert (grid.steps * K).tolist() == bins
     if q <= 2**53:
@@ -149,39 +151,34 @@ def test_five_smooth_equals_the_candidate_definition(n):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ExtractionParams(grid=SIXTH_GRID, x0=0.0)
-    with pytest.raises(ValueError):
-        ExtractionParams(grid=SIXTH_GRID, nodes=1)
-    with pytest.raises(ValueError):
-        ExtractionParams(grid=SIXTH_GRID, tol=-1.0)
-    with pytest.raises(ValueError, match="e\\^\\(lambda_max x0\\) is finite"):
-        ExtractionParams(grid=SIXTH_GRID, x0=71.0)  # e^(10 * 71) overflows
-    ExtractionParams(grid=SIXTH_GRID, x0=70.0)
-    # a NaN x0 was blamed on the oracle, a NaN or infinite half_width failed inside
-    # round(), a NaN tol turned off snapping and the final check, an infinite one zeroed
-    # every coefficient
-    for name in ("x0", "half_width", "tol"):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got"):
-                ExtractionParams(grid=SIXTH_GRID, **{name: bad})
+    # the top level weight e^(lambda_max X0) must be finite: e^710 overflows
+    unit = DiagonalField((Fraction(1),))
+    with pytest.raises(ValueError, match=r"^lambda_max must be small enough that "
+                                         r"e\^\(lambda_max X0\) is finite"):
+        ExtractionParams(grid=level_grid(unit, 710))
+    ExtractionParams(grid=level_grid(unit, 709))
+    # the grid fixes the discretization: the old settings are no fields
+    for name in ("x0", "half_width", "nodes", "tol"):
+        with pytest.raises(TypeError):
+            ExtractionParams(grid=SIXTH_GRID, **{name: 1.0})
     grid = level_grid(DiagonalField((Fraction(1, 2),)), 3)
     on_grid = HolomorphicExpansion([(Fraction(0), 1.0), (Fraction(1), 0.5)])
     with pytest.raises(ExtractionError, match="inconsistent"):
         extract_coefficients(lambda z: on_grid(z) + 0.3 * np.exp(-0.7 * z),
-                             ExtractionParams(grid=grid, tol=1e-6))
+                             ExtractionParams(grid=grid))
 
 
 def test_window_is_common_period_multiple():
-    L, q, K = aligned_window(SIXTH_GRID, 64.0)
+    y, K = _window(SIXTH_GRID)
+    L, q = -y[0], SIXTH_GRID.q
     assert q == 6
     assert L == pytest.approx(math.pi * q * K)
-    # every pair of grid frequencies completes整 whole periods: L * (1/q) multiple of pi
+    # every pair of grid frequencies completes whole periods: L * (1/q) multiple of pi
     assert (L / math.pi) % 1 == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("rates, lam_max, expected", [
-    (("1/6",), 10, 4096),                     # the floor params.nodes, 2^12
+    (("1/6",), 10, 4096),                     # the floor MIN_NODES, 2^12
     (("1/7", "1/11"), 5, 7776),               # 7701 nodes needed; 7776 = 2^5 3^5
     (("1/7", "1/11", "1/13"), "3/2", 30375),  # 30021 = 3 * 10007 needed; 30375 = 3^5 5^3
 ])
@@ -233,16 +230,20 @@ def test_trace_rows_match_levels():
 
 def test_traced_extraction_keeps_the_coefficients_and_the_reference_rows(rng):
     grid = level_grid(DiagonalField((Fraction(1, 2),)), 3)  # the 7 levels of extraction_demo
-    # a 1e-6 term whose first-pass bin snaps to zero while the second pass keeps it
-    src = HolomorphicExpansion([(Fraction(0), 100.0), (Fraction(1, 2), 0.3),
-                                (Fraction(3, 2), 1.006e-6), (Fraction(3), -0.7j)])
-    first = abs(reference_first_pass(src, default_params(grid))[-1][3])
-    snapping = [ExtractionParams(grid=grid, tol=tol)
-                for tol in first * (1 + np.linspace(-1e-9, 1e-9, 41))]
-    snapped = next(params for params in snapping if params.tol > first
-                   and dict(reference_extract(src, params)[0])[Fraction(3, 2)] != 0)
-    for oracle, params in [(random_source(rng, grid, n_terms=4), default_params(grid)),
-                           (src, default_params(grid)), (src, snapped)]:
+    params = default_params(grid)
+
+    def source(c):
+        return HolomorphicExpansion([(Fraction(0), 100.0), (Fraction(1, 2), 0.3),
+                                     (Fraction(1), c), (Fraction(3), -0.7j)])
+
+    # a term near TOL whose first-pass bin snaps to zero while the second pass keeps
+    # it: the passes differ by about 1e-17, so the sweep steps by 1e-17 in modulus
+    sweep = (phase * TOL * (1 + d) for phase in (1, 1j, -1, -1j)
+             for d in np.linspace(-1e-9, 1e-9, 201))
+    snapped = next(src for src in map(source, sweep)
+                   if abs(reference_first_pass(src, params)[-1][2]) < TOL
+                   and dict(reference_extract(src, params)[0])[Fraction(1)] != 0)
+    for oracle in [random_source(rng, grid, n_terms=4), source(1.006e-6), snapped]:
         rows = []
         recovered = extract_coefficients(oracle, params, trace=rows)
         pairs, reference_rows, _ = reference_extract(oracle, params)
@@ -331,8 +332,6 @@ def test_four_rate_grid_recovers_its_source(rng):
 @pytest.mark.parametrize("params", [
     ExtractionParams(grid=level_grid(DiagonalField((Fraction(1, 101), Fraction(1, 103),
                                                     Fraction(1, 107))), Fraction(1, 5))),
-    ExtractionParams(grid=SIXTH_GRID, half_width=1e7),
-    ExtractionParams(grid=SIXTH_GRID, nodes=MAX_NODES + 1),
 ])
 def test_oversized_window_fails_before_sampling(params):
     for run in (extract_coefficients, sampled_sup):

@@ -18,7 +18,7 @@ from holoflow import (ANTIHOLOMORPHIC_OBSTRUCTION, HOLOMORPHIC,
 from holoflow import forelli
 from holoflow.counterex import ResonantExample
 from holoflow.flow import level_of
-from holoflow.series import N_DIRECTIONS, taylor_remainder_check
+from holoflow.series import N_DIRECTIONS, remainder_ladder
 from holoflow.wirtinger import FD_STEP
 
 from conftest import random_jet, random_positive_field
@@ -240,6 +240,19 @@ def test_reconstruct_flags_jet_bound_inconsistency():
     assert report.worst_level_ratio > 1.5
 
 
+def test_reconstruct_scores_a_term_of_huge_order_in_logs():
+    # CERT_RADIUS ** |k| is 0.0 from |k| near 744 700 on: the audit divided by it
+    def coeff_ratio(order, a, bound):
+        jet = TaylorSeries.monomial(2, (order, 0), (0, 0), a)
+        return reconstruct(jet_oracle(jet, bound), DiagonalField((1, 2)))[1].worst_coeff_ratio
+
+    assert coeff_ratio(10**6, 1.0, 1.0) == 0.0
+    log_ratio = math.log(1e300) + 800000 * math.log(forelli.CERT_RADIUS) - math.log(1e-60)
+    assert coeff_ratio(800000, 1e300, 1e-60) == math.exp(log_ratio) > 1e12
+    # while the power is nonzero the ratio is the quotient it was
+    assert coeff_ratio(1000, 0.5, 2.0) == 0.5 / (2.0 / forelli.CERT_RADIUS ** 1000)
+
+
 def test_pipeline_positive_quadratic():
     jet = TaylorSeries(2, {((1, 0), (0, 0)): 1.0, ((0, 2), (0, 0)): 1.0})
     verdict = forelli_pipeline(jet_oracle(jet), DiagonalField((1, 2)))
@@ -368,7 +381,7 @@ def test_jet_oracle_validation_reads_its_oracle_once():
     radii = (0.3, 0.2, 0.12, 0.08, 0.05)
     reports = jo.validate_jet(radii)
     assert calls == [(jet.degree + 1) * len(radii) * N_DIRECTIONS]
-    assert reports == [taylor_remainder_check(jo.oracle, jet, n, radii, tol=1e-6)
+    assert reports == [remainder_ladder(jo.oracle, jet, [(n, radii)], tol=1e-6)[0]
                        for n in range(jet.degree + 1)]
     assert all(r.passed for r in reports)
 

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoflow import (MultiIndex, TaylorSeries, antiholomorphic_part,
-                      eval_taylor, holomorphic_part, taylor_remainder_check,
-                      wirtinger_F_derivative)
+                      eval_taylor, holomorphic_part, wirtinger_F_derivative)
 from holoflow.flow import level_of
 from holoflow.reports import fitted_decay_rate
 from holoflow.series import (DIRECTION_SEED, N_DIRECTIONS, _direction_set, level_sums,
@@ -305,8 +304,7 @@ def test_wirtinger_matches_finite_differences(rng):
 
 def test_remainder_polynomial_is_its_own_series():
     s = TaylorSeries(1, {((2,), (0,)): 1.5, ((0,), (1,)): -2j})
-    report = taylor_remainder_check(lambda z: eval_taylor(s, z), s, 2,
-                                    (0.1, 0.05, 0.02, 0.01))
+    report = remainder_ladder(lambda z: eval_taylor(s, z), s, [(2, (0.1, 0.05, 0.02, 0.01))])[0]
     assert report.passed
     # exact zeros are reported as the honest subnormal upper bound
     assert all(v < 1e-300 for v in report.values)
@@ -319,7 +317,7 @@ def test_remainder_flat_function_beats_every_order():
 
     zero = TaylorSeries.zero(2)
     for n in (1, 4, 8):
-        report = taylor_remainder_check(oracle, zero, n, (0.5, 0.4, 0.3, 0.2, 0.15))
+        report = remainder_ladder(oracle, zero, [(n, (0.5, 0.4, 0.3, 0.2, 0.15))])[0]
         assert report.passed, (n, report.values)
 
 
@@ -328,15 +326,15 @@ def test_remainder_detects_exact_order():
     s = TaylorSeries.monomial(1, (1,), (0,))
     oracle = lambda z: complex(z[0]) + abs(z[0]) ** 3
     radii = (0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
-    assert taylor_remainder_check(oracle, s, 2, radii).passed
-    assert not taylor_remainder_check(oracle, s, 3, radii).passed
+    assert remainder_ladder(oracle, s, [(2, radii)])[0].passed
+    assert not remainder_ladder(oracle, s, [(3, radii)])[0].passed
 
 
 def test_remainder_oracle_failure_is_inconclusive():
     def oracle(z):
         raise RuntimeError("no data here")
 
-    report = taylor_remainder_check(oracle, TaylorSeries.zero(1), 1, (0.1, 0.05))
+    report = remainder_ladder(oracle, TaylorSeries.zero(1), [(1, (0.1, 0.05))])[0]
     assert report.verdict == "inconclusive"
     assert not report.passed
 
@@ -345,7 +343,7 @@ def test_remainder_nan_sample_is_inconclusive_at_its_point():
     s = TaylorSeries.monomial(1, (1,), (0,))
     radii = (0.1, 0.05, 0.02)
     oracle = lambda z: np.where(z[:, 0] == 0.05, np.nan, z[:, 0])
-    report = taylor_remainder_check(oracle, s, 1, radii)
+    report = remainder_ladder(oracle, s, [(1, radii)])[0]
     assert report.verdict == "inconclusive"
     assert report.note == f"non-finite oracle value at {((0.05 + 0j),)}"
     assert report.witness == ((0.05 + 0j),)
@@ -357,9 +355,9 @@ def test_remainder_order_beyond_degree_asserts_no_higher_terms():
     # exactly when the function really has nothing in between
     s = TaylorSeries.monomial(1, (1,), (0,))
     radii = (0.1, 0.05, 0.02, 0.01)
-    ok = taylor_remainder_check(lambda z: complex(z[0]), s, 5, radii)
+    ok = remainder_ladder(lambda z: complex(z[0]), s, [(5, radii)])[0]
     assert ok.passed
-    bad = taylor_remainder_check(lambda z: complex(z[0]) + abs(z[0]) ** 3, s, 5, radii)
+    bad = remainder_ladder(lambda z: complex(z[0]) + abs(z[0]) ** 3, s, [(5, radii)])[0]
     assert not bad.passed
 
 
@@ -402,13 +400,13 @@ def test_fitted_decay_rate_is_none_when_underdetermined():
 
 def test_remainder_rejects_bad_radii():
     with pytest.raises(ValueError):
-        taylor_remainder_check(lambda z: 0j, TaylorSeries.zero(1), 1, (0.1, 0.2))
+        remainder_ladder(lambda z: 0j, TaylorSeries.zero(1), [(1, (0.1, 0.2))])[0]
 
 
 def test_remainder_rejects_an_empty_radius_list():
     # a rung with no radii has no ratios to score: it raised nothing and read pass
     one = lambda z: 1 + 0 * z[:, 0]  # noqa: E731
     with pytest.raises(ValueError, match="radii must not be empty"):
-        taylor_remainder_check(one, TaylorSeries.zero(1), 1, [])
+        remainder_ladder(one, TaylorSeries.zero(1), [(1, [])])[0]
     with pytest.raises(ValueError, match="radii must not be empty"):
         remainder_ladder(one, TaylorSeries.zero(1), [(1, [0.2, 0.1]), (2, [])])
