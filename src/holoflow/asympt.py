@@ -30,15 +30,13 @@ from .reports import (FAIL, INCONCLUSIVE, PASS, DecayReport, clamped_exp,
 from .sampling import evaluate_prefix
 from .series import TaylorSeries, level_sums
 
-#: merged pushforward coefficients below this modulus are treated as
-#: structural zeros (cancellation), not data
-MERGE_PRUNE_TOL = 1e-14
-
 #: tail_bound_check's protocol: the abscissas Re z, increasing, the heights Im z
 #: sampled at each, and the level the weighted tail must fall below
 TAIL_ABSCISSAS = (1.0, 2.0, 4.0, 8.0, 12.0)
 Y_SAMPLES = (0.0, 0.7, -1.3, 2.9, -4.2, 6.1)
 TAIL_TOL = 1e-8
+#: max_principle_bound's default slack: it passes while every ratio is at most 1 + tol
+MAX_PRINCIPLE_TOL = 1e-6
 
 
 class AntiHolomorphicTermError(ValueError):
@@ -202,8 +200,8 @@ def pushforward(series: TaylorSeries, field: DiagonalField, c, lambda_max) -> As
 
     Each stored (k, m) with nonzero  a * c^k conj(c)^m  contributes the term
     (mu, nu, p) = ((alpha,k), (alpha,m), a c^k conj(c)^m)  at level mu+nu,
-    for levels up to lambda_max.  Terms landing on the same (mu, nu) merge;
-    merged coefficients below MERGE_PRUNE_TOL are treated as cancellation.
+    for levels up to lambda_max.  Terms landing on the same (mu, nu) merge, and
+    every merged term that is not exactly zero is listed, however small.
 
     The field is normalized internally (all rates positive, time's sign
     flipped if need be), so the expansion variable is the canonical curve time.
@@ -217,7 +215,7 @@ def pushforward(series: TaylorSeries, field: DiagonalField, c, lambda_max) -> As
 
     return AsymptoticExpansion(
         (mu, nu, p) for (mu, nu), p in level_sums(series, alphas, coords).items()
-        if mu + nu <= lam_max and abs(p) >= MERGE_PRUNE_TOL)
+        if mu + nu <= lam_max)
 
 
 def eval_expansion(e: AsymptoticExpansion, zeta: complex, n: int | None = None) -> complex:
@@ -278,7 +276,7 @@ def max_principle_bound(
     samples: Sequence[complex],
     *,
     x_lo: float,
-    tol: float = 1e-6,
+    tol: float = MAX_PRINCIPLE_TOL,
 ) -> DecayReport:
     """Check |oracle(z)| <= M e^(-lambda (Re z - x_lo)) (1 + tol) on the samples.
 

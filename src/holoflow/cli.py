@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import counterex as cx
-from .asympt import HolomorphicExpansion, eval_expansion, max_principle_bound, \
-    pushforward, tail_bound_check
+from .asympt import MAX_PRINCIPLE_TOL, HolomorphicExpansion, eval_expansion, \
+    max_principle_bound, pushforward, tail_bound_check
 from .extract import ExtractionParams, extract_coefficients, sampled_sup, \
     verify_cauchy_bound
 from .flow import (BasePoint, DiagonalField, SpectrumError, integral_curve, level_grid,
@@ -377,7 +377,7 @@ def _run_bounds(sc: Scenario, seed: int) -> tuple[dict, bool]:
     sc.check("claimed_rate", lam >= 0, ">= 0")
     x_lo, x_hi = sc.value("x_lo", float, 0.01), 10.0  # x_hi: right edge of the samples
     sc.check("x_lo", 0 < x_lo < x_hi, f"> 0 and < {x_hi}")
-    tol = sc.value("tolerance", float, 1e-6)
+    tol = sc.value("tolerance", float, MAX_PRINCIPLE_TOL)
     bound = sc.value("bound", float, None)
     sc.check("bound", bound is None or 0 < bound < np.inf, "finite and > 0")
     if bound is None:

@@ -44,7 +44,7 @@ import numpy as np
 from .flow import DiagonalField, integral_curve
 from .forelli import HYPOTHESIS_VIOLATED, ForelliConfig, JetOracle, curve_check, forelli_pipeline
 from .sampling import evaluate_prefix, polydisk_points
-from .series import TaylorSeries, antiholomorphic_part, remainder_ladder
+from .series import REMAINDER_TOL, TaylorSeries, antiholomorphic_part, remainder_ladder
 from .wirtinger import CIRCLE, circles, dbar_circle
 
 TWO_PI = 2.0 * math.pi
@@ -260,14 +260,15 @@ def verify_time_identity(ex: SpiralExample, zetas) -> IdentityReport:
     return IdentityReport(passed, worst, None if passed else complex(zetas[np.argmax(errors)]))
 
 
-def _zero_jet_radii(log_ratio, n: int, tol: float) -> list[float]:
-    """Five radii exp(-v), v <= 640, on which  residual / r^n  visibly drops below tol.
+def _zero_jet_radii(log_ratio, n: int) -> list[float]:
+    """Five radii exp(-v), v <= 640, on which  residual / r^n  visibly drops below
+    REMAINDER_TOL, the level remainder_ladder judges the ratios at.
 
     log_ratio(v, n) is the log of the ratio along the diagonal direction at
     radius e^(-v); beyond its hump it is strictly decreasing, so bisection
-    finds where it crosses +5 (grid start) and log(tol) - 5 (grid end).
+    finds where it crosses +5 (grid start) and log(REMAINDER_TOL) - 5 (grid end).
     """
-    target_end = math.log(tol) - 5.0
+    target_end = math.log(REMAINDER_TOL) - 5.0
 
     def bisect(target: float, v_lo: float, v_hi: float) -> float:
         for _ in range(80):
@@ -347,7 +348,7 @@ def _zero_jet_check(oracle, log_ratio, decay: dict) -> dict:
     """Remainders of the zero jet at orders 1..8, each on the radii of
     :func:`_zero_jet_radii`, from one :func:`remainder_ladder` read; each
     order's report goes into decay."""
-    ladder = [(n, _zero_jet_radii(log_ratio, n, 1e-8)) for n in range(1, 9)]
+    ladder = [(n, _zero_jet_radii(log_ratio, n)) for n in range(1, 9)]
     reports = remainder_ladder(oracle, TaylorSeries.zero(2), ladder)
     decay.update((f"zero_jet_order_{n}", rep) for (n, _radii), rep in zip(ladder, reports))
     return {"passed": all(rep.passed for rep in reports), "orders": 8}
@@ -355,10 +356,11 @@ def _zero_jet_check(oracle, log_ratio, decay: dict) -> dict:
 
 def _field_curve_check(oracle, field: DiagonalField, rng: np.random.Generator,
                        x_hi: float) -> dict:
-    """Curve check along 10 integral curves of field at 40 shared samples zeta."""
+    """:func:`forelli.curve_check` along 10 integral curves of field at 40 shared
+    samples zeta."""
     curves = polydisk_points(rng, 2, 10, r_min=0.15, r_max=0.5)
     zetas = rng.uniform(0.02, x_hi, 40) + 1j * rng.uniform(-2.0, 2.0, 40)
-    rep = curve_check(oracle, partial(integral_curve, field), curves, zetas, tol=1e-8)
+    rep = curve_check(oracle, partial(integral_curve, field), curves, zetas)
     return {"passed": rep.passed, "max_residual": rep.max_residual}
 
 
@@ -414,7 +416,7 @@ def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator) -> SuiteRe
     curves = polydisk_points(rng, 2, 10, r_min=0.15, r_max=0.4)
     # ten samples per curve in the disk |zeta| <= reach, drawn curve by curve
     zetas = polydisk_points(rng, 1, 10 * len(curves), r_min=0.0, r_max=reach).reshape(-1, 10)
-    curve_rep = curve_check(ex, partial(spiral_curve, ex), curves, zetas, tol=1e-6)
+    curve_rep = curve_check(ex, partial(spiral_curve, ex), curves, zetas)
     checks = {"curve_holomorphy": {"passed": curve_rep.passed,
                                    "max_residual": curve_rep.max_residual},
               "non_holomorphy_witness": _witness_check(ex)}

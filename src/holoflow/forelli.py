@@ -49,8 +49,10 @@ ANTIHOLOMORPHIC_OBSTRUCTION = "antiholomorphic_obstruction"
 #: every verdict tag
 TAGS = (HOLOMORPHIC, HYPOTHESIS_VIOLATED, NOT_F_HOLOMORPHIC, ANTIHOLOMORPHIC_OBSTRUCTION)
 
-#: pass threshold of the curve check
+#: pass level of every curve check: Forelli stage 2 and the counterexample suites
 FD_TOL = 1e-6
+#: pass level of the remainder ladder that validate_jet reads
+JET_TOL = 1e-6
 #: polydisk radius of the final comparison
 COMPARE_RADIUS = 0.5
 #: slack, torus points and torus radius of the reconstruction bound audit
@@ -74,10 +76,11 @@ class JetOracle:
         if not 0 <= self.bound < math.inf:  # a NaN or infinite bound makes no threshold
             raise ValueError(f"bound must be finite and >= 0, got {self.bound}")
 
-    def validate_jet(self, radii=(0.3, 0.2, 0.12, 0.08, 0.05), tol: float = 1e-6):
-        """Remainder reports for every order up to the jet degree, from one ladder read."""
+    def validate_jet(self, radii=(0.3, 0.2, 0.12, 0.08, 0.05)):
+        """Remainder reports at JET_TOL for every order up to the jet degree, from one
+        ladder read."""
         return remainder_ladder(self.oracle, self.jet,
-                                [(n, radii) for n in range(self.jet.degree + 1)], tol=tol)
+                                [(n, radii) for n in range(self.jet.degree + 1)], tol=JET_TOL)
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,8 @@ class CurveCheckReport:
     note: str = ""
 
 
-def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_samples, *,
-                tol: float = FD_TOL) -> CurveCheckReport:
+def curve_check(oracle: Callable, curve: Callable, curves: Sequence,
+                zeta_samples) -> CurveCheckReport:
     """Sampled dbar residual of  zeta -> oracle(curve(c, zeta))  over the curves.
 
     Each sample zeta is replaced by its circle, :func:`wirtinger.circles`, and
@@ -142,7 +145,7 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_sample
     (shared) or (C, Z).  curve broadcasts like :func:`flow.integral_curve` and
     is called once, on base points (C, 1, 1, N) and circles (Z, 4) or
     (C, Z, 4): shared samples' exponentials are computed once per zeta and
-    broadcast over the curves.  Passes iff every residual is below tol; no
+    broadcast over the curves.  Passes iff every residual is below FD_TOL; no
     curves pass with residual 0.  All circle points must stay inside the unit
     polydisk.  The oracle is called once on every circle point; its first
     failure or non-finite value (:func:`sampling.evaluate_prefix`) makes the
@@ -185,21 +188,14 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence, zeta_sample
         c = sample(reach // width)[0]
         at = np.broadcast_to(ring, points.shape[:-1]).flat[reach]
         raise ValueError(f"curve through {c} leaves the polydisk at zeta = {complex(at)}")
-    passed = worst < tol
+    passed = worst < FD_TOL
     return CurveCheckReport(passed, worst, witness=None if passed else witness)
 
 
-def f_holomorphy_check(
-    jo: JetOracle,
-    field: DiagonalField,
-    curves: Sequence,
-    zeta_samples: Sequence[complex],
-    *,
-    tol: float = FD_TOL,
-) -> CurveCheckReport:
+def f_holomorphy_check(jo: JetOracle, field: DiagonalField, curves: Sequence,
+                       zeta_samples: Sequence[complex]) -> CurveCheckReport:
     """:func:`curve_check` of the function along the integral curves of the field."""
-    return curve_check(jo.oracle, lambda c, w: integral_curve(field, c, w), curves,
-                       zeta_samples, tol=tol)
+    return curve_check(jo.oracle, lambda c, w: integral_curve(field, c, w), curves, zeta_samples)
 
 
 def antiholomorphic_vanishing(series: TaylorSeries, field: DiagonalField) -> list:

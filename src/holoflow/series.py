@@ -32,6 +32,8 @@ from .sampling import evaluate_prefix
 #: directions remainder_ladder samples at each radius, and the seed of their phases
 N_DIRECTIONS = 6
 DIRECTION_SEED = 0
+#: remainder_ladder's default pass level, which the suites' zero-jet radii aim below
+REMAINDER_TOL = 1e-8
 
 
 class MultiIndex(tuple):
@@ -235,7 +237,7 @@ def _direction_set(dim: int) -> np.ndarray:
 
 
 def remainder_ladder(oracle, series: TaylorSeries, ladder, *,
-                     tol: float = 1e-8) -> list[DecayReport]:
+                     tol: float = REMAINDER_TOL) -> list[DecayReport]:
     """One remainder report per rung (n, radii) of ladder, from one oracle read.
 
     Points are sampled with every coordinate of modulus r, so |z| = r in the

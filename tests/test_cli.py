@@ -72,6 +72,31 @@ def test_pushforward_and_bounds_scenarios(tmp_path):
     assert push["report"]["expansion"] == [["1", "2", [0.8 * 0.7, 0.0]]]
 
 
+SMALL_TERM = ("kind = pushforward\nrates = 1/1 2/1\nterm = 1 0 | 0 0 | 1e-15 | 0.0\n"
+              "base_point = 0.5 0.5\nlambda_max = 2/1\n")
+
+
+def test_a_pushforward_lists_a_term_however_small(tmp_path):
+    # 1e-15 z1 at c1 = 0.5 merges to 5e-16 at level 1: it is data, not cancellation,
+    # and a pruned expansion read [] while its exactness check still passed
+    scenario = tmp_path / "small.txt"
+    scenario.write_text(SMALL_TERM)
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    assert report["expansion"] == [["1", "0", [5e-16, 0.0]]]
+    assert report["exactness"]["max_error"] == 0.0
+
+
+def test_a_small_term_beside_a_large_one_keeps_the_expansion_exact(tmp_path):
+    # with the 5e-16 term pruned the expansion missed it by 5e-16 against tolerance 1e-16
+    scenario = tmp_path / "small_and_large.txt"
+    scenario.write_text(SMALL_TERM + "term = 2 0 | 0 0 | 1.0 | 0.0\ntolerance = 1e-16\n")
+    assert run_cli(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    assert report["expansion"] == [["1", "0", [5e-16, 0.0]], ["2", "0", [0.25, 0.0]]]
+    assert report["exactness"]["passed"]
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.txt")))
 def test_a_run_writes_report_json_and_nothing_else(tmp_path, name):
     out = tmp_path / "out"

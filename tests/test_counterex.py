@@ -17,7 +17,8 @@ from holoflow import (BranchSearchError, ResonantExample, SpiralExample,
                       counterexample_suite, phi_resonant, phi_spiral,
                       sector_angles, spiral_curve, verify_time_identity)
 from holoflow.sampling import polydisk_points
-from holoflow.series import N_DIRECTIONS, TaylorSeries, _direction_set, remainder_ladder
+from holoflow.series import (N_DIRECTIONS, REMAINDER_TOL, TaylorSeries, _direction_set,
+                             remainder_ladder)
 from holoflow.wirtinger import CIRCLE, FD_STEP, circles, dbar_circle
 
 
@@ -302,10 +303,10 @@ def test_zero_jet_check_reads_its_oracle_once():
     assert sorted(decay) == [f"zero_jet_order_{n}" for n in range(1, 9)]
 
 
-def reference_zero_jet_radii(log_ratio, n, tol, v_cap=640.0, points=5):
+def reference_zero_jet_radii(log_ratio, n, v_cap=640.0, points=5):
     """counterex._zero_jet_radii with all 80 halvings in each bisection, however
     many of them move the bracket."""
-    target_end = math.log(tol) - 5.0
+    target_end = math.log(REMAINDER_TOL) - 5.0
 
     def bisect(target, v_lo, v_hi):
         for _ in range(80):
@@ -349,15 +350,15 @@ def counting(log_ratio, counter):
 def test_zero_jet_radii_equal_those_of_the_80_step_bisection(monkeypatch, which, kwargs):
     real, calls = counterex._zero_jet_radii, []
     monkeypatch.setattr(counterex, "_zero_jet_radii",
-                        lambda log_ratio, n, tol: calls.append((log_ratio, n, tol))
-                        or real(log_ratio, n, tol))
+                        lambda log_ratio, n: calls.append((log_ratio, n))
+                        or real(log_ratio, n))
     counterexample_suite(which, **kwargs)
-    assert [n for _, n, _ in calls] == list(range(1, 9))
+    assert [n for _, n in calls] == list(range(1, 9))
     early, full = 0, 0
-    for log_ratio, n, tol in calls:
+    for log_ratio, n in calls:
         order_early, order_full = [], []
-        assert real(counting(log_ratio, order_early), n, tol) \
-            == reference_zero_jet_radii(counting(log_ratio, order_full), n, tol)
+        assert real(counting(log_ratio, order_early), n) \
+            == reference_zero_jet_radii(counting(log_ratio, order_full), n)
         assert len(set(order_early)) == len(order_early)  # no point is read twice
         early, full = early + len(order_early), full + len(order_full)
     assert early < full
@@ -365,20 +366,20 @@ def test_zero_jet_radii_equal_those_of_the_80_step_bisection(monkeypatch, which,
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(1e-3, 1e3), st.floats(0.0, 50.0),
-       st.floats(-20.0, 60.0), st.sampled_from([1e-12, 1e-8, 1e-3]), st.booleans())
+       st.floats(-20.0, 60.0), st.booleans())
 def test_zero_jet_radii_equal_the_80_step_ones_on_monotone_functions(power, scale, rise,
-                                                                    offset, tol, steps):
+                                                                    offset, steps):
     def log_ratio(v, n):  # a hump, then decreasing in v; floor makes plateaus
         value = offset + rise * math.log1p(v) - scale * v ** power + n
         return math.floor(value) if steps else value
 
     try:
-        expected = reference_zero_jet_radii(log_ratio, 3, tol)
+        expected = reference_zero_jet_radii(log_ratio, 3)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            counterex._zero_jet_radii(log_ratio, 3, tol)
+            counterex._zero_jet_radii(log_ratio, 3)
     else:
-        assert counterex._zero_jet_radii(log_ratio, 3, tol) == expected
+        assert counterex._zero_jet_radii(log_ratio, 3) == expected
 
 
 def test_infinite_order_vanishing_on_fixed_slice_resonant():

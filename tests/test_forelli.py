@@ -466,6 +466,31 @@ def test_comparison_fails_on_a_nan_value():
     assert abs(verdict.witness[0]) < 0.01
 
 
+@pytest.mark.parametrize("eps, ratio, tag", [(2.5e-9, 3.1, HYPOTHESIS_VIOLATED),
+                                             (2.5e-10, 0.31, HOLOMORPHIC)])
+def test_the_comparison_decides_at_compare_tol_times_the_bound(eps, ratio, tag):
+    # z1 + eps z1^3 against the jet z1 and bound 1: at seed 0 max_diff is 3.1x and
+    # 0.31x the threshold 1e-10, so moving the threshold 10x either way flips one verdict
+    oracle = lambda z: z[:, 0] + eps * z[:, 0] ** 3
+    verdict = forelli_pipeline(JetOracle(oracle, Z1, 1.0), DiagonalField((1, 2)))
+    assert verdict.tag == tag
+    assert tuple(verdict.diagnostics) == STAGES
+    assert verdict.diagnostics["comparison"]["max_diff"] / 1e-10 == pytest.approx(ratio, rel=0.01)
+
+
+@pytest.mark.parametrize("bound, tag", [(1.5, HYPOTHESIS_VIOLATED), (2.2, HOLOMORPHIC)])
+def test_the_reconstruction_audit_decides_on_the_level_sup(bound, tag):
+    # z1 + z2 along (1, 1) has one level, whose torus sup is about 1.99, and its
+    # coefficients pass the Cauchy part at either bound: the level ratio is about
+    # 1.33 at bound 1.5, past 1 + CERT_SLACK, and about 0.91 at bound 2.2
+    jet = TaylorSeries(2, {((1, 0), (0, 0)): 1.0, ((0, 1), (0, 0)): 1.0})
+    verdict = forelli_pipeline(jet_oracle(jet, bound), DiagonalField((1, 1)))
+    assert verdict.tag == tag
+    audit = verdict.diagnostics["reconstruction"]
+    assert audit["worst_level_ratio"] == pytest.approx(1.998 / bound, rel=0.01)
+    assert audit["worst_coeff_ratio"] < 1.0
+
+
 def test_pipeline_witnesses_are_tuples_of_coordinates():
     # the vanishing failure names ((k, m), a); the comparison failure a point
     holo = TaylorSeries.monomial(2, (1, 0), (0, 0))
