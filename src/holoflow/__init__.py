@@ -9,9 +9,8 @@ from .counterex import (BranchSearchError, ResonantExample, SpiralExample,
                         branch_power, choose_branch_exponent,
                         counterexample_suite, phi_resonant, phi_spiral,
                         sector_angles, spiral_curve, verify_time_identity)
-from .extract import (CauchyBoundReport, ExtractionError, ExtractionParams,
-                      extract_coefficients, sampled_sup, shift_difference,
-                      verify_cauchy_bound)
+from .extract import (ExtractionError, ExtractionParams, extract_coefficients,
+                      sampled_sup, shift_difference, verify_cauchy_bound)
 from .flow import (BasePoint, DiagonalField, LevelGrid, NormalizedField,
                    SpectrumClass, SpectrumError, classify_spectrum,
                    integral_curve, level_grid, normalize_time)
@@ -19,7 +18,7 @@ from .forelli import (ANTIHOLOMORPHIC_OBSTRUCTION, HOLOMORPHIC,
                       HYPOTHESIS_VIOLATED, NOT_F_HOLOMORPHIC, ForelliConfig,
                       ForelliVerdict, JetOracle, antiholomorphic_vanishing,
                       f_holomorphy_check, forelli_pipeline, reconstruct)
-from .reports import DecayReport
+from .reports import Check
 from .series import (MultiIndex, TaylorSeries, antiholomorphic_part,
                      eval_taylor, holomorphic_part, wirtinger_F_derivative)
 
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntiHolomorphicTermError", "AsymptoticExpansion", "BasePoint",
-    "BranchSearchError", "CauchyBoundReport", "DecayReport", "DiagonalField",
+    "BranchSearchError", "Check", "DiagonalField",
     "ExtractionError", "ExtractionParams", "ForelliConfig", "ForelliVerdict",
     "HolomorphicExpansion", "JetOracle", "LevelGrid", "MultiIndex",
     "NormalizedField", "ResonantExample", "SpectrumClass", "SpectrumError",

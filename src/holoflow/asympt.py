@@ -25,8 +25,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .flow import DiagonalField, _as_fraction, _coords, normalize_time
-from .reports import (FAIL, INCONCLUSIVE, PASS, DecayReport, clamped_exp,
-                      fitted_decay_rate, monotone_below)
+from .reports import (INCONCLUSIVE, Check, clamped_exp, decay_table, fitted_decay_rate,
+                      monotone_below)
 from .sampling import evaluate_prefix
 from .series import TaylorSeries, level_sums
 
@@ -227,7 +227,7 @@ def tail_bound_check(
     oracle: Callable[[complex], complex],
     e: AsymptoticExpansion,
     n: int,
-) -> DecayReport:
+) -> Check:
     """Check that the level-n tail decays faster than e^(-lambda_n Re z).
 
     The residual, sampled at each abscissa x of TAIL_ABSCISSAS on the heights
@@ -248,16 +248,13 @@ def tail_bound_check(
     sups = resid.max(axis=1)
     values = [clamped_exp((math.log(sup) if sup else -math.inf) + lam_n * x)
               for sup, x in zip(sups.tolist(), TAIL_ABSCISSAS)]
-    if note:
-        return DecayReport(lam_n, TAIL_ABSCISSAS, tuple(values), TAIL_TOL, INCONCLUSIVE,
-                           "monotone_below_tol", note=note)
-
+    branch, score, level = monotone_below(values, TAIL_TOL)
     # the largest residual at the last abscissa; its first height, Im z = 0, if all are 0
-    witness = complex(grid[-1, np.argmax(resid[-1])])
-    verdict = PASS if monotone_below(values, TAIL_TOL) else FAIL
-    return DecayReport(lam_n, TAIL_ABSCISSAS, tuple(values), TAIL_TOL, verdict,
-                       "monotone_below_tol", slope=fitted_decay_rate(TAIL_ABSCISSAS, values),
-                       witness=witness if verdict == FAIL else None)
+    witness = None if note else complex(grid[-1, np.argmax(resid[-1])])
+    slope = None if note else fitted_decay_rate(TAIL_ABSCISSAS, values)
+    return Check("monotone_below_tol", score, level, verdict=INCONCLUSIVE if note else None,
+                 witness=witness, note=note,
+                 table=decay_table(lam_n, TAIL_ABSCISSAS, values, TAIL_TOL, slope, branch=branch))
 
 
 def restrict_holomorphic(e: AsymptoticExpansion) -> HolomorphicExpansion:
@@ -277,7 +274,7 @@ def max_principle_bound(
     *,
     x_lo: float,
     tol: float = MAX_PRINCIPLE_TOL,
-) -> DecayReport:
+) -> Check:
     """Check |oracle(z)| <= M e^(-lambda (Re z - x_lo)) (1 + tol) on the samples.
 
     M plays the role of the boundary sup, sampled on the segment Re z = x_lo;
@@ -303,11 +300,10 @@ def max_principle_bound(
     np.maximum.at(worst_log, at, log_ratio)
     ratios = tuple(clamped_exp(v) for v in worst_log.tolist())
     worst_ratio = max(ratios, default=0.0)
-    verdict = INCONCLUSIVE if note else PASS if worst_ratio <= 1.0 + tol else FAIL
-    note = note or f"worst ratio {worst_ratio:.6e} vs allowed 1+tol"
-    witness = complex(read[np.argmax(log_ratio)]) if verdict == FAIL else None
-    return DecayReport(lam, tuple(xs.tolist()), ratios, tol, verdict, "bound_margin",
-                       witness=witness, note=note)
+    witness = complex(read[np.argmax(log_ratio)]) if len(read) and not note else None
+    return Check("bound_margin", worst_ratio, 1.0 + tol, verdict=INCONCLUSIVE if note else None,
+                 witness=witness, note=note or f"worst ratio {worst_ratio:.6e} vs allowed 1+tol",
+                 table=decay_table(lam, xs.tolist(), ratios, tol))
 
 
 def residual(oracle: Callable[[complex], complex], e: HolomorphicExpansion, n: int):

@@ -41,6 +41,7 @@ from .extract import ExtractionParams, extract_coefficients, sampled_sup, \
 from .flow import (BasePoint, DiagonalField, SpectrumError, integral_curve, level_grid,
                    level_of, normalize_time)
 from .forelli import CERT_POINTS, CERT_RADIUS, TAGS, ForelliConfig, JetOracle, forelli_pipeline
+from .reports import Check
 from .sampling import evaluate_prefix, halfplane_points, polydisk_points
 from .series import MultiIndex, TaylorSeries, eval_taylor, parse_term_line
 
@@ -229,16 +230,15 @@ def _run_pushforward(sc: Scenario, seed: int) -> tuple[dict, bool]:
         errors = np.abs(eval_taylor(jet, integral_curve(nfield, c, zetas))
                         - eval_expansion(expansion, zetas))
     max_err = float(np.max(errors))
-    passed = max_err <= tol
-
+    exact = Check("expansion_error", max_err, tol, table={"max_error": max_err, "tolerance": tol,
+                                                           "zeta_samples": len(zetas)})
     report = {
         "expansion": [[str(mu), str(nu), _json_complex(p)]
                       for mu, nu, p in expansion.all_terms()],
         "lambda_max": str(lam_max),
-        "exactness": {"max_error": max_err, "tolerance": tol, "passed": passed,
-                      "zeta_samples": len(zetas)},
+        "exactness": exact.to_json_dict(),
     }
-    return report, passed
+    return report, exact.passed
 
 
 def _run_extraction(sc: Scenario, seed: int) -> tuple[dict, bool]:

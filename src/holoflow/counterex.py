@@ -43,6 +43,7 @@ import numpy as np
 
 from .flow import DiagonalField, integral_curve
 from .forelli import HYPOTHESIS_VIOLATED, ForelliConfig, JetOracle, curve_check, forelli_pipeline
+from .reports import ABOVE, FAIL, INCONCLUSIVE, Check
 from .sampling import evaluate_prefix, polydisk_points
 from .series import REMAINDER_TOL, TaylorSeries, antiholomorphic_part, remainder_ladder
 from .wirtinger import CIRCLE, circles, dbar_circle
@@ -208,20 +209,21 @@ def spiral_curve(ex: SpiralExample, C, zeta):
     return tuple(points.tolist()) if points.ndim == 1 else points
 
 
-def _sector_check(ex: SpiralExample) -> dict:
+def _sector_check(ex: SpiralExample) -> Check:
     """Re(xi^b) < 0 on the closed cone, decided exactly (module docstring).
 
-    Passes iff the band margin at (b, k) is positive and branch_power has a
-    negative real part on both edge rays; the margin is in radians.
+    Rule ``sector_band``: passes iff the band margin at (b, k), in radians, is
+    positive and branch_power has a negative real part on both edge rays.
     """
     lo0, hi0 = sector_angles(ex.alpha)
     shift = TWO_PI * ex.branch_offset
     margin = float(_band_margin(ex.b, lo0 + shift, hi0 + shift))
     edges = branch_power(ex, [-ex.gamma, -ex.gamma.conjugate()])
-    return {"passed": margin > 0 and bool(np.all(edges.real < 0)), "margin": margin}
+    return Check("sector_band", margin, 0.0, ABOVE, unit="rad",
+                 verdict=None if np.all(edges.real < 0) else FAIL)
 
 
-def _checked_spiral(alpha: complex, t: float) -> tuple[SpiralExample, dict]:
+def _checked_spiral(alpha: complex, t: float) -> tuple[SpiralExample, Check]:
     """The example of :meth:`SpiralExample.create` and its passed sector check.
 
     Raises ValueError when the time identity or the sector check fails.
@@ -232,23 +234,17 @@ def _checked_spiral(alpha: complex, t: float) -> tuple[SpiralExample, dict]:
     if not ident.passed:
         raise ValueError(f"time identity failed at {ident.witness}: {ident.max_error}")
     sector = _sector_check(ex)
-    if not sector["passed"]:
-        raise ValueError(f"Re(xi^b) < 0 fails on the sector: margin {sector['margin']!r} rad")
+    if not sector.passed:
+        raise ValueError(f"Re(xi^b) < 0 fails on the sector: margin {sector.margin!r} rad")
     return ex, sector
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    passed: bool
-    max_error: float
-    witness: complex | None = None
-
-
-def verify_time_identity(ex: SpiralExample, zetas) -> IdentityReport:
+def verify_time_identity(ex: SpiralExample, zetas) -> Check:
     """Check  gamma Re(alpha zeta) + (conj(gamma)/t) Re(beta zeta) = zeta  pointwise.
 
-    Passes iff every error is below IDENTITY_TOL, so a NaN error fails; the
-    witness of a failure is the first zeta of NaN error, else of largest error.
+    Rule ``time_identity``: passes iff every error is below IDENTITY_TOL, so a
+    NaN error fails; the witness of a failure is the first zeta of NaN error,
+    else of largest error.
     """
     zetas = np.asarray(zetas, dtype=complex).ravel()
     g = ex.gamma
@@ -256,8 +252,8 @@ def verify_time_identity(ex: SpiralExample, zetas) -> IdentityReport:
         errors = np.abs(g * (ex.alpha * zetas).real
                         + (g.conjugate() / ex.t) * (ex.beta * zetas).real - zetas)
     worst = float(errors.max(initial=0.0))  # NaN if an error is
-    passed = worst < IDENTITY_TOL
-    return IdentityReport(passed, worst, None if passed else complex(zetas[np.argmax(errors)]))
+    return Check("time_identity", worst, IDENTITY_TOL, table={"max_error": worst},
+                 witness=complex(zetas[np.argmax(errors)]) if len(zetas) else None)
 
 
 def _zero_jet_radii(log_ratio, n: int) -> list[float]:
@@ -331,17 +327,19 @@ class SuiteReport:
         }
 
 
-def _witness_check(oracle) -> dict:
-    """max_j |d phi / d zbar_j| at (0.5, 0.5), from one read of the coordinate circles."""
+def _witness_check(oracle) -> Check:
+    """Rule ``witness_dbar``: max_j |d phi / d zbar_j| at (0.5, 0.5), from one read of
+    the coordinate circles, must be above 1e-3; a short read witnesses nothing."""
     point = np.array([0.5, 0.5], dtype=complex)
     # (2, 4, 2): coordinate j on its circle, the other coordinate at the point
     points = np.where(np.eye(2, dtype=bool)[:, None, :], circles(point)[:, :, None], point)
     values, note = evaluate_prefix(oracle, points.reshape(-1, 2))
-    if note:  # a short read witnesses nothing
-        return {"passed": False, "note": note, "point": "(0.5, 0.5)"}
-    with np.errstate(all="ignore"):
-        residual = float(np.abs(dbar_circle(values.reshape(2, len(CIRCLE)))[1]).max())
-    return {"passed": residual > 1e-3, "residual": residual, "point": "(0.5, 0.5)"}
+    residual = math.nan
+    if not note:
+        with np.errstate(all="ignore"):
+            residual = float(np.abs(dbar_circle(values.reshape(2, len(CIRCLE)))[1]).max())
+    return Check("witness_dbar", residual, 1e-3, ABOVE, verdict=INCONCLUSIVE if note else None,
+                 note=note, table={"residual": residual, "point": "(0.5, 0.5)"})
 
 
 def _zero_jet_check(oracle, log_ratio, decay: dict) -> dict:
@@ -355,13 +353,12 @@ def _zero_jet_check(oracle, log_ratio, decay: dict) -> dict:
 
 
 def _field_curve_check(oracle, field: DiagonalField, rng: np.random.Generator,
-                       x_hi: float) -> dict:
+                       x_hi: float) -> Check:
     """:func:`forelli.curve_check` along 10 integral curves of field at 40 shared
     samples zeta."""
     curves = polydisk_points(rng, 2, 10, r_min=0.15, r_max=0.5)
     zetas = rng.uniform(0.02, x_hi, 40) + 1j * rng.uniform(-2.0, 2.0, 40)
-    rep = curve_check(oracle, partial(integral_curve, field), curves, zetas)
-    return {"passed": rep.passed, "max_residual": rep.max_residual}
+    return curve_check(oracle, partial(integral_curve, field), curves, zetas)
 
 
 def counterexample_suite(which: str, *, t=1, alpha: complex = -1 + 1j,
@@ -389,8 +386,8 @@ def _resonant_suite(t: Fraction, rng: np.random.Generator) -> SuiteReport:
     ex = ResonantExample(float(t))
     field = DiagonalField((Fraction(1), -t))
     x_hi = 0.6 / max(1.0, ex.t)
-    checks = {"curve_holomorphy": _field_curve_check(ex, field, rng, x_hi),
-              "non_holomorphy_witness": _witness_check(ex)}
+    checks = {"curve_holomorphy": _field_curve_check(ex, field, rng, x_hi).to_json_dict(),
+              "non_holomorphy_witness": _witness_check(ex).to_json_dict()}
 
     def log_ratio(v: float, n: int) -> float:
         e = v * (ex.t + 1.0)
@@ -406,7 +403,8 @@ def _resonant_suite(t: Fraction, rng: np.random.Generator) -> SuiteReport:
     zetas = rng.uniform(0.0, x_hi, 100) + 1j * rng.uniform(-3.0, 3.0, 100)
     moved = base * integral_curve(field, (1, 1), zetas)  # (1, 1) gives e^(-alpha_j zeta)
     worst = float(np.max(np.abs(invariant(moved) - invariant(base))))
-    checks["first_integral_constancy"] = {"passed": worst < 1e-12, "max_drift": worst}
+    checks["first_integral_constancy"] = Check("first_integral_drift", worst, 1e-12,
+                                               table={"max_drift": worst}).to_json_dict()
     return SuiteReport("resonant", {"t": t}, checks, decay)
 
 
@@ -416,15 +414,13 @@ def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator) -> SuiteRe
     curves = polydisk_points(rng, 2, 10, r_min=0.15, r_max=0.4)
     # ten samples per curve in the disk |zeta| <= reach, drawn curve by curve
     zetas = polydisk_points(rng, 1, 10 * len(curves), r_min=0.0, r_max=reach).reshape(-1, 10)
-    curve_rep = curve_check(ex, partial(spiral_curve, ex), curves, zetas)
-    checks = {"curve_holomorphy": {"passed": curve_rep.passed,
-                                   "max_residual": curve_rep.max_residual},
-              "non_holomorphy_witness": _witness_check(ex)}
+    checks = {"curve_holomorphy": curve_check(ex, partial(spiral_curve, ex), curves,
+                                              zetas).to_json_dict(),
+              "non_holomorphy_witness": _witness_check(ex).to_json_dict()}
 
-    ident = verify_time_identity(ex, rng.uniform(-10, 10, 100) + 1j * rng.uniform(-10, 10, 100))
-    checks["time_identity"] = {"passed": ident.passed, "max_error": ident.max_error}
-
-    checks["sector_negativity"] = sector
+    checks["time_identity"] = verify_time_identity(
+        ex, rng.uniform(-10, 10, 100) + 1j * rng.uniform(-10, 10, 100)).to_json_dict()
+    checks["sector_negativity"] = sector.to_json_dict()
 
     # decay constant along the all-equal-moduli direction used by the radius grid
     g_dir = -(ex.gamma + ex.gamma.conjugate() / ex.t)
@@ -440,8 +436,8 @@ def _spiral_suite(alpha: complex, t: float, rng: np.random.Generator) -> SuiteRe
 def _remark_suite(rng: np.random.Generator) -> SuiteReport:
     jet = TaylorSeries.monomial(2, (0, 0), (1, 1))
     field = DiagonalField((Fraction(1), Fraction(-1)))
-    checks = {"curve_holomorphy": _field_curve_check(phi_remark, field, rng, 0.6),
-              "non_holomorphy_witness": _witness_check(phi_remark),
+    checks = {"curve_holomorphy": _field_curve_check(phi_remark, field, rng, 0.6).to_json_dict(),
+              "non_holomorphy_witness": _witness_check(phi_remark).to_json_dict(),
               "jet_antiholomorphic": {
                   "passed": bool(antiholomorphic_part(jet)),
                   "note": "the jet itself is anti-holomorphic; the ratio hypothesis is necessary",

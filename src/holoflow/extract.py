@@ -53,6 +53,7 @@ import numpy as np
 
 from .asympt import HolomorphicExpansion
 from .flow import LevelGrid
+from .reports import Check
 from .sampling import evaluate_prefix
 
 #: abscissa of the line the coefficients are read on
@@ -219,33 +220,13 @@ def sampled_sup(oracle: Callable, params: ExtractionParams) -> float:
     return float(np.max(np.abs(vals)))
 
 
-@dataclass(frozen=True)
-class CauchyBoundReport:
-    """Outcome of comparing every |c_j| against the sampled sup."""
-
-    passed: bool
-    max_ratio: float
-    worst_level: float | None
-    bound: float
-    ratios: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_ratio": self.max_ratio,
-            "worst_level": self.worst_level,
-            "bound": self.bound,
-            "ratios": [[lvl, r] for lvl, r in self.ratios],
-        }
-
-
 def verify_cauchy_bound(
     e: HolomorphicExpansion,
     oracle: Callable,
     M: float,
     tol: float = 1e-6,
-) -> CauchyBoundReport:
-    """Check every coefficient modulus against M (a sampled sup of |oracle|).
+) -> Check:
+    """Rule ``cauchy_ratio``: every |c_j| / M below 1 + tol, M a sampled sup of |oracle|.
 
     M already carries the oracle's samples (see :func:`sampled_sup`); ``oracle``
     is accepted for the callers that pass it and is never evaluated.  A NaN
@@ -261,10 +242,6 @@ def verify_cauchy_bound(
         i = int(np.argmax(ratios))  # the first NaN, else the first largest
         if ratios[i] != 0:
             worst, worst_level = float(ratios[i]), levels[i]
-    return CauchyBoundReport(
-        passed=worst <= 1.0 + tol,
-        max_ratio=worst,
-        worst_level=worst_level,
-        bound=M,
-        ratios=tuple(zip(levels, ratios.tolist())),
-    )
+    return Check("cauchy_ratio", worst, 1.0 + tol,
+                 table={"max_ratio": worst, "worst_level": worst_level, "bound": M,
+                        "ratios": tuple(zip(levels, ratios.tolist()))})

@@ -36,7 +36,7 @@ import numpy as np
 
 from .flow import (DiagonalField, SpectrumClass, _coords, classify_spectrum,
                    integral_curve, level_of, normalize_time)
-from .reports import clamped_exp
+from .reports import INCONCLUSIVE, Check, clamped_exp
 from .sampling import evaluate_prefix, halfplane_points, polydisk_points
 from .series import (TaylorSeries, antiholomorphic_part, eval_taylor,
                      holomorphic_part, level_sums, remainder_ladder)
@@ -125,17 +125,8 @@ class ForelliVerdict:
         return out
 
 
-@dataclass(frozen=True)
-class CurveCheckReport:
-    passed: bool
-    max_residual: float
-    witness: object = None
-    inconclusive: bool = False
-    note: str = ""
-
-
 def curve_check(oracle: Callable, curve: Callable, curves: Sequence,
-                zeta_samples) -> CurveCheckReport:
+                zeta_samples) -> Check:
     """Sampled dbar residual of  zeta -> oracle(curve(c, zeta))  over the curves.
 
     Each sample zeta is replaced by its circle, :func:`wirtinger.circles`, and
@@ -145,14 +136,15 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence,
     (shared) or (C, Z).  curve broadcasts like :func:`flow.integral_curve` and
     is called once, on base points (C, 1, 1, N) and circles (Z, 4) or
     (C, Z, 4): shared samples' exponentials are computed once per zeta and
-    broadcast over the curves.  Passes iff every residual is below FD_TOL; no
-    curves pass with residual 0.  All circle points must stay inside the unit
-    polydisk.  The oracle is called once on every circle point; its first
-    failure or non-finite value (:func:`sampling.evaluate_prefix`) makes the
-    check inconclusive at that sample, the first in curve-major order.
+    broadcast over the curves.  Rule ``curve_dbar``: passes iff the worst
+    residual, ``max_residual``, is below FD_TOL; no curves pass with residual 0.
+    All circle points must stay inside the unit polydisk.  The oracle is called
+    once on every circle point; its first failure or non-finite value
+    (:func:`sampling.evaluate_prefix`) makes the check inconclusive at that
+    sample, the first in curve-major order.
     """
     if not len(curves):
-        return CurveCheckReport(True, 0.0)
+        return _curve_dbar(0.0)
     base = (np.asarray(curves, dtype=complex) if isinstance(curves, np.ndarray)
             else np.array([_coords(c) for c in curves]))
     zetas = np.asarray(zeta_samples, dtype=complex)
@@ -183,17 +175,21 @@ def curve_check(oracle: Callable, curve: Callable, curves: Sequence,
         worst, witness = float(scored[i]), sample(i)
     if len(bad) or note:  # a non-finite residual comes before the read's stop
         stop, note = (bad[0], "non-finite residual") if len(bad) else (done, note)
-        return CurveCheckReport(False, worst, sample(stop), inconclusive=True, note=note)
+        return _curve_dbar(worst, INCONCLUSIVE, sample(stop), note)
     if reach < len(flat):
         c = sample(reach // width)[0]
         at = np.broadcast_to(ring, points.shape[:-1]).flat[reach]
         raise ValueError(f"curve through {c} leaves the polydisk at zeta = {complex(at)}")
-    passed = worst < FD_TOL
-    return CurveCheckReport(passed, worst, witness=None if passed else witness)
+    return _curve_dbar(worst, witness=witness)
+
+
+def _curve_dbar(worst: float, verdict=None, witness=None, note: str = "") -> Check:
+    return Check("curve_dbar", worst, FD_TOL, verdict=verdict, witness=witness, note=note,
+                 table={"max_residual": worst})
 
 
 def f_holomorphy_check(jo: JetOracle, field: DiagonalField, curves: Sequence,
-                       zeta_samples: Sequence[complex]) -> CurveCheckReport:
+                       zeta_samples: Sequence[complex]) -> Check:
     """:func:`curve_check` of the function along the integral curves of the field."""
     return curve_check(jo.oracle, lambda c, w: integral_curve(field, c, w), curves, zeta_samples)
 
@@ -211,20 +207,12 @@ def antiholomorphic_vanishing(series: TaylorSeries, field: DiagonalField) -> lis
                   for (k, m), a in antiholomorphic_part(series).terms().items())
 
 
-@dataclass(frozen=True)
-class ReconstructionReport:
-    passed: bool
-    worst_level_ratio: float
-    worst_coeff_ratio: float
-    note: str = ""
-
-
 def reconstruct(
     jo: JetOracle,
     field: DiagonalField,
     *,
     seed: int = 0,
-) -> tuple[TaylorSeries, ReconstructionReport]:
+) -> tuple[TaylorSeries, Check]:
     """Candidate  psi = sum a_{k0} z^k  plus a bound audit.
 
     The audit checks, for each decay level, the sampled sup of the level
@@ -233,32 +221,34 @@ def reconstruct(
     sampled-radius Cauchy estimate |a_k| <= M / CERT_RADIUS^|k|.  Sampled
     sups undershoot true sups, so the comparison carries the slack
     CERT_SLACK; only violations beyond it are reported as an inconsistency
-    of jet and bound.
+    of jet and bound.  Rule ``bound_audit``: the worse of the two ratios, its
+    ``branch``, must stay below 1 + CERT_SLACK.
     """
     psi = holomorphic_part(jo.jet)
+    note = ""
     if jo.bound == 0:
-        passed = not psi
-        return psi, ReconstructionReport(passed, math.inf if psi else 0.0,
-                                         math.inf if psi else 0.0,
-                                         note="zero bound admits only the zero jet")
-    nfield, _ = normalize_time(field)
+        worst_level = worst_coeff = math.inf if psi else 0.0
+        note = "zero bound admits only the zero jet"
+    else:
+        nfield, _ = normalize_time(field)
+        rng = np.random.default_rng(seed)
+        points = polydisk_points(rng, psi.dim, CERT_POINTS, r_min=CERT_RADIUS, r_max=CERT_RADIUS)
+        worst_level = 0.0
+        for values in level_sums(psi, nfield.rates, points).values():
+            sup = float(np.max(np.abs(values)))
+            worst_level = max(worst_level, sup / jo.bound)
 
-    rng = np.random.default_rng(seed)
-    points = polydisk_points(rng, psi.dim, CERT_POINTS, r_min=CERT_RADIUS, r_max=CERT_RADIUS)
-    worst_level = 0.0
-    for values in level_sums(psi, nfield.rates, points).values():
-        sup = float(np.max(np.abs(values)))
-        worst_level = max(worst_level, sup / jo.bound)
+        worst_coeff = 0.0
+        for (k, _m), a in psi.terms().items():
+            power = CERT_RADIUS ** k.order  # 0.0 from |k| near 744 700 on, scored in logs
+            ratio = abs(a) / (jo.bound / power) if power else clamped_exp(
+                math.log(abs(a)) + k.order * math.log(CERT_RADIUS) - math.log(jo.bound))
+            worst_coeff = max(worst_coeff, ratio)
 
-    worst_coeff = 0.0
-    for (k, _m), a in psi.terms().items():
-        power = CERT_RADIUS ** k.order  # 0.0 from |k| near 744 700 on, scored in logs
-        ratio = abs(a) / (jo.bound / power) if power else clamped_exp(
-            math.log(abs(a)) + k.order * math.log(CERT_RADIUS) - math.log(jo.bound))
-        worst_coeff = max(worst_coeff, ratio)
-
-    passed = worst_level <= 1.0 + CERT_SLACK and worst_coeff <= 1.0 + CERT_SLACK
-    return psi, ReconstructionReport(passed, worst_level, worst_coeff)
+    branch = "level_sup" if worst_level >= worst_coeff else "coefficient"
+    return psi, Check("bound_audit", max(worst_level, worst_coeff), 1.0 + CERT_SLACK, note=note,
+                      table={"worst_level_ratio": worst_level, "worst_coeff_ratio": worst_coeff,
+                             "branch": branch})
 
 
 def _stages(jo: JetOracle, field: DiagonalField, config: ForelliConfig):
@@ -287,8 +277,7 @@ def _stages(jo: JetOracle, field: DiagonalField, config: ForelliConfig):
     elif not report.passed:
         verdict = ForelliVerdict(NOT_F_HOLOMORPHIC, witness=report.witness,
                                  reason="restriction to a sampled curve is not holomorphic")
-    yield "f_holomorphy", {"passed": report.passed, "max_residual": report.max_residual,
-                           "curves": len(curves)}, verdict
+    yield "f_holomorphy", {**report.to_json_dict(), "curves": len(curves)}, verdict
 
     terms = antiholomorphic_vanishing(jo.jet, nfield)  # (level, (k, m), a), lowest level first
     verdict = None
@@ -303,8 +292,7 @@ def _stages(jo: JetOracle, field: DiagonalField, config: ForelliConfig):
     if not recon.passed:
         verdict = ForelliVerdict(HYPOTHESIS_VIOLATED,
                                  reason="jet is inconsistent with the claimed sup bound")
-    yield "reconstruction", {"passed": recon.passed, "worst_level_ratio": recon.worst_level_ratio,
-                             "worst_coeff_ratio": recon.worst_coeff_ratio}, verdict
+    yield "reconstruction", recon.to_json_dict(), verdict
 
     points = polydisk_points(rng, psi.dim, config.compare_points,
                              r_min=0.0, r_max=COMPARE_RADIUS)
@@ -313,18 +301,21 @@ def _stages(jo: JetOracle, field: DiagonalField, config: ForelliConfig):
         diffs = np.abs(values - eval_taylor(psi, points[: len(values)]))
     diffs[~np.isfinite(diffs)] = math.inf  # a NaN difference is no agreement
     max_diff = float(diffs.max(initial=0.0))
-    worst_point = tuple(points[int(np.argmax(diffs))].tolist()) if max_diff > 0.0 else None
-    threshold = config.compare_tol * jo.bound
+    # as in stage 2, a short read is no agreement, and its stop is the witness
+    at = len(values) if note else int(np.argmax(diffs)) if max_diff > 0.0 else None
+    compare = Check("agreement", max_diff, config.compare_tol * jo.bound,
+                    verdict=INCONCLUSIVE if note else None, note=note,
+                    witness=None if at is None else tuple(points[at].tolist()),
+                    table={"max_diff": max_diff, "points": len(points), "radius": COMPARE_RADIUS})
     verdict = ForelliVerdict(HOLOMORPHIC, psi=psi)
-    if note:  # as in stage 2, a short read is no agreement, and its stop is the witness
-        verdict = ForelliVerdict(HYPOTHESIS_VIOLATED, witness=tuple(points[len(values)].tolist()),
+    if compare.inconclusive:
+        verdict = ForelliVerdict(HYPOTHESIS_VIOLATED, witness=compare.witness,
                                  reason=f"comparison inconclusive: {note}")
-    elif max_diff > threshold:
-        verdict = ForelliVerdict(HYPOTHESIS_VIOLATED, witness=worst_point,
+    elif not compare.passed:
+        verdict = ForelliVerdict(HYPOTHESIS_VIOLATED, witness=compare.witness,
                                  reason=f"reconstructed sum differs from the function "
-                                        f"by {max_diff:.3e} (allowed {threshold:.3e})")
-    yield "comparison", {"max_diff": max_diff, "points": len(points),
-                         "radius": COMPARE_RADIUS}, verdict
+                                        f"by {max_diff:.3e} (allowed {compare.level:.3e})")
+    yield "comparison", compare.to_json_dict(), verdict
 
 
 def forelli_pipeline(jo: JetOracle, field: DiagonalField,

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .flow import _lattice
-from .reports import (FAIL, INCONCLUSIVE, PASS, DecayReport, clamped_exp,
+from .reports import (ABOVE, BELOW, INCONCLUSIVE, Check, clamped_exp, decay_table,
                       fitted_decay_rate, monotone_below)
 from .sampling import evaluate_prefix
 
@@ -237,7 +237,7 @@ def _direction_set(dim: int) -> np.ndarray:
 
 
 def remainder_ladder(oracle, series: TaylorSeries, ladder, *,
-                     tol: float = REMAINDER_TOL) -> list[DecayReport]:
+                     tol: float = REMAINDER_TOL) -> list[Check]:
     """One remainder report per rung (n, radii) of ladder, from one oracle read.
 
     Points are sampled with every coordinate of modulus r, so |z| = r in the
@@ -276,20 +276,20 @@ def remainder_ladder(oracle, series: TaylorSeries, ladder, *,
         ratios = [clamped_exp(math.log(w) - n * math.log(r))
                   for w, r in zip(worst.tolist(), radii)]
         if len(values) < stop:
-            reports.append(DecayReport(float(n), tuple(radii), tuple(ratios), tol,
-                                       INCONCLUSIVE, "remainder_trend",
-                                       witness=tuple(points[len(values)].tolist()), note=note))
+            reports.append(Check("remainder_trend", max(ratios, default=math.nan), tol,
+                                 verdict=INCONCLUSIVE, witness=tuple(points[len(values)].tolist()),
+                                 note=note, table=decay_table(n, radii, ratios, tol)))
             return reports + remainder_ladder(oracle, series, rungs[i + 1:], tol=tol)
         rate = fitted_decay_rate([math.log(r) for r in radii], ratios)
         slope = None if rate is None else -rate
-        if all(v <= tol for v in ratios) or monotone_below(ratios, tol):
-            verdict = PASS
-        elif slope is not None and slope >= 0.25 and ratios[-1] < ratios[0]:
-            verdict = PASS
-        else:
-            verdict = FAIL
-        reports.append(DecayReport(float(n), tuple(radii), tuple(ratios), tol, verdict,
-                                   "remainder_trend", slope=slope))
+        branch, score, level = monotone_below(ratios, tol)
+        monotone, sense = branch == "final" and score < tol, BELOW
+        if all(v < tol for v in ratios):
+            branch, score = "below_tol", max(ratios)
+        elif not monotone and slope is not None and slope > 0.25 and ratios[-1] < ratios[0]:
+            branch, score, level, sense = "slope", slope, 0.25, ABOVE
+        reports.append(Check("remainder_trend", score, level, sense,
+                             table=decay_table(n, radii, ratios, tol, slope, branch=branch)))
         start = stop
     return reports
 

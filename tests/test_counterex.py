@@ -177,6 +177,15 @@ def test_spiral_is_not_holomorphic_in_z():
     assert abs(dbar_circle([slice_z1(w) for w in circles(0.5 + 0j)])[1]) > 1e-3
 
 
+@pytest.mark.parametrize("eps, verdict, margin", [(1e-2, "pass", 1.0), (1e-4, "fail", -1.0)])
+def test_the_witness_decides_at_its_level(eps, verdict, margin):
+    # |d phi / d zbar_1| of eps conj(z1) is eps everywhere: a decade either side of 1e-3
+    check = counterex._witness_check(lambda z: eps * np.conj(z[:, 0]))
+    assert check.rule == "witness_dbar" and check.verdict == verdict
+    assert check.residual == pytest.approx(eps, rel=1e-12)
+    assert check.margin == pytest.approx(margin, abs=1e-9)
+
+
 @pytest.mark.parametrize("which", ["resonant", "spiral", "remark"])
 def test_suite_bundles_pass(which):
     report = counterexample_suite(which, seed=11)
@@ -519,9 +528,9 @@ def test_exact_sector_rule_agrees_with_sampling(alpha):
         for i in picks:
             ex = SpiralExample(alpha, 1.0, float(SEARCH_BS[i]), k)
             check = counterex._sector_check(ex)
-            assert check["margin"] == margins[i]
-            assert check["passed"] == (margins[i] > 0) == sampled_sector_verdict(ex), (k, ex.b)
-            verdicts.add(check["passed"])
+            assert check.margin == margins[i]
+            assert check.passed == (margins[i] > 0) == sampled_sector_verdict(ex), (k, ex.b)
+            verdicts.add(check.passed)
     assert False in verdicts  # k = 0: the image of the cone contains 0, where cos = 1
     if alpha.imag >= 0.6:  # a narrow enough cone has an admissible branch
         assert True in verdicts
@@ -536,7 +545,8 @@ def test_exact_sector_rule_sees_a_violation_thinner_than_the_samples():
     margins = counterex._band_margin(bs, lo0 + 2 * math.pi, hi0 + 2 * math.pi)
     i = np.flatnonzero((margins < -1e-3) & (margins > -3e-3))[-1]
     ex = SpiralExample(-1 + 1j, 1.0, float(bs[i]), 1)
-    assert counterex._sector_check(ex) == {"passed": False, "margin": margins[i]}
+    check = counterex._sector_check(ex)
+    assert (check.passed, check.margin) == (False, margins[i])
     edges = branch_power(ex, [-ex.gamma, -ex.gamma.conjugate()])
     assert np.max(edges.real) >= 0
     assert sampled_sector_verdict(ex)
@@ -551,7 +561,7 @@ def test_sector_check_reports_the_chosen_branch_margin(monkeypatch):
         j = round(((lo + hi) / 2 - math.pi) / (2 * math.pi))
         expected = min(lo - (0.5 * math.pi + 2 * math.pi * j), (1.5 * math.pi + 2 * math.pi * j) - hi)
         check = counterex._sector_check(ex)
-        assert check["passed"] and check["margin"] == pytest.approx(expected, abs=1e-12)
+        assert check.passed and check.margin == pytest.approx(expected, abs=1e-12)
     # a branch the search would reject fails at creation, not only in the suite
     monkeypatch.setattr(counterex, "choose_branch_exponent", lambda alpha: (1.5, 0))
     with pytest.raises(ValueError, match="fails on the sector"):
@@ -564,7 +574,7 @@ def test_spiral_suite_decides_its_sector_once(monkeypatch):
     monkeypatch.setattr(counterex, "_sector_check", lambda ex: calls.append(ex) or check(ex))
     report = counterexample_suite("spiral", seed=1)
     assert len(calls) == 1
-    assert report.checks["sector_negativity"] == check(calls[0])
+    assert report.checks["sector_negativity"] == check(calls[0]).to_json_dict()
 
 
 @pytest.mark.parametrize("make, args", [

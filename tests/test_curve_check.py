@@ -15,16 +15,23 @@ import pytest
 from holoflow import BasePoint, DiagonalField, eval_taylor, integral_curve
 from holoflow.counterex import ResonantExample
 from holoflow.flow import _coords
-from holoflow.forelli import FD_TOL, CurveCheckReport, curve_check
+from holoflow.forelli import FD_TOL, curve_check
+from holoflow.reports import FAIL, INCONCLUSIVE, PASS, Check
 from holoflow.sampling import evaluate_prefix, halfplane_points, polydisk_points
 from holoflow.wirtinger import CIRCLE, FD_STEP, dbar_circle
 
 from conftest import random_jet, random_positive_field
 
 
+def report(worst, verdict, witness=None, note="", tol=FD_TOL):
+    """The curve check's record of a worst residual and a verdict."""
+    return Check("curve_dbar", worst, tol, verdict=verdict, witness=witness, note=note,
+                 table={"max_residual": worst})
+
+
 def reference_curve_check(oracle, curve, curves, zeta_samples, *, tol=FD_TOL):
     if not len(curves):
-        return CurveCheckReport(True, 0.0)
+        return report(0.0, PASS)
     base = np.array([_coords(c) for c in curves])
     zetas = np.asarray(zeta_samples, dtype=complex)
     zetas = np.broadcast_to(zetas, (len(base), zetas.shape[-1]))
@@ -49,16 +56,15 @@ def reference_curve_check(oracle, curve, curves, zeta_samples, *, tol=FD_TOL):
         i = int(np.argmax(scored))
         worst, witness = float(scored[i]), sample(i)
     if len(bad):
-        return CurveCheckReport(False, worst, witness=sample(bad[0]),
-                                inconclusive=True, note="non-finite residual")
+        return report(worst, INCONCLUSIVE, sample(bad[0]), "non-finite residual")
     if len(values) < reach:
-        return CurveCheckReport(False, worst, sample(done), inconclusive=True, note=note)
+        return report(worst, INCONCLUSIVE, sample(done), note)
     if reach < len(flat):
         (c, zeta), offset = sample(reach // width), CIRCLE[reach % width]
         raise ValueError(f"curve through {c} leaves the polydisk at zeta = "
                          f"{complex(zeta + FD_STEP * offset)}")
     passed = worst < tol
-    return CurveCheckReport(passed, worst, witness=None if passed else witness)
+    return report(worst, PASS if passed else FAIL, None if passed else witness, tol=tol)
 
 
 def assert_same(oracle, curve, curves, zetas):
@@ -108,7 +114,7 @@ def test_resonant_oracle_gives_the_reference_report(rng):
 def test_no_curves_give_the_reference_report():
     field = DiagonalField((1, 2))
     new = assert_same(np.conj, partial(integral_curve, field), [], [0.5 + 0j])
-    assert new == CurveCheckReport(True, 0.0)
+    assert new == report(0.0, PASS)
 
 
 @pytest.mark.parametrize("row", [0, 7, 101, 383])

@@ -15,9 +15,9 @@ from holoflow import (DiagonalField, ExtractionError, ExtractionParams,
                       residual, sampled_sup, shift_difference,
                       verify_cauchy_bound)
 from holoflow.extract import (HALF_WIDTH, MAX_NODES, MIN_NODES, NODES_PER_PERIOD, SUP_X,
-                              TOL, X0, CauchyBoundReport, _five_smooth, _window,
+                              TOL, X0, _five_smooth, _window,
                               quadrature_nodes)
-from holoflow.reports import fitted_decay_rate
+from holoflow.reports import FAIL, PASS, Check, fitted_decay_rate
 from holoflow.sampling import evaluate_prefix
 from holoflow.wirtinger import CIRCLE, FD_STEP, dbar_circle
 
@@ -104,14 +104,16 @@ def reference_extract(oracle, params):
     return tuple(zip(params.grid.levels, coeffs.tolist())), rows[::-1], sup
 
 
-def reference_cauchy(pairs, M, tol=1e-6) -> CauchyBoundReport:
+def reference_cauchy(pairs, M, tol=1e-6) -> Check:
     ratios, worst, worst_level = [], 0.0, None
     for lam, c in pairs:
         ratio = abs(c) / M
         ratios.append((float(lam), ratio))
         if ratio > worst:
             worst, worst_level = ratio, float(lam)
-    return CauchyBoundReport(worst <= 1.0 + tol, worst, worst_level, M, tuple(ratios))
+    return Check("cauchy_ratio", worst, 1.0 + tol, verdict=PASS if worst <= 1.0 + tol else FAIL,
+                 table={"max_ratio": worst, "worst_level": worst_level, "bound": M,
+                        "ratios": tuple(ratios)})
 
 
 @settings(max_examples=30, deadline=None)

@@ -179,8 +179,8 @@ def _comparison_note(oracle):
 
 def _witness_note(oracle):
     check = _witness_check(oracle)
-    assert check["passed"] is False
-    return check["note"]
+    assert check.passed is False
+    return check.note
 
 
 def _extraction_note(oracle):
